@@ -6,11 +6,9 @@ from .core import (
     BiStep,
     Collection,
     ManhattanParams,
-    bistep_algebra,
     density,
     fundamental_cell_count,
     lattice_contains,
-    lattice_intersection,
     manhattan_contains,
     v_class,
 )
@@ -23,7 +21,6 @@ from .errors import (
     NumericalFailureError,
 )
 from .freq import (
-    AtomSpec,
     FreqMask,
     atom_mask,
     atom_volume,
@@ -40,7 +37,6 @@ from .reconstruct import (
     SpatialFilter,
     bandlimit,
     reconstruct,
-    reconstruct_2d_fast,
     spatial_filter_eval,
     spectrum_report,
 )
@@ -54,5 +50,19 @@ from .sampler import (
     write_mhs1,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "BiStep", "Collection", "ManhattanParams", "density", "fundamental_cell_count",
+    "lattice_contains", "manhattan_contains", "v_class",
+    "DimensionError", "DomainError", "FormatError", "ManhattanError",
+    "MissingSamplesError", "NumericalFailureError",
+    "FreqMask", "atom_mask", "atom_volume", "guaranteed_disjoint",
+    "manhattan_region_volume", "nyquist_mask", "region_mask", "replica_overlap_oracle",
+    "Grid", "apply_mask", "dft", "idft",
+    "read_mht1", "read_pgm", "write_mht1", "write_pgm",
+    "rank_report", "solve_reconstruct",
+    "ReconstructionPlan", "SpatialFilter", "bandlimit", "reconstruct",
+    "spatial_filter_eval", "spectrum_report",
+    "CombGrid", "SampleSet", "comb_from_grid", "comb_from_samples", "extract_samples",
+    "read_mhs1", "write_mhs1",
+]
 __version__ = "0.1.0"

@@ -15,7 +15,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import oracle  # noqa: F401  (kept importable for scripted use)
 from .core import Collection, ManhattanParams, density, fundamental_cell_count
 from .errors import (
     DomainError,
@@ -24,7 +23,7 @@ from .errors import (
     ManhattanError,
     NumericalFailureError,
 )
-from .freq import AtomSpec, atom_volume, manhattan_region_volume
+from .freq import atom_volume, manhattan_region_volume
 from .grid import Grid, read_mht1, read_pgm, write_mht1, write_pgm
 from .reconstruct import bandlimit, reconstruct, spectrum_report
 from .sampler import extract_samples, read_mhs1, write_mhs1
@@ -104,7 +103,7 @@ def cmd_info(args) -> int:
     print(f"density: {rho} = {float(rho):.6f} samples per unit volume")
     print(f"samples per fundamental cell: {fundamental_cell_count(collection)}")
     for b in closure.sorted_members():
-        print(f"  atom {b}: volume {atom_volume(AtomSpec(b, params))}")
+        print(f"  atom {b}: volume {atom_volume(b, params)}")
     status = "holds" if volume == rho else "VIOLATED"
     print(f"landau identity (region volume == density): {status} ({volume})")
     return EXIT_OK if volume == rho else EXIT_NUMERICAL

@@ -100,28 +100,6 @@ class BiStep:
         return "".join(str(b) for b in self.bits)
 
 
-@dataclass(frozen=True)
-class BiStepAlgebra:
-    union: BiStep
-    intersection: BiStep
-    xor: BiStep
-    complement_of_a: BiStep
-    a_subset_b: bool
-    weight_a: int
-
-
-def bistep_algebra(a: BiStep, b: BiStep) -> BiStepAlgebra:
-    """Element-wise OR/AND/XOR, complement of a, containment, and weight."""
-    return BiStepAlgebra(
-        union=a | b,
-        intersection=a & b,
-        xor=a ^ b,
-        complement_of_a=a.complement(),
-        a_subset_b=a.issubset(b),
-        weight_a=a.weight,
-    )
-
-
 def _as_fraction(x) -> Fraction:
     if isinstance(x, float):
         return Fraction(x).limit_denominator(10**9)
@@ -172,14 +150,6 @@ class ManhattanParams:
             raise DomainError("discrete-image operations require integer lambda")
         return tuple(x.numerator for x in self.lam)
 
-    def step(self, b: BiStep) -> tuple[Fraction, ...]:
-        """Per-dimension step vector of lattice b: lam_i if dense, k_i*lam_i if coarse."""
-        if b.d != self.d:
-            raise DimensionError("bi-step length does not match d")
-        return tuple(
-            lam if bit else k * lam for bit, lam, k in zip(b.bits, self.lam, self.k)
-        )
-
     def step_int(self, b: BiStep) -> tuple[int, ...]:
         lam = self.lam_int
         if b.d != self.d:
@@ -199,11 +169,6 @@ def lattice_contains(params: ManhattanParams, b: BiStep, t: Sequence[int]) -> bo
     if len(t) != params.d:
         raise DimensionError("coordinate length does not match d")
     return all(ti % si == 0 for ti, si in zip(t, step))
-
-
-def lattice_intersection(b1: BiStep, b2: BiStep) -> BiStep:
-    """The intersection of two bi-step lattices is the lattice of the AND."""
-    return b1 & b2
 
 
 def v_class(params: ManhattanParams, t: Sequence[int]) -> BiStep:

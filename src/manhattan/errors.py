@@ -14,7 +14,9 @@ class DomainError(ManhattanError):
 
 
 class MissingSamplesError(ManhattanError):
-    """A lattice comb was requested for a lattice not covered by the sample set."""
+    """Samples do not cover the Manhattan set exactly once: a coordinate is
+    missing, repeated, off M(B) or outside [0, T), or a comb was requested
+    for a lattice the collection does not cover."""
 
 
 class FormatError(ManhattanError):

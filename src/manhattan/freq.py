@@ -24,23 +24,13 @@ from .core import BiStep, Collection, ManhattanParams
 from .errors import DimensionError, DomainError
 
 
-@dataclass(frozen=True)
-class AtomSpec:
-    """One frequency atom: lowpass half-width 1/(2 k_i lam_i), dense 1/(2 lam_i)."""
-
-    b: BiStep
-    params: ManhattanParams
-
-    def __post_init__(self) -> None:
-        if self.b.d != self.params.d:
-            raise DimensionError("bi-step length does not match d")
-
-
-def atom_volume(a: AtomSpec) -> Fraction:
-    """Exact volume: prod over dense dims of 2*(1/(2lam) - 1/(2klam)),
-    times prod over coarse dims of 1/(klam)."""
+def atom_volume(b: BiStep, params: ManhattanParams) -> Fraction:
+    """Exact volume of the atom of b: prod over dense dims of
+    2*(1/(2lam) - 1/(2klam)), times prod over coarse dims of 1/(klam)."""
+    if b.d != params.d:
+        raise DimensionError("bi-step length does not match d")
     vol = Fraction(1)
-    for bit, lam, k in zip(a.b.bits, a.params.lam, a.params.k):
+    for bit, lam, k in zip(b.bits, params.lam, params.k):
         if bit:
             vol *= 2 * (Fraction(1, 2) / lam - Fraction(1, 2) / (k * lam))
         else:
@@ -54,7 +44,7 @@ def manhattan_region_volume(c: Collection) -> Fraction:
     Equals the sampling density exactly (Landau identity).
     """
     return sum(
-        (atom_volume(AtomSpec(b, c.params)) for b in c.closure().members),
+        (atom_volume(b, c.params) for b in c.closure().members),
         Fraction(0),
     )
 
@@ -132,8 +122,9 @@ def nyquist_mask(params: ManhattanParams, alpha_steps: tuple[int, ...]) -> FreqM
     return FreqMask(T, _tensor_mask(T, axes))
 
 
-def atom_mask(b: BiStep, params: ManhattanParams) -> FreqMask:
-    """Discrete atom: lowpass keep-set where b_i=0, dense-minus-lowpass where b_i=1."""
+def atom_axes(b: BiStep, params: ManhattanParams) -> list[np.ndarray]:
+    """Per-dimension keep vectors of the atom of b; the atom is their tensor
+    product: lowpass where b_i=0, dense-minus-lowpass where b_i=1."""
     T = _require_T(params)
     lam = params.lam_int
     axes = []
@@ -143,7 +134,13 @@ def atom_mask(b: BiStep, params: ManhattanParams) -> FreqMask:
             axes.append(axis_kept(T[i], lam[i]) & ~low)
         else:
             axes.append(low)
-    return FreqMask(T, _tensor_mask(T, axes))
+    return axes
+
+
+def atom_mask(b: BiStep, params: ManhattanParams) -> FreqMask:
+    """Discrete atom of b as a keep-mask over the full DFT grid."""
+    T = _require_T(params)
+    return FreqMask(T, _tensor_mask(T, atom_axes(b, params)))
 
 
 def region_mask(c: Collection) -> FreqMask:

@@ -49,9 +49,6 @@ class Grid:
     def size(self) -> int:
         return prod(self.extents)
 
-    def real_part(self) -> np.ndarray:
-        return self.data.real.copy()
-
 
 def dft(g: Grid) -> Grid:
     """Unnormalized forward DFT, separable over dimensions."""
@@ -160,7 +157,3 @@ def read_pgm(fh: BinaryIO) -> Grid:
     arr = np.frombuffer(raw, dtype=np.uint8).reshape(rows, cols).astype(np.float64)
     return Grid((rows, cols), arr.astype(np.complex128), SPATIAL)
 
-
-def mask_to_grid(m: FreqMask) -> Grid:
-    """0/1 image of a frequency mask, for visual inspection."""
-    return Grid(m.extents, m.kept.astype(np.complex128), SPATIAL)

@@ -1,26 +1,34 @@
 """Onion-peeling reconstruction of Manhattan-bandlimited images.
 
-The sweep recovers the spectrum one atom at a time, highest weight first:
-for each bi-step vector b in the closure, comb-sample the raw samples,
-subtract the comb-sampled contributions of every already-recovered
-higher-weight component, transform, and keep only the bins of atom b.
+The sweep recovers the spectrum one atom at a time, highest weight first.
 Higher-weight atoms alias lower-weight ones, never the reverse, so the
 peeling terminates with the lowpass atom and the summed spectrum inverts
 to the original image.
+
+No sweep step needs a full-size grid.  By the replica identity, the comb
+spectrum of the samples on lattice b (steps s, reduced extents m = T/s) is
+the spectrum of the subsampled array ``x[::s]`` scaled by prod(s) and
+tiled with period m, and the comb spectrum of an already-recovered
+component x^{b'} on b is the fold of its spectrum modulo m.  Atom b lies
+inside the Nyquist cell of lattice b, so its bins are read straight out of
+the reduced spectrum at ``u mod m``.  Each atom is stored as a dense block
+over the tensor product of its per-axis kept indices; one full-size
+inverse transform of the assembled spectrum gives the image.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import prod
 
 import numpy as np
 
 from .core import BiStep, Collection, ManhattanParams
-from .errors import DomainError, NumericalFailureError
-from .freq import FreqMask, atom_mask, region_mask
+from .errors import DomainError, MissingSamplesError, NumericalFailureError
+from .freq import FreqMask, atom_axes, atom_mask, region_mask
 from .grid import SPATIAL, SPECTRAL, Grid, apply_mask, dft, idft
-from .sampler import SampleSet, comb_from_grid, comb_from_samples
+from .sampler import SampleSet, manhattan_indicator
 
 IMAG_RESIDUE_TOL = 1e-9
 
@@ -28,17 +36,25 @@ IMAG_RESIDUE_TOL = 1e-9
 @dataclass(frozen=True)
 class ReconstructionPlan:
     """Closure members in sweep order (weight descending, bitmask ascending)
-    with their atom masks."""
+    with the per-axis kept DFT indices of their atoms."""
 
     members: tuple[BiStep, ...]
-    masks: dict[BiStep, FreqMask]
+    axes: dict[BiStep, tuple[np.ndarray, ...]]
     params: ManhattanParams
 
     @classmethod
     def for_collection(cls, c: Collection) -> "ReconstructionPlan":
         members = tuple(c.closure().sorted_members())
-        masks = {b: atom_mask(b, c.params) for b in members}
-        return cls(members, masks, c.params)
+        axes = {
+            b: tuple(np.flatnonzero(a) for a in atom_axes(b, c.params))
+            for b in members
+        }
+        return cls(members, axes, c.params)
+
+    @cached_property
+    def masks(self) -> dict[BiStep, FreqMask]:
+        """Full-size atom masks, for callers that work on the whole grid."""
+        return {b: atom_mask(b, self.params) for b in self.members}
 
 
 def _to_real(arr: np.ndarray, extents: tuple[int, ...]) -> Grid:
@@ -53,58 +69,68 @@ def _to_real(arr: np.ndarray, extents: tuple[int, ...]) -> Grid:
     return Grid(extents, arr.real.astype(np.complex128), SPATIAL)
 
 
+def _scatter(ss: SampleSet) -> np.ndarray:
+    """Real T-grid holding the samples, zero elsewhere.
+
+    Refuses a sample set that does not hit every point of M(B) exactly once
+    with a finite value: any such set would reconstruct to a wrong image.
+    """
+    T = ss.params.T
+    if ((ss.coords < 0) | (ss.coords >= np.asarray(T))).any():
+        raise MissingSamplesError(f"sample coordinates outside [0, T) for T={T}")
+    flat = np.ravel_multi_index(tuple(ss.coords.T), T)
+    hit = np.zeros(T, dtype=bool)
+    hit.flat[flat] = True
+    if np.count_nonzero(hit) != len(flat):
+        raise MissingSamplesError("sample coordinates are repeated")
+    expected = manhattan_indicator(ss.collection)
+    if not np.array_equal(hit, expected):
+        raise MissingSamplesError(
+            f"{np.count_nonzero(expected & ~hit)} points of M({ss.collection}) "
+            f"missing, {np.count_nonzero(hit & ~expected)} samples off it"
+        )
+    if not np.isfinite(ss.values).all():
+        raise DomainError("sample values must be finite")
+    x = np.zeros(T)
+    x.flat[flat] = ss.values
+    return x
+
+
+def _reduced(axes: tuple[np.ndarray, ...], m: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+    """Open-mesh index of a block's bins taken modulo the reduced extents m."""
+    return np.ix_(*(u % mi for u, mi in zip(axes, m)))
+
+
+def _fold(
+    block: np.ndarray, axes: tuple[np.ndarray, ...], m: tuple[int, ...]
+) -> np.ndarray:
+    """Sum of the replicas of a block spectrum modulo the reduced extents m."""
+    idx = np.ravel_multi_index(_reduced(axes, m), m).ravel()
+    n = prod(m)
+    real = np.bincount(idx, block.real.ravel(), n)
+    imag = np.bincount(idx, block.imag.ravel(), n)
+    return (real + 1j * imag).reshape(m)
+
+
 def reconstruct(ss: SampleSet) -> Grid:
     """Recover a Manhattan-bandlimited image from its samples (any d)."""
     params = ss.params
+    T = params.T
     plan = ReconstructionPlan.for_collection(ss.collection)
-    components: dict[BiStep, Grid] = {}  # spatial x^b, complex
-    spectrum = np.zeros(params.T, dtype=np.complex128)
+    x = _scatter(ss)
+    blocks: dict[BiStep, np.ndarray] = {}  # spectrum of x^b on its atom's block
     for b in plan.members:
-        comb = comb_from_samples(ss, b).grid.data.copy()
-        for b_prime, x_prime in components.items():
+        s = params.step_int(b)
+        m = tuple(t // si for t, si in zip(T, s))
+        R = np.fft.fftn(x[tuple(slice(None, None, si) for si in s)]) * prod(s)
+        for b_prime, block in blocks.items():
             if b_prime.weight > b.weight:
-                comb -= comb_from_grid(x_prime, b, params).grid.data
-        Xb = np.fft.fftn(comb) * plan.masks[b].kept
-        components[b] = Grid(tuple(params.T), np.fft.ifftn(Xb), SPATIAL)
-        spectrum += Xb
-    return _to_real(np.fft.ifftn(spectrum), tuple(params.T))
-
-
-def reconstruct_2d_fast(ss: SampleSet) -> Grid:
-    """Specialized 2D path for the horizontal+vertical pair of lattices.
-
-    Uses the operator form of the alias subtraction: re-sample the recovered
-    horizontal highpass component on the vertical lattice and subtract its
-    spectrum inside the coarse Nyquist region.
-    """
-    params = ss.params
-    b_h = BiStep((1, 0))  # dense along dimension 1
-    b_v = BiStep((0, 1))  # dense along dimension 2
-    if params.d != 2 or ss.collection.minimal().members != frozenset({b_h, b_v}):
-        raise DomainError("fast path requires d=2 and B={(1,0),(0,1)}")
-
-    mask_h = atom_mask(b_h, params)  # highpass of the horizontal lattice
-    mask_v = atom_mask(b_v, params)  # highpass of the vertical lattice
-    mask_c = atom_mask(BiStep((0, 0)), params)  # coarse Nyquist region
-
-    x_h = comb_from_samples(ss, b_h).grid
-    x_v = comb_from_samples(ss, b_v).grid
-    X_h = np.fft.fftn(x_h.data)
-    X_v = np.fft.fftn(x_v.data)
-
-    # Alias-subtraction term: vertical re-sampling of the recovered
-    # horizontal highpass image.
-    xh_component = Grid(
-        tuple(params.T), np.fft.ifftn(X_h * mask_h.kept), SPATIAL
-    )
-    y_prime = np.fft.fftn(comb_from_grid(xh_component, b_v, params).grid.data)
-
-    spectrum = (
-        X_v * mask_v.kept
-        + X_h * mask_h.kept
-        + (X_v - y_prime) * mask_c.kept
-    )
-    return _to_real(np.fft.ifftn(spectrum), tuple(params.T))
+                R -= _fold(block, plan.axes[b_prime], m)
+        blocks[b] = R[_reduced(plan.axes[b], m)]
+    spectrum = np.zeros(T, dtype=np.complex128)
+    for b, block in blocks.items():
+        spectrum[np.ix_(*plan.axes[b])] = block
+    return _to_real(np.fft.ifftn(spectrum), T)
 
 
 def bandlimit(image: Grid, c: Collection) -> Grid:

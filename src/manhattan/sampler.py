@@ -92,7 +92,11 @@ def extract_samples(image: Grid, c: Collection) -> SampleSet:
     coords = np.argwhere(mask)  # argwhere is lexicographic in C order
     values = image.data.real[mask]
     ss = SampleSet(params, c, coords, values)
-    assert len(ss) == ss.expected_count
+    if len(ss) != ss.expected_count:
+        raise MissingSamplesError(
+            f"extracted {len(ss)} samples, density accounting expects "
+            f"{ss.expected_count}"
+        )
     return ss
 
 

@@ -14,6 +14,9 @@ from manhattan import (
     bandlimit,
     extract_samples,
 )
+from manhattan.freq import atom_mask
+from manhattan.reconstruct import ReconstructionPlan
+from manhattan.sampler import comb_from_grid, comb_from_samples
 
 
 def window_points(params, factor=2):
@@ -62,6 +65,30 @@ def roundtrip_error(params, collection, seed=0, engine=None):
     result = engine(extract_samples(reference, collection))
     scale = max(np.abs(reference.data.real).max(), 1e-30)
     return np.abs(result.data.real - reference.data.real).max() / scale
+
+
+def sweep_components(ss, order):
+    """Literal onion peel on full-size combs with an explicit member order;
+    the reference for the folded engine.  Returns spectra per member."""
+    params = ss.params
+    spectra = {}
+    spatial = {}
+    for b in order:
+        comb = comb_from_samples(ss, b).grid.data.copy()
+        for b2, x2 in spatial.items():
+            if b2.weight > b.weight:
+                comb -= comb_from_grid(x2, b, params).grid.data
+        Xb = np.fft.fftn(comb) * atom_mask(b, params).kept
+        spectra[b] = Xb
+        spatial[b] = Grid(tuple(params.T), np.fft.ifftn(Xb), "spatial")
+    return spectra
+
+
+def reference_sweep(ss):
+    """Image from the full-size reference sweep in plan order."""
+    plan = ReconstructionPlan.for_collection(ss.collection)
+    spectra = sweep_components(ss, plan.members)
+    return np.fft.ifftn(sum(spectra.values())).real
 
 
 @pytest.fixture

@@ -158,3 +158,18 @@ class TestErrorPaths:
             "reconstruct", "--samples", str(bad),
             "--output", str(tmp_path / "out.mht1"),
         ) == 3
+
+    def test_truncated_mhs1_is_usage_error(self, tmp_path):
+        image = tmp_path / "image.mht1"
+        samples = tmp_path / "s.mhs1"
+        run("generate", "--size", "16,16", "--output", str(image))
+        assert run(
+            "sample", "--k", "4,4", "--collection", "10,01",
+            "--input", str(image), "--samples", str(samples),
+        ) == 0
+        lines = samples.read_text().splitlines(keepends=True)
+        samples.write_text("".join(lines[:-1]))  # drop the last sample row
+        assert run(
+            "reconstruct", "--samples", str(samples),
+            "--output", str(tmp_path / "out.mht1"),
+        ) == 2

@@ -8,9 +8,9 @@ import pytest
 
 from conftest import all_bisteps, random_collection, random_params
 from manhattan import (
-    AtomSpec,
     BiStep,
     Collection,
+    DimensionError,
     DomainError,
     ManhattanParams,
     atom_mask,
@@ -23,7 +23,7 @@ from manhattan import (
     replica_overlap_oracle,
 )
 from manhattan.freq import all_atom_masks, axis_kept
-from manhattan.grid import mask_to_grid, write_pgm
+from manhattan.grid import Grid, write_pgm
 
 
 def B(s):
@@ -35,10 +35,12 @@ class TestAtomVolumes:
         self.p = ManhattanParams(d=2, lam=(1, 1), k=(5, 3))
 
     def test_lowpass_atom(self):
-        assert atom_volume(AtomSpec(B("00"), self.p)) == Fraction(1, 15)
+        assert atom_volume(B("00"), self.p) == Fraction(1, 15)
 
     def test_highpass_atom(self):
-        assert atom_volume(AtomSpec(B("10"), self.p)) == Fraction(4, 15)
+        assert atom_volume(B("10"), self.p) == Fraction(4, 15)
+        with pytest.raises(DimensionError):
+            atom_volume(B("100"), self.p)
 
     def test_closure_sum_equals_density(self):
         c = Collection.of(self.p, ["10", "01"])
@@ -155,13 +157,13 @@ class TestAtomMasks:
             p = ManhattanParams(d=2, lam=(1, 1), k=(4, 4), T=(4 * n, 4 * n))
             b = B("10")
             frac = atom_mask(b, p).count / (16 * n * n)
-            vol = float(atom_volume(AtomSpec(b, p)))
+            vol = float(atom_volume(b, p))
             assert abs(frac - vol) < 2.0 / (4 * n)
 
     def test_mask_pgm_export(self):
         m = region_mask(Collection.of(self.p, ["10", "01"]))
         buf = io.BytesIO()
-        write_pgm(buf, mask_to_grid(m))
+        write_pgm(buf, Grid.from_array(m.kept.astype(float)))
         assert buf.getvalue().startswith(b"P5\n16 16\n255\n")
 
 

@@ -4,19 +4,27 @@ import random
 import numpy as np
 import pytest
 
-from conftest import bandlimited_image, random_collection, random_params, roundtrip_error
+from conftest import (
+    bandlimited_image,
+    random_collection,
+    random_params,
+    reference_sweep,
+    roundtrip_error,
+    sweep_components,
+)
 from manhattan import (
     BiStep,
     Collection,
     DomainError,
     Grid,
     ManhattanParams,
+    MissingSamplesError,
     NumericalFailureError,
+    SampleSet,
     SpatialFilter,
     bandlimit,
     extract_samples,
     reconstruct,
-    reconstruct_2d_fast,
     spatial_filter_eval,
     spectrum_report,
 )
@@ -27,22 +35,6 @@ from manhattan.sampler import comb_from_grid, comb_from_samples
 
 def B(s):
     return BiStep.from_string(s)
-
-
-def sweep_components(ss, order):
-    """Onion peel with an explicit member order; returns spectra per member."""
-    params = ss.params
-    spectra = {}
-    spatial = {}
-    for b in order:
-        comb = comb_from_samples(ss, b).grid.data.copy()
-        for b2, x2 in spatial.items():
-            if b2.weight > b.weight:
-                comb -= comb_from_grid(x2, b, params).grid.data
-        Xb = np.fft.fftn(comb) * atom_mask(b, params).kept
-        spectra[b] = Xb
-        spatial[b] = Grid(tuple(params.T), np.fft.ifftn(Xb), "spatial")
-    return spectra
 
 
 class TestPerfectReconstruction:
@@ -82,9 +74,52 @@ class TestPerfectReconstruction:
     def test_random_configs(self):
         rng = random.Random(37)
         for _ in range(10):
-            p = random_params(rng, d_max=3, k_max=4)
+            p = random_params(rng, d_max=4, k_max=4)
             c = random_collection(rng, p)
-            assert roundtrip_error(p, c, seed=rng.randint(0, 10**6)) <= 1e-9
+            seed = rng.randint(0, 10**6)
+            assert roundtrip_error(p, c, seed=seed) <= 1e-9
+            ref = bandlimited_image(p, c, seed=seed)
+            ss = extract_samples(ref, c)
+            scale = np.abs(ref.data.real).max()
+            diff = np.abs(reconstruct(ss).data.real - reference_sweep(ss)).max()
+            assert diff <= 1e-9 * scale
+
+
+class TestMalformedSamples:
+    """Sample sets that cannot give an exact reconstruction are refused."""
+
+    @staticmethod
+    def corrupt(ss, kind):
+        coords, values = ss.coords.copy(), ss.values.copy()
+        if kind == "missing":
+            coords, values = coords[1:], values[1:]
+        elif kind == "duplicate":  # every point is still hit, one twice
+            coords = np.vstack([coords, coords[:1]])
+            values = np.append(values, values[0] + 1.0)
+        elif kind == "off-set":
+            coords[0] = (1, 1)  # dense in both dimensions: not on 10 or 01
+        elif kind == "nan":
+            values[3] = np.nan
+        elif kind == "out-of-range":
+            coords[0, 0] = -ss.params.T[0]  # numpy indexing would wrap it to 0
+        return SampleSet(ss.params, ss.collection, coords, values)
+
+    @pytest.mark.parametrize(
+        "kind,error",
+        [
+            ("missing", MissingSamplesError),
+            ("duplicate", MissingSamplesError),
+            ("off-set", MissingSamplesError),
+            ("nan", DomainError),
+            ("out-of-range", MissingSamplesError),
+        ],
+    )
+    def test_refused(self, kind, error):
+        p = ManhattanParams(d=2, lam=(1, 1), k=(4, 4), T=(16, 16))
+        c = Collection.of(p, ["10", "01"])
+        ss = extract_samples(bandlimited_image(p, c, seed=3), c)
+        with pytest.raises(error):
+            reconstruct(self.corrupt(ss, kind))
 
 
 class TestSweepStructure:
@@ -177,8 +212,8 @@ class TestFast2d:
         c = Collection.of(p, ["10", "01"])
         ref = bandlimited_image(p, c, seed=77)
         ss = extract_samples(ref, c)
-        fast = reconstruct_2d_fast(ss).data.real
-        general = reconstruct(ss).data.real
+        fast = reconstruct(ss).data.real
+        general = reference_sweep(ss)
         scale = np.abs(ref.data.real).max()
         assert np.abs(fast - general).max() <= 1e-9 * scale
         assert np.abs(fast - ref.data.real).max() <= 1e-9 * scale
@@ -200,15 +235,7 @@ class TestFast2d:
         p = ManhattanParams(d=2, lam=(1, 1), k=(2, 2), T=(8, 8))
         c = Collection.of(p, ["10", "01"])
         ss = extract_samples(Grid.from_array(np.zeros((8, 8))), c)
-        assert not reconstruct_2d_fast(ss).data.any()
-
-    def test_rejects_other_configs(self):
-        p = ManhattanParams(d=2, lam=(1, 1), k=(4, 4), T=(16, 16))
-        ss = extract_samples(
-            Grid.from_array(np.zeros((16, 16))), Collection.of(p, ["00"])
-        )
-        with pytest.raises(DomainError):
-            reconstruct_2d_fast(ss)
+        assert not reconstruct(ss).data.any()
 
 
 class TestBandlimit:
