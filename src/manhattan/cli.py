@@ -137,6 +137,8 @@ def cmd_reconstruct(args) -> int:
     log.info("reconstructed %s -> %s", args.samples, args.output)
     if args.reference:
         ref = _read_grid(args.reference, args.format)
+        if tuple(ref.extents) != tuple(result.extents):
+            raise DimensionError(f"reference extents {ref.extents} != {result.extents}")
         scale = max(np.abs(ref.data.real).max(), 1e-30)
         err = np.abs(result.data.real - ref.data.real).max() / scale
         ok = err <= 1e-9

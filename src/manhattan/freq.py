@@ -73,10 +73,6 @@ class FreqMask:
         self._check(other)
         return FreqMask(self.extents, self.kept | other.kept)
 
-    def intersection(self, other: "FreqMask") -> "FreqMask":
-        self._check(other)
-        return FreqMask(self.extents, self.kept & other.kept)
-
     def disjoint(self, other: "FreqMask") -> bool:
         self._check(other)
         return not bool((self.kept & other.kept).any())

@@ -8,6 +8,7 @@ spectral replicas it induces have unit amplitude.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from math import prod
 from typing import TextIO
 
@@ -23,6 +24,7 @@ from .errors import (
 from .grid import SPATIAL, Grid
 
 _MHS1_MAGIC = "MHS1"
+_MHS1_CHUNK_ROWS = 1 << 14  # rows per write: bounds the formatted text in memory
 
 
 def lattice_indicator(params: ManhattanParams, b: BiStep) -> np.ndarray:
@@ -137,7 +139,9 @@ def comb_from_samples(ss: SampleSet, b: BiStep) -> CombGrid:
 
 # ---------------------------------------------------------------------------
 # MHS1 text format: magic line, header lines dims/T/k/lambda/collection, then
-# one "t_1 ... t_d value" row per sample (17 significant digits).
+# one row per sample: d integer coordinates and the value to 17 significant
+# digits (exact for float64). Blank lines are ignored, comment lines are not
+# allowed, and a malformed row raises FormatError.
 # ---------------------------------------------------------------------------
 
 
@@ -149,8 +153,11 @@ def write_mhs1(fh: TextIO, ss: SampleSet) -> None:
     fh.write("k " + " ".join(map(str, p.k)) + "\n")
     fh.write("lambda " + " ".join(map(str, p.lam_int)) + "\n")
     fh.write(f"collection {ss.collection}\n")
-    for coord, value in zip(ss.coords, ss.values):
-        fh.write(" ".join(map(str, coord)) + f" {value:.17g}\n")
+    row = "%d " * p.d + "%.17g\n"
+    for start in range(0, len(ss), _MHS1_CHUNK_ROWS):
+        chunk = slice(start, start + _MHS1_CHUNK_ROWS)
+        cols = [*ss.coords[chunk].T.tolist(), ss.values[chunk].tolist()]
+        fh.write("".join(map(row.__mod__, zip(*cols))))
 
 
 def _header_line(fh: TextIO, key: str) -> list[str]:
@@ -162,27 +169,22 @@ def _header_line(fh: TextIO, key: str) -> list[str]:
 
 
 def read_mhs1(fh: TextIO) -> SampleSet:
-    magic = fh.readline().strip()
-    if magic != _MHS1_MAGIC:
-        raise FormatError(f"unknown magic {magic!r}, expected {_MHS1_MAGIC!r}")
-    try:
+    try:  # ValueError: bad numbers, ragged rows, undecodable bytes
+        magic = fh.readline().strip()
+        if magic != _MHS1_MAGIC:
+            raise FormatError(f"unknown magic {magic!r}, expected {_MHS1_MAGIC!r}")
         (d,) = map(int, _header_line(fh, "dims"))
         T = tuple(map(int, _header_line(fh, "T")))
         k = tuple(map(int, _header_line(fh, "k")))
         lam = tuple(map(int, _header_line(fh, "lambda")))
         (coll_text,) = _header_line(fh, "collection")
+        params = ManhattanParams(d=d, lam=lam, k=k, T=T)
+        collection = Collection.from_string(params, coll_text)
+        row = np.dtype([("coords", "<i8", (d,)), ("value", "<f8")])
+        first = next((line for line in fh if line.strip()), None)
+        rows = np.empty(0, row)
+        if first is not None:  # loadtxt warns on an empty body
+            rows = np.loadtxt(chain([first], fh), dtype=row, comments=None, ndmin=1)
     except ValueError as exc:
-        raise FormatError(f"malformed MHS1 header: {exc}") from exc
-    params = ManhattanParams(d=d, lam=lam, k=k, T=T)
-    collection = Collection.from_string(params, coll_text)
-    coords, values = [], []
-    for line in fh:
-        parts = line.split()
-        if not parts:
-            continue
-        if len(parts) != d + 1:
-            raise FormatError(f"malformed sample row: {line!r}")
-        coords.append([int(x) for x in parts[:d]])
-        values.append(float(parts[d]))
-    coords_arr = np.asarray(coords, dtype=np.int64).reshape(len(values), d)
-    return SampleSet(params, collection, coords_arr, np.asarray(values))
+        raise FormatError(f"malformed MHS1 file: {exc}") from exc
+    return SampleSet(params, collection, rows["coords"], rows["value"])

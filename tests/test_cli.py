@@ -159,7 +159,7 @@ class TestErrorPaths:
             "--output", str(tmp_path / "out.mht1"),
         ) == 3
 
-    def test_truncated_mhs1_is_usage_error(self, tmp_path):
+    def _sample_16(self, tmp_path):
         image = tmp_path / "image.mht1"
         samples = tmp_path / "s.mhs1"
         run("generate", "--size", "16,16", "--output", str(image))
@@ -167,9 +167,41 @@ class TestErrorPaths:
             "sample", "--k", "4,4", "--collection", "10,01",
             "--input", str(image), "--samples", str(samples),
         ) == 0
+        return samples
+
+    def test_truncated_mhs1_is_usage_error(self, tmp_path):
+        samples = self._sample_16(tmp_path)
         lines = samples.read_text().splitlines(keepends=True)
         samples.write_text("".join(lines[:-1]))  # drop the last sample row
         assert run(
             "reconstruct", "--samples", str(samples),
             "--output", str(tmp_path / "out.mht1"),
+        ) == 2
+
+    def test_malformed_mhs1_row_is_format_error(self, tmp_path):
+        samples = self._sample_16(tmp_path)
+        lines = samples.read_text().splitlines(keepends=True)
+        lines[7] = "0 x 1.0\n"
+        samples.write_text("".join(lines))
+        assert run(
+            "reconstruct", "--samples", str(samples),
+            "--output", str(tmp_path / "out.mht1"),
+        ) == 3
+
+    def test_header_only_mhs1_is_usage_error(self, tmp_path):
+        samples = self._sample_16(tmp_path)
+        lines = samples.read_text().splitlines(keepends=True)
+        samples.write_text("".join(lines[:6]))  # header, no sample rows
+        assert run(
+            "reconstruct", "--samples", str(samples),
+            "--output", str(tmp_path / "out.mht1"),
+        ) == 2
+
+    def test_reference_extent_mismatch_is_usage_error(self, tmp_path):
+        samples = self._sample_16(tmp_path)
+        reference = tmp_path / "ref.mht1"
+        run("generate", "--size", "16,8", "--output", str(reference))
+        assert run(
+            "reconstruct", "--samples", str(samples),
+            "--output", str(tmp_path / "out.mht1"), "--reference", str(reference),
         ) == 2

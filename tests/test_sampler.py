@@ -3,12 +3,16 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conftest import random_collection, random_params
 from manhattan import (
     BiStep,
     Collection,
+    FormatError,
     Grid,
+    ManhattanError,
     ManhattanParams,
     MissingSamplesError,
     bandlimit,
@@ -19,8 +23,14 @@ from manhattan import (
     read_mhs1,
     write_mhs1,
 )
+from manhattan import sampler
 from manhattan.freq import reciprocal_offsets
-from manhattan.sampler import grid_from_samples, lattice_indicator
+from manhattan.sampler import (
+    SampleSet,
+    grid_from_samples,
+    lattice_indicator,
+    manhattan_indicator,
+)
 
 
 def B(s):
@@ -191,3 +201,153 @@ class TestMhs1:
         on = lattice_indicator(p, BiStep((1, 0)))
         assert np.array_equal(g.data[on], img.data[on])
         assert not g.data[~on].any()
+
+
+def mhs1_text(ss):
+    buf = io.StringIO()
+    write_mhs1(buf, ss)
+    return buf.getvalue()
+
+
+def mhs1_text_per_row(ss):
+    """Reference writer: one formatted line per sample."""
+    buf = io.StringIO()
+    write_mhs1(buf, SampleSet(ss.params, ss.collection, ss.coords[:0], ss.values[:0]))
+    for coord, value in zip(ss.coords, ss.values):
+        buf.write(" ".join(map(str, coord)) + f" {value:.17g}\n")
+    return buf.getvalue()
+
+
+def golden_samples():
+    p = ManhattanParams(d=3, lam=(1, 1, 1), k=(2, 2, 2), T=(4, 2, 2))
+    c = Collection.of(p, ["100", "010"])
+    values = [-0.0, 5e-324, 1.7976931348623157e308, 0.1, 1 / 3, -255.0]
+    return SampleSet(p, c, np.argwhere(manhattan_indicator(c)), values)
+
+
+GOLDEN_MHS1 = """\
+MHS1
+dims 3
+T 4 2 2
+k 2 2 2
+lambda 1 1 1
+collection 100,010
+0 0 0 -0
+0 1 0 4.9406564584124654e-324
+1 0 0 1.7976931348623157e+308
+2 0 0 0.10000000000000001
+2 1 0 0.33333333333333331
+3 0 0 -255
+"""
+
+HEADER_2D = "MHS1\ndims 2\nT 8 8\nk 4 4\nlambda 1 1\ncollection 10,01\n"
+
+
+def assert_same_samples(a, b):
+    assert a.params == b.params
+    assert a.collection.members == b.collection.members
+    assert np.array_equal(a.coords, b.coords)
+    assert np.array_equal(a.values.view(np.uint64), b.values.view(np.uint64))
+
+
+class TestMhs1Body:
+    def test_golden(self):
+        ss = golden_samples()
+        assert mhs1_text(ss) == GOLDEN_MHS1
+        assert_same_samples(read_mhs1(io.StringIO(GOLDEN_MHS1)), ss)
+
+    @given(st.data())
+    def test_round_trip_bit_exact(self, data):
+        d = data.draw(st.integers(1, 3))
+        n = data.draw(st.integers(0, 40))
+        p = ManhattanParams(d=d, lam=(1,) * d, k=(2,) * d, T=(2,) * d)
+        c = Collection.of(p, ["1" * d])
+        coords = data.draw(arrays(np.int64, (n, d)))
+        values = data.draw(
+            arrays(np.float64, n, elements=st.floats(allow_nan=False, allow_infinity=False))
+        )
+        ss = SampleSet(p, c, coords, values)
+        text = mhs1_text(ss)
+        assert text == mhs1_text_per_row(ss)
+        assert_same_samples(read_mhs1(io.StringIO(text)), ss)
+
+    @pytest.mark.parametrize("chunk_rows", [1, 5, 7])
+    def test_chunk_boundaries(self, monkeypatch, chunk_rows):
+        p = ManhattanParams(d=2, lam=(1, 1), k=(4, 4), T=(8, 8))
+        c = Collection.of(p, ["10", "01"])
+        rng = np.random.default_rng(5)
+        ss = extract_samples(Grid.from_array(rng.normal(size=(8, 8))), c)
+        expected = mhs1_text(ss)
+        assert expected == mhs1_text_per_row(ss)
+        monkeypatch.setattr(sampler, "_MHS1_CHUNK_ROWS", chunk_rows)
+        assert mhs1_text(ss) == expected
+
+    def test_header_only_is_empty_sample_set(self):
+        for body in ("", "\n  \n\t\n"):
+            ss = read_mhs1(io.StringIO(HEADER_2D + body))
+            assert len(ss) == 0
+            assert ss.coords.shape == (0, 2)
+
+    def test_blank_lines_are_skipped(self):
+        ss = read_mhs1(io.StringIO(HEADER_2D + "\n0 0 1.5\n\n  \n0 1 -2\n\n"))
+        assert ss.coords.tolist() == [[0, 0], [0, 1]]
+        assert ss.values.tolist() == [1.5, -2.0]
+
+    @pytest.mark.parametrize(
+        "row",
+        [
+            "0 x 1.0",  # non-numeric coordinate
+            "1.5 0 1.0",  # float coordinate
+            "1e3 0 1.0",  # float coordinate in exponent form
+            "12345678901234567890123 0 1.0",  # coordinate overflows int64
+            "0 1 0.5+09",  # bad value
+            "0 1 one",  # non-numeric value
+            "0 1",  # too few columns
+            "0 1 1.0 2.0",  # too many columns
+            "# 0 1 1.0",  # comment line
+        ],
+    )
+    def test_malformed_row(self, row):
+        text = HEADER_2D + "0 0 1.0\n" + row + "\n0 2 3.0\n"
+        with pytest.raises(FormatError):
+            read_mhs1(io.StringIO(text))
+
+
+def _mutations(start, stop):
+    """Byte edits at positions in [start, stop), mostly text bytes."""
+    text_byte = st.sampled_from(b"0123456789 \t\n-+.eEinfx#,")
+    byte = st.one_of(text_byte, text_byte, text_byte, st.integers(0, 255))
+    op = st.sampled_from(["replace", "insert", "delete"])
+    return st.lists(
+        st.tuples(op, st.sampled_from(range(start, stop)), byte), min_size=1, max_size=6
+    )
+
+
+class TestMhs1Fuzz:
+    VALID = GOLDEN_MHS1.encode()
+    BODY = VALID.index(b"0 0 0 -0")
+
+    def read_mutated(self, mutations):
+        """read_mhs1 on the mutated file either returns or raises a typed error."""
+        data = bytearray(self.VALID)
+        for op, pos, byte in mutations:
+            pos = min(pos, len(data) - 1)
+            if op == "replace":
+                data[pos] = byte
+            elif op == "insert":
+                data.insert(pos, byte)
+            else:
+                del data[pos]
+        fh = io.TextIOWrapper(io.BytesIO(bytes(data)), encoding="utf-8")
+        try:
+            assert isinstance(read_mhs1(fh), SampleSet)
+        except ManhattanError:
+            pass
+
+    @given(_mutations(0, len(VALID)))
+    def test_mutated_file(self, mutations):
+        self.read_mutated(mutations)
+
+    @given(_mutations(BODY, len(VALID)))
+    def test_mutated_body(self, mutations):
+        self.read_mutated(mutations)
