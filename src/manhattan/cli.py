@@ -139,8 +139,8 @@ def cmd_reconstruct(args) -> int:
         ref = _read_grid(args.reference, args.format)
         if tuple(ref.extents) != tuple(result.extents):
             raise DimensionError(f"reference extents {ref.extents} != {result.extents}")
-        scale = max(np.abs(ref.data.real).max(), 1e-30)
-        err = np.abs(result.data.real - ref.data.real).max() / scale
+        scale = max(np.abs(ref.data).max(), 1e-30)
+        err = np.abs(result.data - ref.data).max() / scale
         ok = err <= 1e-9
         print(f"{'PASS' if ok else 'FAIL'} relative max error {err:.3e}")
         return EXIT_OK if ok else EXIT_NUMERICAL
@@ -150,14 +150,12 @@ def cmd_reconstruct(args) -> int:
 def cmd_spectrum(args) -> int:
     image = _read_grid(args.input, args.format)
     report = spectrum_report(image)
-    out = report.data.real
     if _file_format(args.output, args.format) == "pgm":
+        out = report.data
         lo, hi = out.min(), out.max()
         scaled = (out - lo) / (hi - lo) * 255.0 if hi > lo else out * 0.0
-        out_grid = Grid(report.extents, scaled.astype(np.complex128))
-    else:
-        out_grid = Grid(report.extents, out.astype(np.complex128))
-    _write_grid(args.output, out_grid, args.format)
+        report = Grid(report.extents, scaled)
+    _write_grid(args.output, report, args.format)
     log.info("spectrum of %s -> %s", args.input, args.output)
     return EXIT_OK
 
@@ -176,7 +174,7 @@ def cmd_generate(args) -> int:
         arr[(0,) * len(size)] = 1.0
     else:
         raise DomainError(f"unknown kind {args.kind!r}")
-    _write_grid(args.output, Grid(size, arr.astype(np.complex128)), args.format)
+    _write_grid(args.output, Grid(size, arr), args.format)
     log.info("generated %s image %s -> %s", args.kind, args.size, args.output)
     return EXIT_OK
 

@@ -1,7 +1,8 @@
-"""d-dimensional complex grids, DFT convention, and tensor/PGM file formats.
+"""d-dimensional grids, DFT convention, and tensor/PGM file formats.
 
-The transform pair is unnormalized forward, 1/prod(T) inverse, which is
-exactly numpy's fftn/ifftn convention.
+A grid's dtype says what it holds: float64 data is a real image, complex128
+data is its spectrum.  The transform pair is unnormalized forward,
+1/prod(T) inverse, which is exactly numpy's fftn/ifftn convention.
 """
 
 from __future__ import annotations
@@ -13,27 +14,29 @@ from typing import BinaryIO
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, FormatError
+from .errors import DimensionError, DomainError, FormatError, NumericalFailureError
 from .freq import FreqMask
 
-SPATIAL = "spatial"
-SPECTRAL = "spectral"
+IMAG_RESIDUE_TOL = 1e-9
 
 _MHT1_MAGIC = b"MHT1"
 
 
 @dataclass(frozen=True)
 class Grid:
-    """Complex tensor with extents T, tagged as a spatial image or a spectrum."""
+    """Read-only tensor with extents T: a real image or a complex spectrum.
+
+    Real, integer and bool data are stored as float64, complex data as
+    complex128.  An array already in that dtype and C order is adopted
+    without a copy and made read-only.
+    """
 
     extents: tuple[int, ...]
-    data: np.ndarray  # complex128, shape == extents
-    domain: str = SPATIAL
+    data: np.ndarray  # float64 image or complex128 spectrum, shape == extents
 
     def __post_init__(self) -> None:
-        if self.domain not in (SPATIAL, SPECTRAL):
-            raise DomainError(f"unknown domain tag: {self.domain}")
-        arr = np.ascontiguousarray(self.data, dtype=np.complex128)
+        dtype = np.complex128 if np.iscomplexobj(self.data) else np.float64
+        arr = np.ascontiguousarray(self.data, dtype=dtype)
         if tuple(arr.shape) != tuple(self.extents):
             raise DimensionError(
                 f"data shape {arr.shape} does not match extents {self.extents}"
@@ -42,74 +45,84 @@ class Grid:
         arr.setflags(write=False)
 
     @classmethod
-    def from_array(cls, arr: np.ndarray, domain: str = SPATIAL) -> "Grid":
-        return cls(tuple(arr.shape), np.asarray(arr, dtype=np.complex128), domain)
-
-    @property
-    def size(self) -> int:
-        return prod(self.extents)
+    def from_array(cls, arr: np.ndarray) -> "Grid":
+        return cls(tuple(np.shape(arr)), arr)
 
 
 def dft(g: Grid) -> Grid:
-    """Unnormalized forward DFT, separable over dimensions."""
-    if g.domain != SPATIAL:
-        raise DomainError("dft expects a spatial grid")
-    return Grid(g.extents, np.fft.fftn(g.data), SPECTRAL)
+    """Unnormalized forward DFT of an image, separable over dimensions."""
+    if np.iscomplexobj(g.data):
+        raise DomainError("dft expects a real image, got a spectrum")
+    return Grid(g.extents, np.fft.fftn(g.data))
 
 
 def idft(g: Grid) -> Grid:
-    """Inverse DFT with 1/prod(T) normalization."""
-    if g.domain != SPECTRAL:
-        raise DomainError("idft expects a spectral grid")
-    return Grid(g.extents, np.fft.ifftn(g.data), SPATIAL)
+    """Inverse DFT with 1/prod(T) normalization, back to a real image.
+
+    The imaginary part is discarded only after checking that it is
+    negligible relative to the peak, i.e. that the spectrum is Hermitian.
+    """
+    if not np.iscomplexobj(g.data):
+        raise DomainError("idft expects a spectrum, got a real image")
+    arr = np.fft.ifftn(g.data)
+    scale = max(np.abs(arr.real).max(initial=0.0), 1.0)
+    residue = np.abs(arr.imag).max(initial=0.0)
+    if residue > IMAG_RESIDUE_TOL * scale:
+        raise NumericalFailureError(
+            f"imaginary residue {residue:.3e} exceeds {IMAG_RESIDUE_TOL:.0e} "
+            f"relative to peak {scale:.3e}"
+        )
+    return Grid(g.extents, arr.real)
 
 
 def apply_mask(g: Grid, m: FreqMask) -> Grid:
     """Zero every bin outside the mask."""
-    if g.domain != SPECTRAL:
-        raise DomainError("apply_mask expects a spectral grid")
+    if not np.iscomplexobj(g.data):
+        raise DomainError("apply_mask expects a spectrum, got a real image")
     if tuple(g.extents) != tuple(m.extents):
         raise DimensionError("grid/mask extent mismatch")
-    return Grid(g.extents, g.data * m.kept, SPECTRAL)
+    return Grid(g.extents, g.data * m.kept)
 
 
 # ---------------------------------------------------------------------------
 # MHT1 binary tensor format: magic "MHT1", u32 d, d x u64 extents, u8 dtype
-# (0 = float64 real, 1 = complex128), little-endian row-major payload.
+# (0 = float64 image, 1 = complex128 spectrum), little-endian row-major
+# payload, nothing after it.
 # ---------------------------------------------------------------------------
 
 
 def write_mht1(fh: BinaryIO, g: Grid) -> None:
-    data = g.data
-    if np.abs(data.imag).max(initial=0.0) == 0.0:
-        dtype_code, payload = 0, data.real.astype("<f8")
-    else:
-        dtype_code, payload = 1, data.astype("<c16")
+    dtype_code = int(np.iscomplexobj(g.data))
     fh.write(_MHT1_MAGIC)
     fh.write(struct.pack("<I", len(g.extents)))
     fh.write(struct.pack(f"<{len(g.extents)}Q", *g.extents))
     fh.write(struct.pack("<B", dtype_code))
-    fh.write(np.ascontiguousarray(payload).tobytes())
+    fh.write(g.data.astype("<c16" if dtype_code else "<f8", copy=False).tobytes())
 
 
-def read_mht1(fh: BinaryIO, domain: str = SPATIAL) -> Grid:
+def read_mht1(fh: BinaryIO) -> Grid:
     magic = fh.read(4)
     if magic != _MHT1_MAGIC:
         raise FormatError(f"unknown magic {magic!r}, expected {_MHT1_MAGIC!r}")
-    (d,) = struct.unpack("<I", fh.read(4))
-    if not 1 <= d <= 16:
-        raise FormatError(f"unreasonable dimension count {d}")
-    extents = struct.unpack(f"<{d}Q", fh.read(8 * d))
-    (dtype_code,) = struct.unpack("<B", fh.read(1))
+    try:  # struct.error: the header ends early
+        (d,) = struct.unpack("<I", fh.read(4))
+        if not 1 <= d <= 16:
+            raise FormatError(f"unreasonable dimension count {d}")
+        extents = struct.unpack(f"<{d}Q", fh.read(8 * d))
+        (dtype_code,) = struct.unpack("<B", fh.read(1))
+    except struct.error as exc:
+        raise FormatError("truncated MHT1 header") from exc
     if dtype_code not in (0, 1):
         raise FormatError(f"unknown dtype code {dtype_code}")
-    np_dtype = "<f8" if dtype_code == 0 else "<c16"
-    n = prod(extents)
-    raw = fh.read(n * (8 if dtype_code == 0 else 16))
-    arr = np.frombuffer(raw, dtype=np_dtype)
-    if arr.size != n:
-        raise FormatError("truncated MHT1 payload")
-    return Grid(tuple(extents), arr.reshape(extents).astype(np.complex128), domain)
+    np_dtype = np.dtype("<c16" if dtype_code else "<f8")
+    raw = fh.read()  # the rest of the file: the declared size may be bogus
+    if len(raw) != prod(extents) * np_dtype.itemsize:
+        raise FormatError(f"MHT1 payload of {len(raw)} bytes does not fit {extents}")
+    try:  # ValueError: an extent too large for numpy next to a zero one
+        arr = np.frombuffer(raw, dtype=np_dtype).reshape(extents)
+    except ValueError as exc:
+        raise FormatError(f"unsupported MHT1 extents {extents}") from exc
+    return Grid(tuple(extents), arr)
 
 
 # ---------------------------------------------------------------------------
@@ -119,9 +132,9 @@ def read_mht1(fh: BinaryIO, domain: str = SPATIAL) -> Grid:
 
 
 def write_pgm(fh: BinaryIO, g: Grid) -> None:
-    if len(g.extents) != 2:
-        raise DomainError("PGM output is only defined for 2D grids")
-    img = np.clip(np.rint(g.data.real), 0, 255).astype(np.uint8)
+    if len(g.extents) != 2 or np.iscomplexobj(g.data):
+        raise DomainError("PGM output is only defined for 2D real images")
+    img = np.clip(np.rint(g.data), 0, 255).astype(np.uint8)
     rows, cols = g.extents
     fh.write(f"P5\n{cols} {rows}\n255\n".encode("ascii"))
     fh.write(img.tobytes())
@@ -132,7 +145,7 @@ def read_pgm(fh: BinaryIO) -> Grid:
     if magic != b"P5":
         raise FormatError(f"unknown magic {magic!r}, expected b'P5'")
 
-    def next_token() -> bytes:
+    def next_int() -> int:
         tok = b""
         while True:
             c = fh.read(1)
@@ -144,16 +157,18 @@ def read_pgm(fh: BinaryIO) -> Grid:
                 continue
             if c.isspace():
                 if tok:
-                    return tok
+                    break
                 continue
             tok += c
+        if not tok.isdigit():
+            raise FormatError(f"PGM header token {tok!r} is not a decimal integer")
+        return int(tok)
 
-    cols, rows, maxval = (int(next_token()) for _ in range(3))
+    cols, rows, maxval = (next_int() for _ in range(3))
     if maxval != 255:
         raise FormatError(f"only 8-bit PGM supported, maxval={maxval}")
-    raw = fh.read(rows * cols)
-    if len(raw) != rows * cols:
+    raw = fh.read()  # the rest of the file: the declared size may be bogus
+    if len(raw) < rows * cols:
         raise FormatError("truncated PGM payload")
-    arr = np.frombuffer(raw, dtype=np.uint8).reshape(rows, cols).astype(np.float64)
-    return Grid((rows, cols), arr.astype(np.complex128), SPATIAL)
-
+    arr = np.frombuffer(raw, dtype=np.uint8, count=rows * cols).reshape(rows, cols)
+    return Grid((rows, cols), arr)

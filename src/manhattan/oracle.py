@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DomainError, NumericalFailureError
 from .freq import region_mask
-from .grid import SPATIAL, Grid
+from .grid import Grid
 from .sampler import SampleSet
 
 SIZE_GUARD = 4096
@@ -43,7 +43,7 @@ def solve_reconstruct(ss: SampleSet) -> Grid:
         raise DomainError(
             f"underdetermined system: {A.shape[0]} samples, {A.shape[1]} bins"
         )
-    coeffs, *_ = np.linalg.lstsq(A, ss.values.astype(np.complex128), rcond=None)
+    coeffs, *_ = np.linalg.lstsq(A, ss.values, rcond=None)
     norm = np.linalg.norm(ss.values)
     residual = np.linalg.norm(A @ coeffs - ss.values)
     if residual > RESIDUAL_TOL * max(norm, 1.0):
@@ -52,7 +52,7 @@ def solve_reconstruct(ss: SampleSet) -> Grid:
         )
     spectrum = np.zeros(params.T, dtype=np.complex128)
     spectrum[tuple(bins.T)] = coeffs
-    return Grid(tuple(params.T), np.fft.ifftn(spectrum).real.astype(np.complex128), SPATIAL)
+    return Grid(tuple(params.T), np.fft.ifftn(spectrum).real)
 
 
 @dataclass(frozen=True)

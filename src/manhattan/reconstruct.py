@@ -25,12 +25,10 @@ from math import prod
 import numpy as np
 
 from .core import BiStep, Collection, ManhattanParams
-from .errors import DomainError, MissingSamplesError, NumericalFailureError
+from .errors import DomainError, MissingSamplesError
 from .freq import FreqMask, atom_axes, atom_mask, region_mask
-from .grid import SPATIAL, SPECTRAL, Grid, apply_mask, dft, idft
+from .grid import Grid, apply_mask, dft, idft
 from .sampler import SampleSet, manhattan_indicator
-
-IMAG_RESIDUE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -55,18 +53,6 @@ class ReconstructionPlan:
     def masks(self) -> dict[BiStep, FreqMask]:
         """Full-size atom masks, for callers that work on the whole grid."""
         return {b: atom_mask(b, self.params) for b in self.members}
-
-
-def _to_real(arr: np.ndarray, extents: tuple[int, ...]) -> Grid:
-    """Discard the imaginary part after checking it is numerically negligible."""
-    scale = max(np.abs(arr.real).max(initial=0.0), 1.0)
-    residue = np.abs(arr.imag).max(initial=0.0)
-    if residue > IMAG_RESIDUE_TOL * scale:
-        raise NumericalFailureError(
-            f"imaginary residue {residue:.3e} exceeds {IMAG_RESIDUE_TOL:.0e} "
-            f"relative to peak {scale:.3e}"
-        )
-    return Grid(extents, arr.real.astype(np.complex128), SPATIAL)
 
 
 def _scatter(ss: SampleSet) -> np.ndarray:
@@ -130,27 +116,21 @@ def reconstruct(ss: SampleSet) -> Grid:
     spectrum = np.zeros(T, dtype=np.complex128)
     for b, block in blocks.items():
         spectrum[np.ix_(*plan.axes[b])] = block
-    return _to_real(np.fft.ifftn(spectrum), T)
+    return idft(Grid(T, spectrum))
 
 
 def bandlimit(image: Grid, c: Collection) -> Grid:
     """Zero every DFT bin outside the Manhattan region; idempotent."""
     if c.params.T is None or tuple(image.extents) != tuple(c.params.T):
         raise DomainError("image extents do not match params T")
-    filtered = idft(apply_mask(dft(image), region_mask(c)))
-    # Negligible imaginary parts are discarded by construction: the mask is
-    # conjugate-symmetric for every valid configuration.
-    return Grid(image.extents, filtered.data.real.astype(np.complex128), SPATIAL)
+    return idft(apply_mask(dft(image), region_mask(c)))
 
 
 def spectrum_report(image: Grid, eps: float = 1e-12) -> Grid:
-    """Centered log-magnitude spectrum for display."""
-    if image.domain == SPATIAL:
-        spec = np.fft.fftn(image.data)
-    else:
-        spec = image.data
+    """Centered log-magnitude spectrum of an image or a spectrum, for display."""
+    spec = image.data if np.iscomplexobj(image.data) else dft(image).data
     report = np.log10(np.abs(np.fft.fftshift(spec)) + eps)
-    return Grid(image.extents, report.astype(np.complex128), SPECTRAL)
+    return Grid(image.extents, report)
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ from .errors import (
     FormatError,
     MissingSamplesError,
 )
-from .grid import SPATIAL, Grid
+from .grid import Grid
 
 _MHS1_MAGIC = "MHS1"
 _MHS1_CHUNK_ROWS = 1 << 14  # rows per write: bounds the formatted text in memory
@@ -90,10 +90,11 @@ def extract_samples(image: Grid, c: Collection) -> SampleSet:
         raise DomainError(
             f"image extents {image.extents} do not match params T {params.T}"
         )
+    if np.iscomplexobj(image.data):
+        raise DomainError("samples are taken of a real image, got a spectrum")
     mask = manhattan_indicator(c)
     coords = np.argwhere(mask)  # argwhere is lexicographic in C order
-    values = image.data.real[mask]
-    ss = SampleSet(params, c, coords, values)
+    ss = SampleSet(params, c, coords, image.data[mask])
     if len(ss) != ss.expected_count:
         raise MissingSamplesError(
             f"extracted {len(ss)} samples, density accounting expects "
@@ -103,10 +104,10 @@ def extract_samples(image: Grid, c: Collection) -> SampleSet:
 
 
 def grid_from_samples(ss: SampleSet) -> Grid:
-    """Spatial grid holding the raw sample values, zero elsewhere."""
-    arr = np.zeros(ss.params.T, dtype=np.complex128)
+    """Image holding the raw sample values, zero elsewhere."""
+    arr = np.zeros(ss.params.T)
     arr[tuple(ss.coords.T)] = ss.values
-    return Grid(tuple(ss.params.T), arr, SPATIAL)
+    return Grid(tuple(ss.params.T), arr)
 
 
 @dataclass(frozen=True)
@@ -124,7 +125,7 @@ def comb_from_grid(image: Grid, b: BiStep, params: ManhattanParams) -> CombGrid:
         raise DimensionError("image extents do not match params T")
     scale = params.comb_scale(b)
     arr = image.data * lattice_indicator(params, b) * scale
-    return CombGrid(Grid(tuple(params.T), arr, SPATIAL), b, scale)
+    return CombGrid(Grid(tuple(params.T), arr), b, scale)
 
 
 def comb_from_samples(ss: SampleSet, b: BiStep) -> CombGrid:
@@ -169,7 +170,7 @@ def _header_line(fh: TextIO, key: str) -> list[str]:
 
 
 def read_mhs1(fh: TextIO) -> SampleSet:
-    try:  # ValueError: bad numbers, ragged rows, undecodable bytes
+    try:  # ValueError: bad numbers, undecodable bytes
         magic = fh.readline().strip()
         if magic != _MHS1_MAGIC:
             raise FormatError(f"unknown magic {magic!r}, expected {_MHS1_MAGIC!r}")
@@ -180,11 +181,16 @@ def read_mhs1(fh: TextIO) -> SampleSet:
         (coll_text,) = _header_line(fh, "collection")
         params = ManhattanParams(d=d, lam=lam, k=k, T=T)
         collection = Collection.from_string(params, coll_text)
+    except ValueError as exc:
+        raise FormatError(f"malformed MHS1 header: {exc}") from exc
+    try:  # ValueError: bad numbers, ragged rows, undecodable bytes
         row = np.dtype([("coords", "<i8", (d,)), ("value", "<f8")])
         first = next((line for line in fh if line.strip()), None)
         rows = np.empty(0, row)
         if first is not None:  # loadtxt warns on an empty body
             rows = np.loadtxt(chain([first], fh), dtype=row, comments=None, ndmin=1)
-    except ValueError as exc:
-        raise FormatError(f"malformed MHS1 file: {exc}") from exc
+    except ValueError as exc:  # numpy's message misnumbers rows, suggests usecols
+        raise FormatError(
+            f"malformed MHS1 body: each row must be {d} integer coordinates, one value"
+        ) from exc
     return SampleSet(params, collection, rows["coords"], rows["value"])

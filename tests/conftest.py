@@ -85,7 +85,7 @@ def sweep_components(ss, order):
                 comb -= comb_from_grid(x2, b, params).grid.data
         Xb = np.fft.fftn(comb) * atom_mask(b, params).kept
         spectra[b] = Xb
-        spatial[b] = Grid(tuple(params.T), np.fft.ifftn(Xb), "spatial")
+        spatial[b] = Grid(tuple(params.T), np.fft.ifftn(Xb).real)
     return spectra
 
 

@@ -173,7 +173,7 @@ class TestAcceptance:
                 if b2.weight > b.weight:
                     comb -= comb_from_grid(x2, b, p).grid.data
             spectra[b] = np.fft.fftn(comb) * plan.masks[b].kept
-            spatial[b] = Grid(tuple(p.T), np.fft.ifftn(spectra[b]), "spatial")
+            spatial[b] = Grid(tuple(p.T), np.fft.ifftn(spectra[b]).real)
         worst = 0.0
         for b in plan.members:
             for b2 in plan.members:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from manhattan.cli import main
-from manhattan.grid import read_mht1
+from manhattan.grid import Grid, read_mht1, write_mht1
 
 
 def run(*argv):
@@ -196,6 +196,25 @@ class TestErrorPaths:
             "reconstruct", "--samples", str(samples),
             "--output", str(tmp_path / "out.mht1"),
         ) == 2
+
+    @pytest.mark.parametrize("command", ["sample", "bandlimit"])
+    def test_spectrum_input_is_usage_error(self, tmp_path, command):
+        spectrum = tmp_path / "spectrum.mht1"
+        with open(spectrum, "wb") as fh:
+            write_mht1(fh, Grid.from_array(np.ones((16, 16), dtype=complex)))
+        output = "--samples" if command == "sample" else "--output"
+        assert run(
+            command, "--k", "4,4", "--collection", "10,01",
+            "--input", str(spectrum), output, str(tmp_path / "out"),
+        ) == 2
+
+    def test_truncated_mht1_header_is_format_error(self, tmp_path):
+        bad = tmp_path / "bad.mht1"
+        bad.write_bytes(b"MHT1\x01")
+        assert run(
+            "sample", "--k", "4,4", "--collection", "10,01",
+            "--input", str(bad), "--samples", str(tmp_path / "s.mhs1"),
+        ) == 3
 
     def test_reference_extent_mismatch_is_usage_error(self, tmp_path):
         samples = self._sample_16(tmp_path)

@@ -1,19 +1,28 @@
 import io
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
+from conftest import bandlimited_image
 from manhattan import (
+    Collection,
     DomainError,
     FormatError,
     Grid,
+    ManhattanError,
     ManhattanParams,
     apply_mask,
+    bandlimit,
     dft,
+    extract_samples,
     idft,
     nyquist_mask,
     read_mht1,
     read_pgm,
+    reconstruct,
+    solve_reconstruct,
     write_mht1,
     write_pgm,
 )
@@ -43,7 +52,7 @@ class TestTransforms:
     def test_idft_dc(self):
         spec = np.zeros((3, 5), dtype=complex)
         spec[0, 0] = 15
-        x = idft(Grid.from_array(spec, domain="spectral"))
+        x = idft(Grid.from_array(spec))
         assert np.allclose(x.data, 1.0)
 
     def test_round_trip(self):
@@ -54,9 +63,9 @@ class TestTransforms:
 
     def test_linearity(self):
         rng = np.random.default_rng(2)
-        X = Grid.from_array(rng.normal(size=(6, 6)) + 0j, domain="spectral")
-        Y = Grid.from_array(rng.normal(size=(6, 6)) + 0j, domain="spectral")
-        mixed = Grid.from_array(2.0 * X.data + 3.0 * Y.data, domain="spectral")
+        X = dft(Grid.from_array(rng.normal(size=(6, 6))))
+        Y = dft(Grid.from_array(rng.normal(size=(6, 6))))
+        mixed = Grid.from_array(2.0 * X.data + 3.0 * Y.data)
         lhs = idft(mixed).data
         rhs = 2.0 * idft(X).data + 3.0 * idft(Y).data
         assert np.abs(lhs - rhs).max() <= 1e-12
@@ -88,6 +97,52 @@ class TestTransforms:
             dft(dft(x))
 
 
+class TestDataModel:
+    """Images are float64 grids, spectra are complex128 grids."""
+
+    def setup_method(self):
+        self.p = ManhattanParams(d=2, lam=(1, 1), k=(2, 2), T=(8, 8))
+        self.c = Collection.from_string(self.p, "10,01")
+        self.image = bandlimited_image(self.p, self.c, seed=3)
+
+    @pytest.mark.parametrize("dtype", [np.int32, bool, np.float32])
+    def test_real_input_is_float64(self, dtype):
+        assert Grid.from_array(np.ones((2, 3), dtype=dtype)).data.dtype == np.float64
+
+    def test_complex_input_is_complex128(self):
+        g = Grid.from_array(np.ones((2, 3), dtype=np.complex64))
+        assert g.data.dtype == np.complex128
+
+    def test_transforms(self):
+        spectrum = dft(self.image)
+        assert spectrum.data.dtype == np.complex128
+        assert idft(spectrum).data.dtype == np.float64
+        assert bandlimit(self.image, self.c).data.dtype == np.float64
+
+    def test_reconstructions(self):
+        ss = extract_samples(self.image, self.c)
+        assert reconstruct(ss).data.dtype == np.float64
+        assert solve_reconstruct(ss).data.dtype == np.float64
+
+    def test_readers(self):
+        buf = io.BytesIO()
+        write_mht1(buf, self.image)
+        assert buf.getvalue()[24] == 0  # dtype code 0: an image
+        buf.seek(0)
+        assert read_mht1(buf).data.dtype == np.float64
+        pgm = io.BytesIO(b"P5\n2 1\n255\n" + bytes([3, 250]))
+        assert read_pgm(pgm).data.dtype == np.float64
+
+    def test_spectrum_is_refused_where_an_image_is_needed(self):
+        spectrum = dft(self.image)
+        with pytest.raises(DomainError):
+            extract_samples(spectrum, self.c)
+        with pytest.raises(DomainError):
+            bandlimit(spectrum, self.c)
+        with pytest.raises(DomainError):
+            write_pgm(io.BytesIO(), spectrum)
+
+
 class TestApplyMask:
     def setup_method(self):
         self.p = ManhattanParams(d=2, lam=(1, 1), k=(4, 4), T=(8, 8))
@@ -104,6 +159,14 @@ class TestApplyMask:
         m = nyquist_mask(self.p, (4, 4))
         once = apply_mask(self.X, m)
         assert np.array_equal(apply_mask(once, m).data, once.data)
+
+
+# write_mht1 of np.arange(6.0).reshape(2, 3) / 4 - 0.5
+GOLDEN_MHT1 = bytes.fromhex(
+    "4d485431" "02000000" "0200000000000000" "0300000000000000" "00"
+    "000000000000e0bf" "000000000000d0bf" "0000000000000000"
+    "000000000000d03f" "000000000000e03f" "000000000000e83f"
+)
 
 
 class TestMht1:
@@ -125,9 +188,40 @@ class TestMht1:
         g = Grid.from_array(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
         assert np.array_equal(self._cycle(g).data, g.data)
 
+    def test_golden_bytes(self):
+        buf = io.BytesIO()
+        write_mht1(buf, Grid.from_array(np.arange(6.0).reshape(2, 3) / 4 - 0.5))
+        assert buf.getvalue() == GOLDEN_MHT1
+
+    def test_spectrum_round_trip(self):
+        # a spectrum is written with dtype code 1 even if its imaginary part is 0
+        g = dft(Grid.from_array(np.ones((2, 2))))
+        buf = io.BytesIO()
+        write_mht1(buf, g)
+        assert buf.getvalue()[24] == 1
+        buf.seek(0)
+        back = read_mht1(buf)
+        assert back.data.dtype == np.complex128
+        assert np.array_equal(back.data, g.data)
+
     def test_bad_magic(self):
         with pytest.raises(FormatError):
             read_mht1(io.BytesIO(b"NOPE" + b"\0" * 64))
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            b"MHT1\x01",  # header ends inside the dimension count
+            b"MHT1" + struct.pack("<IQ", 2, 4),  # header ends inside the extents
+            b"MHT1" + struct.pack("<IQB", 1, 2**61, 0) + b"\0" * 16,  # huge extent
+            b"MHT1" + struct.pack("<I2QB", 2, 0, 2**64 - 1, 0),  # unrepresentable
+            GOLDEN_MHT1 + b"\0",  # trailing byte
+        ],
+        ids=["short-d", "short-extents", "huge-extent", "zero-and-huge", "trailing"],
+    )
+    def test_malformed_header(self, data):
+        with pytest.raises(FormatError):
+            read_mht1(io.BytesIO(data))
 
     def test_truncated(self):
         buf = io.BytesIO()
@@ -156,6 +250,76 @@ class TestPgm:
         with pytest.raises(FormatError):
             read_pgm(io.BytesIO(b"P6\n2 2\n255\n" + b"\0" * 12))
 
+    @pytest.mark.parametrize(
+        "data",
+        [
+            b"P5\n2 x\n255\n\0\0",  # non-numeric token
+            b"P5\n2 -1\n255\n\0\0",  # negative extent
+            b"P5\n99999999999 99999999999\n255\n\0\0",  # huge extents
+            b"P5\n2 2\n255\n\0\0",  # truncated payload
+        ],
+        ids=["non-numeric", "negative", "huge", "truncated"],
+    )
+    def test_malformed_header(self, data):
+        with pytest.raises(FormatError):
+            read_pgm(io.BytesIO(data))
+
     def test_requires_2d(self):
         with pytest.raises(DomainError):
             write_pgm(io.BytesIO(), Grid.from_array(np.zeros((2, 2, 2))))
+
+
+def _mutations(size):
+    """Byte edits at positions in [0, size)."""
+    op = st.sampled_from(["replace", "insert", "delete"])
+    return st.lists(
+        st.tuples(op, st.integers(0, size - 1), st.integers(0, 255)),
+        min_size=1,
+        max_size=6,
+    )
+
+
+def _mutate(data, mutations):
+    data = bytearray(data)
+    for op, pos, byte in mutations:
+        pos = min(pos, len(data) - 1)
+        if op == "replace":
+            data[pos] = byte
+        elif op == "insert":
+            data.insert(pos, byte)
+        else:
+            del data[pos]
+    return io.BytesIO(bytes(data))
+
+
+def _read_or_refuse(reader, fh):
+    """The reader on mutated bytes either returns a Grid or raises a typed error."""
+    try:
+        assert isinstance(reader(fh), Grid)
+    except ManhattanError:
+        pass
+
+
+class TestMht1Fuzz:
+    HEADER = 25  # magic, d, two extents, dtype code
+
+    @given(_mutations(len(GOLDEN_MHT1)))
+    def test_mutated_file(self, mutations):
+        _read_or_refuse(read_mht1, _mutate(GOLDEN_MHT1, mutations))
+
+    @given(_mutations(HEADER))
+    def test_mutated_header(self, mutations):
+        _read_or_refuse(read_mht1, _mutate(GOLDEN_MHT1, mutations))
+
+
+class TestPgmFuzz:
+    VALID = b"P5\n# comment\n3 2\n255\n" + bytes([0, 1, 2, 253, 254, 255])
+    HEADER = VALID.index(b"255\n") + 4
+
+    @given(_mutations(len(VALID)))
+    def test_mutated_file(self, mutations):
+        _read_or_refuse(read_pgm, _mutate(self.VALID, mutations))
+
+    @given(_mutations(HEADER))
+    def test_mutated_header(self, mutations):
+        _read_or_refuse(read_pgm, _mutate(self.VALID, mutations))

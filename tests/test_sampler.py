@@ -309,8 +309,11 @@ class TestMhs1Body:
     )
     def test_malformed_row(self, row):
         text = HEADER_2D + "0 0 1.0\n" + row + "\n0 2 3.0\n"
-        with pytest.raises(FormatError):
+        with pytest.raises(FormatError) as info:
             read_mhs1(io.StringIO(text))
+        assert "usecols" not in str(info.value)
+        assert "2 integer coordinates" in str(info.value)
+        assert isinstance(info.value.__cause__, ValueError)
 
 
 def _mutations(start, stop):
