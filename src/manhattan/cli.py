@@ -60,13 +60,9 @@ def _parse_lambdas(text: str) -> tuple[Fraction, ...]:
 
 def _params_from_args(args, T: tuple[int, ...] | None) -> ManhattanParams:
     k = _parse_ints(args.k)
-    lam = _parse_lambdas(args.lam)
+    lam = _parse_lambdas(args.lam) if args.lam is not None else (1,) * len(k)
     d = args.dims if args.dims is not None else len(k)
     return ManhattanParams(d=d, lam=lam, k=k, T=T)
-
-
-def _collection_from_args(args, params: ManhattanParams) -> Collection:
-    return Collection.from_string(params, args.collection)
 
 
 def _file_format(path: str, override: str | None) -> str:
@@ -92,7 +88,7 @@ def _write_grid(path: str, g: Grid, fmt: str | None) -> None:
 
 def cmd_info(args) -> int:
     params = _params_from_args(args, None)
-    collection = _collection_from_args(args, params)
+    collection = Collection.from_string(params, args.collection)
     closure = collection.closure()
     minimal = collection.minimal()
     rho = density(collection)
@@ -112,7 +108,7 @@ def cmd_info(args) -> int:
 def cmd_bandlimit(args) -> int:
     image = _read_grid(args.input, args.format)
     params = _params_from_args(args, tuple(image.extents))
-    collection = _collection_from_args(args, params)
+    collection = Collection.from_string(params, args.collection)
     _write_grid(args.output, bandlimit(image, collection), args.format)
     log.info("bandlimited %s -> %s", args.input, args.output)
     return EXIT_OK
@@ -121,7 +117,7 @@ def cmd_bandlimit(args) -> int:
 def cmd_sample(args) -> int:
     image = _read_grid(args.input, args.format)
     params = _params_from_args(args, tuple(image.extents))
-    collection = _collection_from_args(args, params)
+    collection = Collection.from_string(params, args.collection)
     ss = extract_samples(image, collection)
     with open(args.samples, "w") as fh:
         write_mhs1(fh, ss)
@@ -137,6 +133,8 @@ def cmd_reconstruct(args) -> int:
     log.info("reconstructed %s -> %s", args.samples, args.output)
     if args.reference:
         ref = _read_grid(args.reference, args.format)
+        if np.iscomplexobj(ref.data):
+            raise DomainError("reference must be an image, got a spectrum")
         if tuple(ref.extents) != tuple(result.extents):
             raise DimensionError(f"reference extents {ref.extents} != {result.extents}")
         scale = max(np.abs(ref.data).max(), 1e-30)
@@ -179,16 +177,13 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
-def _add_params_flags(p: argparse.ArgumentParser, with_collection: bool = True) -> None:
+def _add_params_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--dims", type=int, default=None, help="dimension d")
     p.add_argument("--k", required=True, help="sampling factors, e.g. 4,4")
     p.add_argument(
         "--lambda", dest="lam", default=None, help="dense spacings, e.g. 1,1"
     )
-    if with_collection:
-        p.add_argument(
-            "--collection", required=True, help="bit strings, e.g. 100,010,001"
-        )
+    p.add_argument("--collection", required=True, help="bit strings, e.g. 100,010,001")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -248,8 +243,6 @@ def main(argv: list[str] | None = None) -> int:
     _setup_logging()
     parser = build_parser()
     args = parser.parse_args(argv)
-    if hasattr(args, "k") and getattr(args, "lam", None) is None:
-        args.lam = ",".join("1" for _ in args.k.split(","))
     try:
         return args.func(args)
     except FormatError as exc:
@@ -258,10 +251,7 @@ def main(argv: list[str] | None = None) -> int:
     except NumericalFailureError as exc:
         log.error("numerical failure: %s", exc)
         return EXIT_NUMERICAL
-    except (DomainError, DimensionError, ManhattanError) as exc:
-        log.error("%s", exc)
-        return EXIT_USAGE
-    except FileNotFoundError as exc:
+    except (ManhattanError, FileNotFoundError) as exc:
         log.error("%s", exc)
         return EXIT_USAGE
 

@@ -41,17 +41,8 @@ class BiStep:
         return cls(tuple(int(c) for c in s))
 
     @classmethod
-    def zeros(cls, d: int) -> "BiStep":
-        return cls((0,) * d)
-
-    @classmethod
     def ones(cls, d: int) -> "BiStep":
         return cls((1,) * d)
-
-    @classmethod
-    def unit(cls, d: int, i: int) -> "BiStep":
-        """Indicator with only dimension i (0-based) dense."""
-        return cls(tuple(1 if j == i else 0 for j in range(d)))
 
     @property
     def d(self) -> int:
@@ -157,10 +148,6 @@ class ManhattanParams:
         return tuple(
             lam[i] if b.bits[i] else self.k[i] * lam[i] for i in range(self.d)
         )
-
-    def comb_scale(self, b: BiStep) -> int:
-        """Comb normalization: product of the integer step sizes of lattice b."""
-        return prod(self.step_int(b))
 
 
 def lattice_contains(params: ManhattanParams, b: BiStep, t: Sequence[int]) -> bool:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
+from functools import reduce
 
 import numpy as np
 
@@ -95,18 +95,13 @@ def axis_kept(T: int, alpha: int) -> np.ndarray:
     """Per-dimension Nyquist keep vector for step alpha on T bins."""
     if alpha <= 0 or T % alpha != 0:
         raise DomainError(f"step {alpha} must divide extent {T}")
-    half = Fraction(T, 2 * alpha)
-    u = np.arange(T)
-    return (u < half) | (u > T - half)
+    u = np.arange(T)  # u < T/(2 alpha) or u > T - T/(2 alpha), in integers
+    return 2 * alpha * np.minimum(u, T - u) < T
 
 
-def _tensor_mask(extents: tuple[int, ...], axes: list[np.ndarray]) -> np.ndarray:
-    out = np.ones(extents, dtype=bool)
-    for i, ax in enumerate(axes):
-        shape = [1] * len(extents)
-        shape[i] = extents[i]
-        out &= ax.reshape(shape)
-    return out
+def tensor_mask(axes: list[np.ndarray]) -> np.ndarray:
+    """Boolean tensor product of per-dimension keep vectors."""
+    return reduce(np.logical_and.outer, axes)
 
 
 def nyquist_mask(params: ManhattanParams, alpha_steps: tuple[int, ...]) -> FreqMask:
@@ -115,7 +110,7 @@ def nyquist_mask(params: ManhattanParams, alpha_steps: tuple[int, ...]) -> FreqM
     if len(alpha_steps) != params.d:
         raise DimensionError("alpha_steps must have length d")
     axes = [axis_kept(t, a) for t, a in zip(T, alpha_steps)]
-    return FreqMask(T, _tensor_mask(T, axes))
+    return FreqMask(T, tensor_mask(axes))
 
 
 def atom_axes(b: BiStep, params: ManhattanParams) -> list[np.ndarray]:
@@ -136,7 +131,7 @@ def atom_axes(b: BiStep, params: ManhattanParams) -> list[np.ndarray]:
 def atom_mask(b: BiStep, params: ManhattanParams) -> FreqMask:
     """Discrete atom of b as a keep-mask over the full DFT grid."""
     T = _require_T(params)
-    return FreqMask(T, _tensor_mask(T, atom_axes(b, params)))
+    return FreqMask(T, tensor_mask(atom_axes(b, params)))
 
 
 def region_mask(c: Collection) -> FreqMask:

@@ -25,10 +25,10 @@ from math import prod
 import numpy as np
 
 from .core import BiStep, Collection, ManhattanParams
-from .errors import DomainError, MissingSamplesError
+from .errors import DomainError
 from .freq import FreqMask, atom_axes, atom_mask, region_mask
 from .grid import Grid, apply_mask, dft, idft
-from .sampler import SampleSet, manhattan_indicator
+from .sampler import SampleSet, grid_from_samples
 
 
 @dataclass(frozen=True)
@@ -55,33 +55,6 @@ class ReconstructionPlan:
         return {b: atom_mask(b, self.params) for b in self.members}
 
 
-def _scatter(ss: SampleSet) -> np.ndarray:
-    """Real T-grid holding the samples, zero elsewhere.
-
-    Refuses a sample set that does not hit every point of M(B) exactly once
-    with a finite value: any such set would reconstruct to a wrong image.
-    """
-    T = ss.params.T
-    if ((ss.coords < 0) | (ss.coords >= np.asarray(T))).any():
-        raise MissingSamplesError(f"sample coordinates outside [0, T) for T={T}")
-    flat = np.ravel_multi_index(tuple(ss.coords.T), T)
-    hit = np.zeros(T, dtype=bool)
-    hit.flat[flat] = True
-    if np.count_nonzero(hit) != len(flat):
-        raise MissingSamplesError("sample coordinates are repeated")
-    expected = manhattan_indicator(ss.collection)
-    if not np.array_equal(hit, expected):
-        raise MissingSamplesError(
-            f"{np.count_nonzero(expected & ~hit)} points of M({ss.collection}) "
-            f"missing, {np.count_nonzero(hit & ~expected)} samples off it"
-        )
-    if not np.isfinite(ss.values).all():
-        raise DomainError("sample values must be finite")
-    x = np.zeros(T)
-    x.flat[flat] = ss.values
-    return x
-
-
 def _reduced(axes: tuple[np.ndarray, ...], m: tuple[int, ...]) -> tuple[np.ndarray, ...]:
     """Open-mesh index of a block's bins taken modulo the reduced extents m."""
     return np.ix_(*(u % mi for u, mi in zip(axes, m)))
@@ -103,7 +76,7 @@ def reconstruct(ss: SampleSet) -> Grid:
     params = ss.params
     T = params.T
     plan = ReconstructionPlan.for_collection(ss.collection)
-    x = _scatter(ss)
+    x = grid_from_samples(ss).data
     blocks: dict[BiStep, np.ndarray] = {}  # spectrum of x^b on its atom's block
     for b in plan.members:
         s = params.step_int(b)

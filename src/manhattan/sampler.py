@@ -21,6 +21,7 @@ from .errors import (
     FormatError,
     MissingSamplesError,
 )
+from .freq import tensor_mask
 from .grid import Grid
 
 _MHS1_MAGIC = "MHS1"
@@ -32,12 +33,7 @@ def lattice_indicator(params: ManhattanParams, b: BiStep) -> np.ndarray:
     if params.T is None:
         raise DomainError("lattice indicator requires support extents T")
     step = params.step_int(b)
-    out = np.ones(params.T, dtype=bool)
-    for i, (t, s) in enumerate(zip(params.T, step)):
-        shape = [1] * params.d
-        shape[i] = t
-        out &= (np.arange(t) % s == 0).reshape(shape)
-    return out
+    return tensor_mask([np.arange(t) % s == 0 for t, s in zip(params.T, step)])
 
 
 def manhattan_indicator(c: Collection) -> np.ndarray:
@@ -104,10 +100,30 @@ def extract_samples(image: Grid, c: Collection) -> SampleSet:
 
 
 def grid_from_samples(ss: SampleSet) -> Grid:
-    """Image holding the raw sample values, zero elsewhere."""
-    arr = np.zeros(ss.params.T)
-    arr[tuple(ss.coords.T)] = ss.values
-    return Grid(tuple(ss.params.T), arr)
+    """Image holding the raw sample values, zero elsewhere.
+
+    Refuses a sample set that does not hit every point of M(B) exactly once
+    with a finite value: any such set would reconstruct to a wrong image.
+    """
+    T = ss.params.T
+    if ((ss.coords < 0) | (ss.coords >= np.asarray(T))).any():
+        raise MissingSamplesError(f"sample coordinates outside [0, T) for T={T}")
+    flat = np.ravel_multi_index(tuple(ss.coords.T), T)
+    hit = np.zeros(T, dtype=bool)
+    hit.flat[flat] = True
+    if np.count_nonzero(hit) != len(flat):
+        raise MissingSamplesError("sample coordinates are repeated")
+    expected = manhattan_indicator(ss.collection)
+    if not np.array_equal(hit, expected):
+        raise MissingSamplesError(
+            f"{np.count_nonzero(expected & ~hit)} points of M({ss.collection}) "
+            f"missing, {np.count_nonzero(hit & ~expected)} samples off it"
+        )
+    if not np.isfinite(ss.values).all():
+        raise DomainError("sample values must be finite")
+    x = np.zeros(T)
+    x.flat[flat] = ss.values
+    return Grid(T, x)
 
 
 @dataclass(frozen=True)
@@ -123,7 +139,7 @@ def comb_from_grid(image: Grid, b: BiStep, params: ManhattanParams) -> CombGrid:
     """Comb of a full grid: step-size-scaled values on lattice b, zero off it."""
     if params.T is None or tuple(image.extents) != tuple(params.T):
         raise DimensionError("image extents do not match params T")
-    scale = params.comb_scale(b)
+    scale = prod(params.step_int(b))
     arr = image.data * lattice_indicator(params, b) * scale
     return CombGrid(Grid(tuple(params.T), arr), b, scale)
 

@@ -208,6 +208,20 @@ class TestErrorPaths:
             "--input", str(spectrum), output, str(tmp_path / "out"),
         ) == 2
 
+    def test_spectrum_reference_is_usage_error(self, tmp_path):
+        samples = self._sample_16(tmp_path)
+        output = tmp_path / "out.mht1"
+        assert run("reconstruct", "--samples", str(samples), "--output", str(output)) == 0
+        with open(output, "rb") as fh:
+            image = read_mht1(fh)
+        reference = tmp_path / "ref.mht1"  # the exact result, stored as a spectrum
+        with open(reference, "wb") as fh:
+            write_mht1(fh, Grid.from_array(image.data.astype(complex)))
+        assert run(
+            "reconstruct", "--samples", str(samples),
+            "--output", str(output), "--reference", str(reference),
+        ) == 2
+
     def test_truncated_mht1_header_is_format_error(self, tmp_path):
         bad = tmp_path / "bad.mht1"
         bad.write_bytes(b"MHT1\x01")

@@ -71,6 +71,11 @@ class TestNyquistMask:
         assert list(np.nonzero(axis_kept(16, 4))[0]) == [0, 1, 15]
         assert axis_kept(16, 1).sum() == 15  # edge bin 8 excluded
         assert list(np.nonzero(axis_kept(12, 2))[0]) == [0, 1, 2, 10, 11]
+        for T in range(1, 65):  # the Fraction definition, every divisor alpha
+            for alpha in (a for a in range(1, T + 1) if T % a == 0):
+                half = Fraction(T, 2 * alpha)
+                expected = [u < half or u > T - half for u in range(T)]
+                assert axis_kept(T, alpha).tolist() == expected, (T, alpha)
 
     def test_mask_counts(self):
         p = ManhattanParams(d=2, lam=(1, 1), k=(4, 4), T=(16, 16))

@@ -85,6 +85,19 @@ class TestPerfectReconstruction:
             assert diff <= 1e-9 * scale
 
 
+MALFORMED = [
+    ("missing", MissingSamplesError),
+    ("duplicate", MissingSamplesError),
+    ("off-set", MissingSamplesError),
+    ("nan", DomainError),
+    ("out-of-range", MissingSamplesError),
+]
+ENTRY_POINTS = {  # id prefix -> entry point; reconstruct keeps its original ids
+    "": reconstruct,
+    "comb-": lambda ss: comb_from_samples(ss, B("10")),
+}
+
+
 class TestMalformedSamples:
     """Sample sets that cannot give an exact reconstruction are refused."""
 
@@ -105,21 +118,19 @@ class TestMalformedSamples:
         return SampleSet(ss.params, ss.collection, coords, values)
 
     @pytest.mark.parametrize(
-        "kind,error",
+        "entry,kind,error",
         [
-            ("missing", MissingSamplesError),
-            ("duplicate", MissingSamplesError),
-            ("off-set", MissingSamplesError),
-            ("nan", DomainError),
-            ("out-of-range", MissingSamplesError),
+            pytest.param(entry, kind, error, id=f"{prefix}{kind}-{error.__name__}")
+            for prefix, entry in ENTRY_POINTS.items()
+            for kind, error in MALFORMED
         ],
     )
-    def test_refused(self, kind, error):
+    def test_refused(self, entry, kind, error):
         p = ManhattanParams(d=2, lam=(1, 1), k=(4, 4), T=(16, 16))
         c = Collection.of(p, ["10", "01"])
         ss = extract_samples(bandlimited_image(p, c, seed=3), c)
         with pytest.raises(error):
-            reconstruct(self.corrupt(ss, kind))
+            entry(self.corrupt(ss, kind))
 
 
 class TestSweepStructure:
