@@ -92,8 +92,8 @@ class BiStep:
 
 
 def _as_fraction(x) -> Fraction:
-    if isinstance(x, float):
-        return Fraction(x).limit_denominator(10**9)
+    if isinstance(x, float):  # 0.1 is not 1/10; guessing the intended ratio hides that
+        raise DomainError(f"lambda {x!r} is a float; give a Fraction, int or str")
     return Fraction(x)
 
 
@@ -101,9 +101,10 @@ def _as_fraction(x) -> Fraction:
 class ManhattanParams:
     """Dimension, dense spacings, sampling factors, optional support extents.
 
-    ``lam`` entries are exact rationals; the discrete-image regime (anything
-    touching coordinates or DFT grids) additionally requires integer ``lam``
-    and extents ``T`` that are multiples of ``k_i * lam_i``.
+    ``lam`` entries are exact rationals (a float is refused); the
+    discrete-image regime (anything touching coordinates or DFT grids)
+    additionally requires integer ``lam`` and extents ``T`` that are
+    multiples of ``k_i * lam_i``.
     """
 
     d: int

@@ -65,16 +65,9 @@ class FreqMask:
     def count(self) -> int:
         return int(self.kept.sum())
 
-    def _check(self, other: "FreqMask") -> None:
+    def disjoint(self, other: "FreqMask") -> bool:
         if self.extents != other.extents:
             raise DimensionError("mask extents mismatch")
-
-    def union(self, other: "FreqMask") -> "FreqMask":
-        self._check(other)
-        return FreqMask(self.extents, self.kept | other.kept)
-
-    def disjoint(self, other: "FreqMask") -> bool:
-        self._check(other)
         return not bool((self.kept & other.kept).any())
 
     def __eq__(self, other: object) -> bool:

@@ -38,6 +38,8 @@ def _synthesis_matrix(ss: SampleSet) -> tuple[np.ndarray, np.ndarray]:
 def solve_reconstruct(ss: SampleSet) -> Grid:
     """Least-squares solve for the in-region spectrum, then invert."""
     params = ss.params
+    if not np.isfinite(ss.values).all():
+        raise DomainError("sample values must be finite")
     A, bins = _synthesis_matrix(ss)
     if A.shape[0] < A.shape[1]:
         raise DomainError(

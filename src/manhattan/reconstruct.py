@@ -5,19 +5,21 @@ Higher-weight atoms alias lower-weight ones, never the reverse, so the
 peeling terminates with the lowpass atom and the summed spectrum inverts
 to the original image.
 
-No sweep step needs a full-size grid.  By the replica identity, the comb
-spectrum of the samples on lattice b (steps s, reduced extents m = T/s) is
-the spectrum of the subsampled array ``x[::s]`` scaled by prod(s) and
-tiled with period m, and the comb spectrum of an already-recovered
-component x^{b'} on b is the fold of its spectrum modulo m.  Atom b lies
-inside the Nyquist cell of lattice b, so its bins are read straight out of
-the reduced spectrum at ``u mod m``.  Each atom is stored as a dense block
-over the tensor product of its per-axis kept indices; one full-size
-inverse transform of the assembled spectrum gives the image.
+The image is real, so every spectrum is Hermitian and the sweep keeps only
+the half with last-axis residues 0..m//2.  By the replica identity, the
+comb spectrum of the samples on lattice b (steps s, reduced extents
+m = T/s) is ``rfftn(x[::s]) * prod(s)`` tiled with period m, and that of a
+recovered component x^{b'} is its spectrum folded modulo m: an atom's kept
+indices modulo m form a few runs per axis, so a fold is a few slice
+subtractions.  Atom b lies inside the Nyquist cell of lattice b, so its
+block is read at ``u mod m``, or as the conjugate of bin ``-u mod m`` where
+the last residue exceeds m//2.  The blocks, checked to be Hermitian, fill
+one half spectrum of extents T, and one ``irfftn`` gives the image.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from math import prod
@@ -25,10 +27,12 @@ from math import prod
 import numpy as np
 
 from .core import BiStep, Collection, ManhattanParams
-from .errors import DomainError
+from .errors import DomainError, NumericalFailureError
 from .freq import FreqMask, atom_axes, atom_mask, region_mask
-from .grid import Grid, apply_mask, dft, idft
+from .grid import IMAG_RESIDUE_TOL, Grid, apply_mask, dft, idft
 from .sampler import SampleSet, grid_from_samples
+
+Axes = tuple[np.ndarray, ...]  # per-axis kept DFT indices, ascending
 
 
 @dataclass(frozen=True)
@@ -37,16 +41,13 @@ class ReconstructionPlan:
     with the per-axis kept DFT indices of their atoms."""
 
     members: tuple[BiStep, ...]
-    axes: dict[BiStep, tuple[np.ndarray, ...]]
+    axes: dict[BiStep, Axes]
     params: ManhattanParams
 
     @classmethod
     def for_collection(cls, c: Collection) -> "ReconstructionPlan":
         members = tuple(c.closure().sorted_members())
-        axes = {
-            b: tuple(np.flatnonzero(a) for a in atom_axes(b, c.params))
-            for b in members
-        }
+        axes = {b: tuple(map(np.flatnonzero, atom_axes(b, c.params))) for b in members}
         return cls(members, axes, c.params)
 
     @cached_property
@@ -55,41 +56,79 @@ class ReconstructionPlan:
         return {b: atom_mask(b, self.params) for b in self.members}
 
 
-def _reduced(axes: tuple[np.ndarray, ...], m: tuple[int, ...]) -> tuple[np.ndarray, ...]:
-    """Open-mesh index of a block's bins taken modulo the reduced extents m."""
-    return np.ix_(*(u % mi for u, mi in zip(axes, m)))
+def _runs(u: np.ndarray, m: int, top: int) -> list[tuple[slice, slice]]:
+    """(position, residue) slices over the runs of consecutive residues of
+    the ascending kept indices u modulo m, clipped to residues 0..top."""
+    r = (u % m).tolist()
+    edges = [0, *(np.flatnonzero(np.diff(r) != 1) + 1).tolist(), len(r)]
+    runs = [(a, min(z - a, top - r[a] + 1)) for a, z in zip(edges, edges[1:]) if a < z]
+    return [(slice(a, a + n), slice(r[a], r[a] + n)) for a, n in runs if n > 0]
 
 
-def _fold(
-    block: np.ndarray, axes: tuple[np.ndarray, ...], m: tuple[int, ...]
-) -> np.ndarray:
-    """Sum of the replicas of a block spectrum modulo the reduced extents m."""
-    idx = np.ravel_multi_index(_reduced(axes, m), m).ravel()
-    n = prod(m)
-    real = np.bincount(idx, block.real.ravel(), n)
-    imag = np.bincount(idx, block.imag.ravel(), n)
-    return (real + 1j * imag).reshape(m)
+def _slices(axes: Axes, m: tuple[int, ...]) -> list[tuple]:
+    """(block, half-spectrum) slice pairs folding a block over the kept indices
+    modulo m onto last-axis residues 0..m//2; none if an axis keeps nothing."""
+    tops = [*(mi - 1 for mi in m[:-1]), m[-1] // 2]
+    per_axis = [_runs(u, mi, top) for u, mi, top in zip(axes, m, tops)]
+    return [tuple(zip(*pairs)) for pairs in itertools.product(*per_axis)]
+
+
+def _mirror(block: np.ndarray, axes: Axes) -> np.ndarray:
+    """A block over kept index sets closed under negation, read at -u: each
+    axis reversed, then rolled by one where it keeps 0 (its own mirror)."""
+    shift = [int(len(u) > 0 and u[0] == 0) for u in axes]
+    return np.roll(np.flip(block), shift, range(block.ndim))
+
+
+def _gather(half: np.ndarray, axes: Axes, m: tuple[int, ...]) -> np.ndarray:
+    """Block over the kept indices u of a Hermitian spectrum with extents m,
+    from its half: bin u mod m, or conj(block[-u]) past residue m//2."""
+    block = np.empty([len(u) for u in axes], dtype=np.complex128)
+    for src, dst in _slices(axes, m):
+        block[src] = half[dst]
+    lower = np.count_nonzero(axes[-1] % m[-1] <= m[-1] // 2)
+    block[..., lower:] = np.conj(_mirror(block, axes)[..., lower:])
+    return block
+
+
+def _assemble(plan: ReconstructionPlan, blocks: dict[BiStep, np.ndarray]) -> np.ndarray:
+    """Last-axis half spectrum from the atom blocks; each must be Hermitian,
+    X[u] = conj(X[-u]), to IMAG_RESIDUE_TOL times the largest |X[u]| of all."""
+    T = plan.params.T
+    peak = max(np.abs(block).max(initial=0.0) for block in blocks.values())
+    half = np.zeros((*T[:-1], T[-1] // 2 + 1), dtype=np.complex128)
+    for b, block in blocks.items():
+        axes = plan.axes[b]
+        n = np.count_nonzero(axes[-1] <= T[-1] // 2)  # the rest mirror these
+        mirror = _mirror(block, axes)[..., :n].conj()
+        residue = np.abs(block[..., :n] - mirror).max(initial=0.0)
+        if not residue <= IMAG_RESIDUE_TOL * peak:  # NaN fails too
+            raise NumericalFailureError(
+                f"atom {b} is not Hermitian: residue {residue:.3e} exceeds "
+                f"{IMAG_RESIDUE_TOL:.0e} relative to peak {peak:.3e}"
+            )
+        for src, dst in _slices(axes, T):
+            half[dst] = block[src]
+    return half
 
 
 def reconstruct(ss: SampleSet) -> Grid:
     """Recover a Manhattan-bandlimited image from its samples (any d)."""
-    params = ss.params
-    T = params.T
+    T = ss.params.T
     plan = ReconstructionPlan.for_collection(ss.collection)
     x = grid_from_samples(ss).data
     blocks: dict[BiStep, np.ndarray] = {}  # spectrum of x^b on its atom's block
     for b in plan.members:
-        s = params.step_int(b)
+        s = ss.params.step_int(b)
         m = tuple(t // si for t, si in zip(T, s))
-        R = np.fft.fftn(x[tuple(slice(None, None, si) for si in s)]) * prod(s)
+        H = np.fft.rfftn(x[tuple(slice(None, None, si) for si in s)]) * prod(s)
         for b_prime, block in blocks.items():
             if b_prime.weight > b.weight:
-                R -= _fold(block, plan.axes[b_prime], m)
-        blocks[b] = R[_reduced(plan.axes[b], m)]
-    spectrum = np.zeros(T, dtype=np.complex128)
-    for b, block in blocks.items():
-        spectrum[np.ix_(*plan.axes[b])] = block
-    return idft(Grid(T, spectrum))
+                for src, dst in _slices(plan.axes[b_prime], m):
+                    H[dst] -= block[src]
+        blocks[b] = _gather(H, plan.axes[b], m)
+    half = _assemble(plan, blocks)
+    return Grid(T, np.fft.irfftn(half, s=T, axes=tuple(range(len(T)))))
 
 
 def bandlimit(image: Grid, c: Collection) -> Grid:

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -258,6 +259,17 @@ class TestParamsValidation:
     def test_discrete_requires_integer_lambda(self):
         with pytest.raises(DomainError):
             ManhattanParams(d=1, lam=(Fraction(1, 2),), k=(4,), T=(8,))
+
+    @pytest.mark.parametrize("lam", [0.1, 0.5, 1.0, np.float64(2.0)])
+    def test_float_lambda_refused(self, lam):
+        # 0.1 is not 1/10; the exact ratio must be given, not guessed
+        with pytest.raises(DomainError, match="Fraction, int or str"):
+            ManhattanParams(d=1, lam=(lam,), k=(4,))
+
+    def test_exact_lambda_forms(self):
+        for lam in (Fraction(1, 10), "1/10", "0.1"):
+            assert ManhattanParams(d=1, lam=(lam,), k=(4,)).lam == (Fraction(1, 10),)
+        assert ManhattanParams(d=1, lam=(np.int64(2),), k=(4,)).lam == (Fraction(2),)
 
     def test_dimension_cap(self):
         with pytest.raises(DimensionError):

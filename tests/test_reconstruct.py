@@ -29,7 +29,7 @@ from manhattan import (
     spectrum_report,
 )
 from manhattan.freq import atom_mask
-from manhattan.reconstruct import ReconstructionPlan
+from manhattan.reconstruct import ReconstructionPlan, _assemble, _slices
 from manhattan.sampler import comb_from_grid, comb_from_samples
 
 
@@ -131,6 +131,89 @@ class TestMalformedSamples:
         ss = extract_samples(bandlimited_image(p, c, seed=3), c)
         with pytest.raises(error):
             entry(self.corrupt(ss, kind))
+
+    @pytest.mark.parametrize(
+        "entry,kind,error",
+        [
+            pytest.param(entry, kind, error, id=f"{prefix}{kind}-{error.__name__}")
+            for prefix, entry in ENTRY_POINTS.items()
+            for kind, error in MALFORMED
+        ],
+    )
+    def test_refused_in_any_order(self, entry, kind, error):
+        # a shuffled set always takes the full check, never the fast path
+        p = ManhattanParams(d=2, lam=(1, 1), k=(4, 4), T=(16, 16))
+        c = Collection.of(p, ["10", "01"])
+        ss = self.corrupt(extract_samples(bandlimited_image(p, c, seed=3), c), kind)
+        perm = np.random.default_rng(4).permutation(len(ss))
+        with pytest.raises(error):
+            entry(SampleSet(p, c, ss.coords[perm], ss.values[perm]))
+
+
+class TestHalfSpectrumEngine:
+    """Run-slice folds and the Hermitian check of the half-spectrum sweep."""
+
+    def setup_method(self):
+        self.p = ManhattanParams(d=2, lam=(1, 1), k=(4, 4), T=(16, 16))
+        self.c = Collection.of(self.p, ["10", "01"])
+        self.ref = bandlimited_image(self.p, self.c, seed=6)
+        self.plan = ReconstructionPlan.for_collection(self.c)
+        X = np.fft.fftn(self.ref.data)
+        self.blocks = {b: X[np.ix_(*self.plan.axes[b])] for b in self.plan.members}
+
+    def test_assembly_inverts_to_image(self):
+        half = _assemble(self.plan, self.blocks)
+        image = np.fft.irfftn(half, s=self.p.T, axes=(0, 1))
+        assert np.abs(image - self.ref.data).max() <= 1e-12 * np.abs(self.ref.data).max()
+
+    @pytest.mark.parametrize("bump", [1e-3j, 1e-3, np.nan])
+    def test_non_hermitian_block_refused(self, bump):
+        # the job of the old imaginary-residue scan, which irfftn cannot do
+        peak = max(np.abs(block).max() for block in self.blocks.values())
+        b = B("10")
+        self.blocks[b][1, 2] += bump * peak  # its mirror bin is left alone
+        with pytest.raises(NumericalFailureError):
+            _assemble(self.plan, self.blocks)
+
+    def test_rounding_asymmetry_accepted(self):
+        peak = max(np.abs(block).max() for block in self.blocks.values())
+        self.blocks[B("00")][1, 2] += 1e-13j * peak
+        _assemble(self.plan, self.blocks)
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_overflowing_samples_refused(self):
+        # finite samples whose spectrum overflows to inf/NaN: no NaN image
+        checker = np.indices(self.p.T).sum(axis=0) % 2 * 2 - 1
+        image = Grid.from_array(1.7e308 * checker)
+        with pytest.raises(NumericalFailureError):
+            reconstruct(extract_samples(image, self.c))
+
+    def test_fold_matches_scatter_add(self):
+        # every (T, step, atom) fold of a random block equals a brute-force fold
+        rng = np.random.default_rng(8)
+        for T, k, lam in [((16, 12), (4, 3), (1, 1)), ((18, 6), (3, 2), (1, 3))]:
+            p = ManhattanParams(d=2, lam=lam, k=k, T=T)
+            plan = ReconstructionPlan.for_collection(Collection.of(p, ["11"]))
+            for b, b_prime in itertools.product(plan.members, repeat=2):
+                axes = plan.axes[b_prime]
+                m = tuple(t // s for t, s in zip(T, p.step_int(b)))
+                block = rng.normal(size=[len(u) for u in axes])
+                want = np.zeros(m)
+                np.add.at(want, np.ix_(*(u % mi for u, mi in zip(axes, m))), block)
+                got = np.zeros((m[0], m[1] // 2 + 1))
+                for src, dst in _slices(axes, m):
+                    got[dst] += block[src]
+                assert np.allclose(got, want[:, : m[1] // 2 + 1], atol=1e-12)
+
+    def test_empty_axis_has_no_slices(self):
+        # T=6, k=2, lambda=3: the highpass band of atom 1 keeps no DFT index
+        p = ManhattanParams(d=2, lam=(3, 1), k=(2, 2), T=(6, 4))
+        c = Collection.of(p, ["10", "01"])
+        plan = ReconstructionPlan.for_collection(c)
+        assert len(plan.axes[B("10")][0]) == 0
+        assert _slices(plan.axes[B("10")], p.T) == []
+        assert roundtrip_error(p, c, seed=5) <= 1e-9
 
 
 class TestSweepStructure:

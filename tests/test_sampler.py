@@ -116,6 +116,16 @@ class TestCombs:
             from_samples = comb_from_samples(self.ss, B(b)).grid.data
             assert np.array_equal(from_grid, from_samples)
 
+    def test_scatter_ignores_sample_order(self):
+        # lexicographic order takes the fast path, any other order the full check
+        perm = np.random.default_rng(3).permutation(len(self.ss))
+        shuffled = SampleSet(
+            self.p, self.c, self.ss.coords[perm], self.ss.values[perm]
+        )
+        canonical = grid_from_samples(self.ss).data
+        assert np.array_equal(grid_from_samples(shuffled).data, canonical)
+        assert np.array_equal(canonical, self.img.data * manhattan_indicator(self.c))
+
     def test_zero_grid_and_linearity(self):
         zero = comb_from_grid(Grid.from_array(np.zeros((12, 12))), B("10"), self.p)
         assert not zero.grid.data.any()
