@@ -10,19 +10,12 @@ import argparse
 import logging
 import os
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 
 from .core import Collection, ManhattanParams, density, fundamental_cell_count
-from .errors import (
-    DomainError,
-    DimensionError,
-    FormatError,
-    ManhattanError,
-    NumericalFailureError,
-)
+from .errors import DomainError, FormatError, ManhattanError, NumericalFailureError
 from .freq import atom_volume, manhattan_region_volume
 from .grid import Grid, read_mht1, read_pgm, write_mht1, write_pgm
 from .reconstruct import bandlimit, reconstruct, spectrum_report
@@ -51,16 +44,9 @@ def _parse_ints(text: str) -> tuple[int, ...]:
         raise DomainError(f"expected comma-separated integers, got {text!r}") from exc
 
 
-def _parse_lambdas(text: str) -> tuple[Fraction, ...]:
-    try:
-        return tuple(Fraction(tok) for tok in text.split(","))
-    except ValueError as exc:
-        raise DomainError(f"expected comma-separated rationals, got {text!r}") from exc
-
-
 def _params_from_args(args, T: tuple[int, ...] | None) -> ManhattanParams:
     k = _parse_ints(args.k)
-    lam = _parse_lambdas(args.lam) if args.lam is not None else (1,) * len(k)
+    lam = args.lam.split(",") if args.lam is not None else (1,) * len(k)
     d = args.dims if args.dims is not None else len(k)
     return ManhattanParams(d=d, lam=lam, k=k, T=T)
 
@@ -135,8 +121,7 @@ def cmd_reconstruct(args) -> int:
         ref = _read_grid(args.reference, args.format)
         if np.iscomplexobj(ref.data):
             raise DomainError("reference must be an image, got a spectrum")
-        if tuple(ref.extents) != tuple(result.extents):
-            raise DimensionError(f"reference extents {ref.extents} != {result.extents}")
+        ss.params.check_extents(ref.extents)
         scale = max(np.abs(ref.data).max(), 1e-30)
         err = np.abs(result.data - ref.data).max() / scale
         ok = err <= 1e-9
@@ -177,15 +162,6 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
-def _add_params_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--dims", type=int, default=None, help="dimension d")
-    p.add_argument("--k", required=True, help="sampling factors, e.g. 4,4")
-    p.add_argument(
-        "--lambda", dest="lam", default=None, help="dense spacings, e.g. 1,1"
-    )
-    p.add_argument("--collection", required=True, help="bit strings, e.g. 100,010,001")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="manhattan",
@@ -193,48 +169,47 @@ def build_parser() -> argparse.ArgumentParser:
         "and perfect reconstruction of Manhattan-bandlimited images.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    params = argparse.ArgumentParser(add_help=False)  # flags of ManhattanParams
+    params.add_argument("--dims", type=int, help="dimension d")
+    params.add_argument("--k", required=True, help="sampling factors, e.g. 4,4")
+    params.add_argument("--lambda", dest="lam", help="dense spacings, e.g. 1,1 or 1/2,3")
+    params.add_argument("--collection", required=True, help="bit strings, e.g. 10,01")
+    fmt = argparse.ArgumentParser(add_help=False)
+    fmt.add_argument("--format", choices=["pgm", "mht1"])
 
-    p = sub.add_parser("info", help="report closure, density, atom volumes")
-    _add_params_flags(p)
-    p.set_defaults(func=cmd_info)
+    def command(name: str, func, summary: str, *parents) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, parents=list(parents), help=summary)
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("bandlimit", help="zero spectrum outside the Manhattan region")
-    _add_params_flags(p)
+    command("info", cmd_info, "report closure, density, atom volumes", params)
+
+    p = command("bandlimit", cmd_bandlimit, "zero spectrum outside the Manhattan region",
+                params, fmt)
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
-    p.add_argument("--format", choices=["pgm", "mht1"], default=None)
-    p.set_defaults(func=cmd_bandlimit)
 
-    p = sub.add_parser("sample", help="extract Manhattan samples to an MHS1 file")
-    _add_params_flags(p)
+    p = command("sample", cmd_sample, "extract Manhattan samples to an MHS1 file",
+                params, fmt)
     p.add_argument("--input", required=True)
     p.add_argument("--samples", required=True, help="output MHS1 path")
-    p.add_argument("--format", choices=["pgm", "mht1"], default=None)
-    p.set_defaults(func=cmd_sample)
 
-    p = sub.add_parser("reconstruct", help="reconstruct an image from MHS1 samples")
+    p = command("reconstruct", cmd_reconstruct, "reconstruct an image from MHS1 samples",
+                fmt)
     p.add_argument("--samples", required=True, help="input MHS1 path")
     p.add_argument("--output", required=True)
     p.add_argument("--reference", default=None, help="compare against this image")
-    p.add_argument("--format", choices=["pgm", "mht1"], default=None)
-    p.set_defaults(func=cmd_reconstruct)
 
-    p = sub.add_parser("spectrum", help="write centered log-magnitude spectrum")
+    p = command("spectrum", cmd_spectrum, "write centered log-magnitude spectrum", fmt)
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
-    p.add_argument("--format", choices=["pgm", "mht1"], default=None)
-    p.set_defaults(func=cmd_spectrum)
 
-    p = sub.add_parser("generate", help="write a synthetic test image")
+    p = command("generate", cmd_generate, "write a synthetic test image", fmt)
     p.add_argument("--size", required=True, help="extents, e.g. 64,64")
-    p.add_argument(
-        "--kind", choices=["random", "constant", "impulse"], default="random"
-    )
+    p.add_argument("--kind", choices=["random", "constant", "impulse"], default="random")
     p.add_argument("--value", type=float, default=0.0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output", required=True)
-    p.add_argument("--format", choices=["pgm", "mht1"], default=None)
-    p.set_defaults(func=cmd_generate)
 
     return parser
 

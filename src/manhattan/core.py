@@ -11,6 +11,8 @@ lattice, and exact (rational) sampling density.
 from __future__ import annotations
 
 import itertools
+import numbers
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
@@ -92,19 +94,30 @@ class BiStep:
 
 
 def _as_fraction(x) -> Fraction:
-    if isinstance(x, float):  # 0.1 is not 1/10; guessing the intended ratio hides that
-        raise DomainError(f"lambda {x!r} is a float; give a Fraction, int or str")
-    return Fraction(x)
+    if not isinstance(x, (numbers.Rational, str)):  # 0.1 is not 1/10; no guessing
+        raise DomainError(f"lambda {x!r} is not exact; give a Fraction, int or str")
+    try:
+        return Fraction(x)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise DomainError(f"lambda {x!r} is not a rational number") from exc
+
+
+def _as_ints(xs, name: str) -> tuple[int, ...]:
+    try:  # operator.index refuses 2.5 and 16.9 instead of truncating them
+        return tuple(operator.index(x) for x in xs)
+    except TypeError as exc:
+        raise DomainError(f"{name} must be integers, got {xs!r}") from exc
 
 
 @dataclass(frozen=True)
 class ManhattanParams:
     """Dimension, dense spacings, sampling factors, optional support extents.
 
-    ``lam`` entries are exact rationals (a float is refused); the
-    discrete-image regime (anything touching coordinates or DFT grids)
-    additionally requires integer ``lam`` and extents ``T`` that are
-    multiples of ``k_i * lam_i``.
+    The one gate for exactness: ``lam`` entries must be rationals or strings
+    (a float is refused), ``d``, ``k`` and ``T`` integers (2.5 is refused,
+    not truncated).  The discrete-image regime (anything touching coordinates or
+    DFT grids) additionally requires integer ``lam`` and extents ``T`` that
+    are multiples of ``k_i * lam_i``.
     """
 
     d: int
@@ -113,10 +126,11 @@ class ManhattanParams:
     T: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "d", _as_ints([self.d], "dimension d")[0])
         if not 1 <= self.d <= MAX_DIMS:
             raise DimensionError(f"d must be in [1, {MAX_DIMS}], got {self.d}")
         object.__setattr__(self, "lam", tuple(_as_fraction(x) for x in self.lam))
-        object.__setattr__(self, "k", tuple(int(x) for x in self.k))
+        object.__setattr__(self, "k", _as_ints(self.k, "sampling factors"))
         if len(self.lam) != self.d or len(self.k) != self.d:
             raise DimensionError("lam and k must have length d")
         if any(x <= 0 for x in self.lam):
@@ -124,7 +138,7 @@ class ManhattanParams:
         if any(x < 2 for x in self.k):
             raise DomainError("sampling factors must be integers >= 2")
         if self.T is not None:
-            object.__setattr__(self, "T", tuple(int(t) for t in self.T))
+            object.__setattr__(self, "T", _as_ints(self.T, "extents T"))
             if len(self.T) != self.d:
                 raise DimensionError("T must have length d")
             lam_i = self.lam_int  # raises if lam is not integral
@@ -134,6 +148,19 @@ class ManhattanParams:
                         f"T[{i}]={t} must be a positive multiple of "
                         f"k[{i}]*lambda[{i}]={k * lam}"
                     )
+
+    @property
+    def extents(self) -> tuple[int, ...]:
+        """Support extents T; raises DomainError when they were not given."""
+        if self.T is None:
+            raise DomainError("operation requires support extents T")
+        return self.T
+
+    def check_extents(self, extents: Sequence[int]) -> tuple[int, ...]:
+        """T, after checking that an image with these extents lies on it."""
+        if tuple(extents) != self.extents:
+            raise DomainError(f"image extents {tuple(extents)} do not match T {self.T}")
+        return self.T
 
     @property
     def lam_int(self) -> tuple[int, ...]:

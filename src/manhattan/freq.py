@@ -78,12 +78,6 @@ class FreqMask:
         )
 
 
-def _require_T(params: ManhattanParams) -> tuple[int, ...]:
-    if params.T is None:
-        raise DomainError("operation requires support extents T")
-    return params.T
-
-
 def axis_kept(T: int, alpha: int) -> np.ndarray:
     """Per-dimension Nyquist keep vector for step alpha on T bins."""
     if alpha <= 0 or T % alpha != 0:
@@ -99,7 +93,7 @@ def tensor_mask(axes: list[np.ndarray]) -> np.ndarray:
 
 def nyquist_mask(params: ManhattanParams, alpha_steps: tuple[int, ...]) -> FreqMask:
     """Tensor-product discrete Nyquist mask for per-dimension steps alpha."""
-    T = _require_T(params)
+    T = params.extents
     if len(alpha_steps) != params.d:
         raise DimensionError("alpha_steps must have length d")
     axes = [axis_kept(t, a) for t, a in zip(T, alpha_steps)]
@@ -109,7 +103,7 @@ def nyquist_mask(params: ManhattanParams, alpha_steps: tuple[int, ...]) -> FreqM
 def atom_axes(b: BiStep, params: ManhattanParams) -> list[np.ndarray]:
     """Per-dimension keep vectors of the atom of b; the atom is their tensor
     product: lowpass where b_i=0, dense-minus-lowpass where b_i=1."""
-    T = _require_T(params)
+    T = params.extents
     lam = params.lam_int
     axes = []
     for i in range(params.d):
@@ -123,13 +117,13 @@ def atom_axes(b: BiStep, params: ManhattanParams) -> list[np.ndarray]:
 
 def atom_mask(b: BiStep, params: ManhattanParams) -> FreqMask:
     """Discrete atom of b as a keep-mask over the full DFT grid."""
-    T = _require_T(params)
+    T = params.extents
     return FreqMask(T, tensor_mask(atom_axes(b, params)))
 
 
 def region_mask(c: Collection) -> FreqMask:
     """Union of the atom masks over the closure of the collection."""
-    T = _require_T(c.params)
+    T = c.params.extents
     out = np.zeros(T, dtype=bool)
     for b in c.closure().members:
         out |= atom_mask(b, c.params).kept
@@ -155,7 +149,7 @@ def reciprocal_offsets(params: ManhattanParams, s: BiStep) -> list[tuple[int, ..
 
     Per dimension the spatial step a contributes the a multiples of T/a.
     """
-    T = _require_T(params)
+    T = params.extents
     step = params.step_int(s)
     per_dim = [
         [j * (T[i] // step[i]) for j in range(step[i])] for i in range(params.d)
@@ -168,7 +162,7 @@ def replica_overlap_oracle(
 ) -> bool:
     """Brute-force check: does any nonzero-offset cyclic shift of atom b' by a
     reciprocal site of lattice s intersect atom b?"""
-    T = _require_T(params)
+    T = params.extents
     lam = params.lam_int
     if any(t < 2 * k * li for t, k, li in zip(T, params.k, lam)):
         raise DomainError("oracle requires T_i >= 2*k_i*lambda_i")

@@ -2,7 +2,8 @@
 
 A grid's dtype says what it holds: float64 data is a real image, complex128
 data is its spectrum.  The transform pair is unnormalized forward,
-1/prod(T) inverse, which is exactly numpy's fftn/ifftn convention.
+1/prod(T) inverse, which is exactly numpy's fftn/ifftn convention; a
+spectrum goes back to an image only if it is Hermitian, through ``irfftn``.
 """
 
 from __future__ import annotations
@@ -56,23 +57,31 @@ def dft(g: Grid) -> Grid:
     return Grid(g.extents, np.fft.fftn(g.data))
 
 
+def check_hermitian(X: np.ndarray, X_neg: np.ndarray, peak: float, what: str) -> None:
+    """Refuse unless X[u] = conj(X[-u]) to IMAG_RESIDUE_TOL times peak, the
+    largest |X[u]|; X_neg holds X[-u].  NaN or inf anywhere fails too."""
+    residue = np.abs(X - X_neg.conj()).max(initial=0.0)
+    if not residue <= IMAG_RESIDUE_TOL * peak < np.inf:
+        raise NumericalFailureError(
+            f"{what} is not finite and Hermitian: residue {residue:.3e} exceeds "
+            f"{IMAG_RESIDUE_TOL:.0e} relative to peak {peak:.3e}"
+        )
+
+
 def idft(g: Grid) -> Grid:
     """Inverse DFT with 1/prod(T) normalization, back to a real image.
 
-    The imaginary part is discarded only after checking that it is
-    negligible relative to the peak, i.e. that the spectrum is Hermitian.
+    The spectrum must be Hermitian (``check_hermitian``); then the image is
+    the ``irfftn`` of its last-axis half.
     """
     if not np.iscomplexobj(g.data):
         raise DomainError("idft expects a spectrum, got a real image")
-    arr = np.fft.ifftn(g.data)
-    scale = max(np.abs(arr.real).max(initial=0.0), 1.0)
-    residue = np.abs(arr.imag).max(initial=0.0)
-    if residue > IMAG_RESIDUE_TOL * scale:
-        raise NumericalFailureError(
-            f"imaginary residue {residue:.3e} exceeds {IMAG_RESIDUE_TOL:.0e} "
-            f"relative to peak {scale:.3e}"
-        )
-    return Grid(g.extents, arr.real)
+    T = g.extents
+    half = g.data[..., : T[-1] // 2 + 1]
+    neg = [-np.arange(n) % t for n, t in zip(half.shape, T)]  # -u mod T per axis
+    peak = np.abs(g.data).max(initial=0.0)
+    check_hermitian(half, g.data[np.ix_(*neg)], peak, "spectrum")
+    return Grid(T, np.fft.irfftn(half, s=T, axes=tuple(range(len(T)))))
 
 
 def apply_mask(g: Grid, m: FreqMask) -> Grid:

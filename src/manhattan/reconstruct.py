@@ -1,20 +1,21 @@
 """Onion-peeling reconstruction of Manhattan-bandlimited images.
 
 The sweep recovers the spectrum one atom at a time, highest weight first.
-Higher-weight atoms alias lower-weight ones, never the reverse, so the
-peeling terminates with the lowpass atom and the summed spectrum inverts
-to the original image.
+Higher-weight atoms alias lower-weight ones, never the reverse, and atom b
+is reached only by the replicas of its supersets b' (Lemma 1,
+``freq.guaranteed_disjoint``), so the peeling terminates with the lowpass
+atom and the summed spectrum inverts to the original image.
 
 The image is real, so every spectrum is Hermitian and the sweep keeps only
 the half with last-axis residues 0..m//2.  By the replica identity, the
 comb spectrum of the samples on lattice b (steps s, reduced extents
 m = T/s) is ``rfftn(x[::s]) * prod(s)`` tiled with period m, and that of a
-recovered component x^{b'} is its spectrum folded modulo m: an atom's kept
-indices modulo m form a few runs per axis, so a fold is a few slice
-subtractions.  Atom b lies inside the Nyquist cell of lattice b, so its
-block is read at ``u mod m``, or as the conjugate of bin ``-u mod m`` where
-the last residue exceeds m//2.  The blocks, checked to be Hermitian, fill
-one half spectrum of extents T, and one ``irfftn`` gives the image.
+recovered superset component x^{b'} is its spectrum folded modulo m: an
+atom's kept indices modulo m form a few runs per axis, so a fold is a few
+slice subtractions.  Atom b lies inside the Nyquist cell of lattice b, so
+its block is read at ``u mod m``, or as the conjugate of bin ``-u mod m``
+where the last residue exceeds m//2.  The blocks, checked to be Hermitian,
+fill one half spectrum of extents T, and one ``irfftn`` gives the image.
 """
 
 from __future__ import annotations
@@ -27,12 +28,13 @@ from math import prod
 import numpy as np
 
 from .core import BiStep, Collection, ManhattanParams
-from .errors import DomainError, NumericalFailureError
+from .errors import DomainError
 from .freq import FreqMask, atom_axes, atom_mask, region_mask
-from .grid import IMAG_RESIDUE_TOL, Grid, apply_mask, dft, idft
+from .grid import Grid, apply_mask, check_hermitian, dft, idft
 from .sampler import SampleSet, grid_from_samples
 
 Axes = tuple[np.ndarray, ...]  # per-axis kept DFT indices, ascending
+SPECTRUM_FLOOR = 1e-12  # keeps log10 finite on empty bins in spectrum_report
 
 
 @dataclass(frozen=True)
@@ -92,21 +94,15 @@ def _gather(half: np.ndarray, axes: Axes, m: tuple[int, ...]) -> np.ndarray:
 
 
 def _assemble(plan: ReconstructionPlan, blocks: dict[BiStep, np.ndarray]) -> np.ndarray:
-    """Last-axis half spectrum from the atom blocks; each must be Hermitian,
-    X[u] = conj(X[-u]), to IMAG_RESIDUE_TOL times the largest |X[u]| of all."""
+    """Last-axis half spectrum from the atom blocks; each must be Hermitian
+    relative to the largest |X[u]| of all blocks."""
     T = plan.params.T
     peak = max(np.abs(block).max(initial=0.0) for block in blocks.values())
     half = np.zeros((*T[:-1], T[-1] // 2 + 1), dtype=np.complex128)
     for b, block in blocks.items():
         axes = plan.axes[b]
         n = np.count_nonzero(axes[-1] <= T[-1] // 2)  # the rest mirror these
-        mirror = _mirror(block, axes)[..., :n].conj()
-        residue = np.abs(block[..., :n] - mirror).max(initial=0.0)
-        if not residue <= IMAG_RESIDUE_TOL * peak:  # NaN fails too
-            raise NumericalFailureError(
-                f"atom {b} is not Hermitian: residue {residue:.3e} exceeds "
-                f"{IMAG_RESIDUE_TOL:.0e} relative to peak {peak:.3e}"
-            )
+        check_hermitian(block[..., :n], _mirror(block, axes)[..., :n], peak, f"atom {b}")
         for src, dst in _slices(axes, T):
             half[dst] = block[src]
     return half
@@ -123,7 +119,7 @@ def reconstruct(ss: SampleSet) -> Grid:
         m = tuple(t // si for t, si in zip(T, s))
         H = np.fft.rfftn(x[tuple(slice(None, None, si) for si in s)]) * prod(s)
         for b_prime, block in blocks.items():
-            if b_prime.weight > b.weight:
+            if b.issubset(b_prime):  # other replicas miss atom b (Lemma 1)
                 for src, dst in _slices(plan.axes[b_prime], m):
                     H[dst] -= block[src]
         blocks[b] = _gather(H, plan.axes[b], m)
@@ -133,15 +129,14 @@ def reconstruct(ss: SampleSet) -> Grid:
 
 def bandlimit(image: Grid, c: Collection) -> Grid:
     """Zero every DFT bin outside the Manhattan region; idempotent."""
-    if c.params.T is None or tuple(image.extents) != tuple(c.params.T):
-        raise DomainError("image extents do not match params T")
+    c.params.check_extents(image.extents)
     return idft(apply_mask(dft(image), region_mask(c)))
 
 
-def spectrum_report(image: Grid, eps: float = 1e-12) -> Grid:
+def spectrum_report(image: Grid) -> Grid:
     """Centered log-magnitude spectrum of an image or a spectrum, for display."""
     spec = image.data if np.iscomplexobj(image.data) else dft(image).data
-    report = np.log10(np.abs(np.fft.fftshift(spec)) + eps)
+    report = np.log10(np.abs(np.fft.fftshift(spec)) + SPECTRUM_FLOOR)
     return Grid(image.extents, report)
 
 

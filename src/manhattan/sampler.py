@@ -30,15 +30,13 @@ _MHS1_CHUNK_ROWS = 1 << 14  # rows per write: bounds the formatted text in memor
 
 def lattice_indicator(params: ManhattanParams, b: BiStep) -> np.ndarray:
     """Boolean grid over [0, T) marking the points of bi-step lattice b."""
-    if params.T is None:
-        raise DomainError("lattice indicator requires support extents T")
     step = params.step_int(b)
-    return tensor_mask([np.arange(t) % s == 0 for t, s in zip(params.T, step)])
+    return tensor_mask([np.arange(t) % s == 0 for t, s in zip(params.extents, step)])
 
 
 def manhattan_indicator(c: Collection) -> np.ndarray:
     """Boolean grid marking the Manhattan set M(B) within [0, T)."""
-    out = np.zeros(c.params.T, dtype=bool)
+    out = np.zeros(c.params.extents, dtype=bool)
     for b in c.members:
         out |= lattice_indicator(c.params, b)
     return out
@@ -60,8 +58,7 @@ class SampleSet:
             raise DimensionError("coords must have shape (n, d)")
         if values.shape != (coords.shape[0],):
             raise DimensionError("values length must match coords")
-        if self.params.T is None:
-            raise DomainError("sample sets require support extents T")
+        self.params.extents  # raises DomainError without T
         object.__setattr__(self, "coords", coords)
         object.__setattr__(self, "values", values)
         coords.setflags(write=False)
@@ -82,10 +79,7 @@ class SampleSet:
 def extract_samples(image: Grid, c: Collection) -> SampleSet:
     """All and only the Manhattan-grid values of the image, lexicographic order."""
     params = c.params
-    if params.T is None or tuple(image.extents) != tuple(params.T):
-        raise DomainError(
-            f"image extents {image.extents} do not match params T {params.T}"
-        )
+    params.check_extents(image.extents)
     if np.iscomplexobj(image.data):
         raise DomainError("samples are taken of a real image, got a spectrum")
     mask = manhattan_indicator(c)
@@ -141,11 +135,10 @@ class CombGrid:
 
 def comb_from_grid(image: Grid, b: BiStep, params: ManhattanParams) -> CombGrid:
     """Comb of a full grid: step-size-scaled values on lattice b, zero off it."""
-    if params.T is None or tuple(image.extents) != tuple(params.T):
-        raise DimensionError("image extents do not match params T")
+    T = params.check_extents(image.extents)
     scale = prod(params.step_int(b))
     arr = image.data * lattice_indicator(params, b) * scale
-    return CombGrid(Grid(tuple(params.T), arr), b, scale)
+    return CombGrid(Grid(T, arr), b, scale)
 
 
 def comb_from_samples(ss: SampleSet, b: BiStep) -> CombGrid:

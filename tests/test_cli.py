@@ -29,6 +29,14 @@ class TestInfo:
     def test_bad_collection_token(self, capsys):
         assert run("info", "--k", "3,3", "--collection", "10,2X") == 2
 
+    @pytest.mark.parametrize("lam", ["1/0,1", "1,1/0"])
+    def test_bad_lambda_is_usage_error(self, lam):
+        assert run("info", "--k", "2,2", "--lambda", lam, "--collection", "10,01") == 2
+
+    def test_rational_lambda(self, capsys):
+        assert run("info", "--k", "2,2", "--lambda", "1/2,3", "--collection", "10,01") == 0
+        assert "density: 1/2 = " in capsys.readouterr().out
+
 
 class TestGenerate:
     def test_random_deterministic(self, tmp_path):
@@ -134,6 +142,19 @@ class TestErrorPaths:
             "bandlimit", "--k", "4,4", "--collection", "10,01",
             "--input", str(raw), "--output", str(out),
         ) == 2
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_overflowing_spectrum_is_numerical_failure(self, tmp_path):
+        raw = tmp_path / "raw.mht1"
+        out = tmp_path / "out.mht1"
+        run("generate", "--size", "16,16", "--kind", "constant", "--value", "1.7e308",
+            "--output", str(raw))
+        assert run(
+            "bandlimit", "--k", "4,4", "--collection", "10,01",
+            "--input", str(raw), "--output", str(out),
+        ) == 4
+        assert not out.exists()
 
     def test_unknown_magic_is_format_error(self, tmp_path):
         bogus = tmp_path / "bogus.mht1"

@@ -260,11 +260,41 @@ class TestParamsValidation:
         with pytest.raises(DomainError):
             ManhattanParams(d=1, lam=(Fraction(1, 2),), k=(4,), T=(8,))
 
-    @pytest.mark.parametrize("lam", [0.1, 0.5, 1.0, np.float64(2.0)])
+    @pytest.mark.parametrize("lam", [0.1, 0.5, 1.0, np.float64(2.0), np.float32(0.5)])
     def test_float_lambda_refused(self, lam):
         # 0.1 is not 1/10; the exact ratio must be given, not guessed
         with pytest.raises(DomainError, match="Fraction, int or str"):
             ManhattanParams(d=1, lam=(lam,), k=(4,))
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(k=(2.5,)),  # int() would truncate to 2
+            dict(k=(4,), T=(16.9,)),  # int() would truncate to 16
+            dict(d=1.0, k=(4,)),  # range(d) would fail later, untyped
+            dict(k=(4,), T=16),  # not a sequence
+            dict(k=(4,), lam=("1/0",)),  # zero denominator
+            dict(k=(4,), lam=("one",)),  # unparsable
+        ],
+    )
+    def test_inexact_numbers_refused(self, kwargs):
+        with pytest.raises(DomainError):
+            ManhattanParams(**{"d": 1, "lam": (1,), **kwargs})
+
+    def test_numpy_integers_accepted(self):
+        i = np.int64
+        p = ManhattanParams(d=1, lam=(i(2),), k=(i(4),), T=(i(16),))
+        assert (p.lam, p.k, p.T) == ((Fraction(2),), (4,), (16,))
+        assert all(type(x) is int for x in (*p.k, *p.T))
+
+    def test_extents_accessors(self):
+        p = ManhattanParams(d=2, lam=(1, 1), k=(4, 4))
+        with pytest.raises(DomainError):
+            p.extents
+        p = ManhattanParams(d=2, lam=(1, 1), k=(4, 4), T=(8, 16))
+        assert p.check_extents((8, 16)) == (8, 16)
+        with pytest.raises(DomainError):
+            p.check_extents((16, 8))
 
     def test_exact_lambda_forms(self):
         for lam in (Fraction(1, 10), "1/10", "0.1"):

@@ -13,6 +13,7 @@ from manhattan import (
     Grid,
     ManhattanError,
     ManhattanParams,
+    NumericalFailureError,
     apply_mask,
     bandlimit,
     dft,
@@ -88,6 +89,23 @@ class TestTransforms:
                 assert X[u1, u2] == pytest.approx(
                     np.conj(X[(T1 - u1) % T1, (T2 - u2) % T2]), abs=1e-10
                 )
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(np.nan, 0.0)])
+    @pytest.mark.parametrize("u", [(1, 2), (3, 6), (0, 0)])
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_idft_refuses_non_finite_bin(self, bad, u):
+        # one bin in either last-axis half, DC included: never a NaN image
+        X = dft(Grid.from_array(np.random.default_rng(5).normal(size=(6, 8)))).data.copy()
+        X[u] = bad
+        with pytest.raises(NumericalFailureError):
+            idft(Grid.from_array(X))
+
+    def test_idft_refuses_non_hermitian_upper_half(self):
+        # irfftn reads only the lower half; a bin above it must still be checked
+        X = dft(Grid.from_array(np.random.default_rng(6).normal(size=(6, 8)))).data.copy()
+        X[2, 6] += 1e-3 * np.abs(X).max()
+        with pytest.raises(NumericalFailureError):
+            idft(Grid.from_array(X))
 
     def test_domain_tags(self):
         x = Grid.from_array(np.ones((4, 4)))

@@ -351,6 +351,13 @@ class TestBandlimit:
         out = bandlimited_image(self.p, self.c, seed=2)
         assert not out.data.imag.any()
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_overflowing_spectrum_refused(self):
+        # a finite image whose spectrum overflows: no all-NaN output
+        with pytest.raises(NumericalFailureError):
+            bandlimit(Grid.from_array(np.full((16, 16), 1.7e308)), self.c)
+
     def test_imag_residue_guard(self):
         # the realness check in idft catches mask-symmetry bugs in intermediates
         from manhattan import idft

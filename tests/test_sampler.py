@@ -10,6 +10,7 @@ from conftest import random_collection, random_params
 from manhattan import (
     BiStep,
     Collection,
+    DomainError,
     FormatError,
     Grid,
     ManhattanError,
@@ -109,6 +110,11 @@ class TestCombs:
     def test_missing_samples(self):
         with pytest.raises(MissingSamplesError):
             comb_from_samples(self.ss, B("11"))
+
+    def test_extent_mismatch_is_domain_error(self):
+        # the same refusal, and type, as extract_samples and bandlimit
+        with pytest.raises(DomainError):
+            comb_from_grid(Grid.from_array(np.ones((12, 6))), B("10"), self.p)
 
     def test_grid_and_sample_paths_agree(self):
         for b in ("10", "01", "00"):
