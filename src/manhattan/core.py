@@ -129,6 +129,8 @@ class ManhattanParams:
         object.__setattr__(self, "d", _as_ints([self.d], "dimension d")[0])
         if not 1 <= self.d <= MAX_DIMS:
             raise DimensionError(f"d must be in [1, {MAX_DIMS}], got {self.d}")
+        if isinstance(self.lam, str) or not isinstance(self.lam, Iterable):
+            raise DomainError(f"lambda must be a sequence of d values, got {self.lam!r}")
         object.__setattr__(self, "lam", tuple(_as_fraction(x) for x in self.lam))
         object.__setattr__(self, "k", _as_ints(self.k, "sampling factors"))
         if len(self.lam) != self.d or len(self.k) != self.d:
@@ -228,13 +230,7 @@ class Collection:
     @classmethod
     def from_string(cls, params: ManhattanParams, text: str) -> "Collection":
         """Parse the comma-separated bit-string format, e.g. '100,010,001'."""
-        tokens = [tok.strip() for tok in text.split(",")]
-        members = []
-        for tok in tokens:
-            if len(tok) != params.d or any(c not in "01" for c in tok):
-                raise DomainError(f"invalid collection token: {tok!r}")
-            members.append(BiStep.from_string(tok))
-        return cls(frozenset(members), params)
+        return cls.of(params, [tok.strip() for tok in text.split(",")])
 
     def sorted_members(self) -> list[BiStep]:
         """Canonical order: weight descending, then bitmask ascending."""

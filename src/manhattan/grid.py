@@ -1,13 +1,21 @@
-"""d-dimensional grids, DFT convention, and tensor/PGM file formats.
+"""d-dimensional grids, the DFT and its half spectra, tensor/PGM file formats.
 
 A grid's dtype says what it holds: float64 data is a real image, complex128
 data is its spectrum.  The transform pair is unnormalized forward,
-1/prod(T) inverse, which is exactly numpy's fftn/ifftn convention; a
-spectrum goes back to an image only if it is Hermitian, through ``irfftn``.
+1/prod(T) inverse, which is exactly numpy's fftn/ifftn convention.
+
+A real image has a Hermitian spectrum, X[-u] = conj(X[u]), so only the half
+with last-axis residues 0..m//2 is kept.  A block is a spectrum on per-axis
+kept indices, ascending and closed under negation; modulo m they form a few
+runs per axis, so ``_slices`` folds a block onto a half spectrum in a few
+slice copies, and ``_gather`` reads it back, past residue m//2 as conjugate
+mirrors.  ``synthesize``, the only way back to an image, checks that every
+block is Hermitian, fills one half spectrum and calls ``irfftn`` once.
 """
 
 from __future__ import annotations
 
+import itertools
 import struct
 from dataclasses import dataclass
 from math import prod
@@ -15,10 +23,13 @@ from typing import BinaryIO
 
 import numpy as np
 
+from .core import MAX_DIMS
 from .errors import DimensionError, DomainError, FormatError, NumericalFailureError
 from .freq import FreqMask
 
 IMAG_RESIDUE_TOL = 1e-9
+
+Axes = tuple[np.ndarray, ...]  # per-axis kept DFT indices, ascending
 
 _MHT1_MAGIC = b"MHT1"
 
@@ -36,6 +47,8 @@ class Grid:
     data: np.ndarray  # float64 image or complex128 spectrum, shape == extents
 
     def __post_init__(self) -> None:
+        if any(t <= 0 for t in self.extents):
+            raise DomainError(f"grid extents must be positive, got {tuple(self.extents)}")
         dtype = np.complex128 if np.iscomplexobj(self.data) else np.float64
         arr = np.ascontiguousarray(self.data, dtype=dtype)
         if tuple(arr.shape) != tuple(self.extents):
@@ -57,30 +70,68 @@ def dft(g: Grid) -> Grid:
     return Grid(g.extents, np.fft.fftn(g.data))
 
 
-def check_hermitian(X: np.ndarray, X_neg: np.ndarray, peak: float, what: str) -> None:
-    """Refuse unless X[u] = conj(X[-u]) to IMAG_RESIDUE_TOL times peak, the
-    largest |X[u]|; X_neg holds X[-u].  NaN or inf anywhere fails too."""
-    residue = np.abs(X - X_neg.conj()).max(initial=0.0)
-    if not residue <= IMAG_RESIDUE_TOL * peak < np.inf:
-        raise NumericalFailureError(
-            f"{what} is not finite and Hermitian: residue {residue:.3e} exceeds "
-            f"{IMAG_RESIDUE_TOL:.0e} relative to peak {peak:.3e}"
-        )
-
-
 def idft(g: Grid) -> Grid:
-    """Inverse DFT with 1/prod(T) normalization, back to a real image.
-
-    The spectrum must be Hermitian (``check_hermitian``); then the image is
-    the ``irfftn`` of its last-axis half.
-    """
+    """Inverse DFT with 1/prod(T) normalization, back to a real image; the
+    spectrum must be Hermitian (``synthesize`` of the one whole block)."""
     if not np.iscomplexobj(g.data):
         raise DomainError("idft expects a spectrum, got a real image")
-    T = g.extents
-    half = g.data[..., : T[-1] // 2 + 1]
-    neg = [-np.arange(n) % t for n, t in zip(half.shape, T)]  # -u mod T per axis
-    peak = np.abs(g.data).max(initial=0.0)
-    check_hermitian(half, g.data[np.ix_(*neg)], peak, "spectrum")
+    whole = tuple(np.arange(t) for t in g.extents)
+    return synthesize(g.extents, {"spectrum": (whole, g.data)})
+
+
+def _runs(u: np.ndarray, m: int, top: int) -> list[tuple[slice, slice]]:
+    """(position, residue) slices over the runs of consecutive residues of
+    the ascending kept indices u modulo m, clipped to residues 0..top."""
+    r = (u % m).tolist()
+    edges = [0, *(np.flatnonzero(np.diff(r) != 1) + 1).tolist(), len(r)]
+    runs = [(a, min(z - a, top - r[a] + 1)) for a, z in zip(edges, edges[1:]) if a < z]
+    return [(slice(a, a + n), slice(r[a], r[a] + n)) for a, n in runs if n > 0]
+
+
+def _slices(axes: Axes, m: tuple[int, ...]) -> list[tuple]:
+    """(block, half-spectrum) slice pairs folding a block over the kept indices
+    modulo m onto last-axis residues 0..m//2; none if an axis keeps nothing."""
+    tops = [*(mi - 1 for mi in m[:-1]), m[-1] // 2]
+    per_axis = [_runs(u, mi, top) for u, mi, top in zip(axes, m, tops)]
+    return [tuple(zip(*pairs)) for pairs in itertools.product(*per_axis)]
+
+
+def _mirror(block: np.ndarray, axes: Axes) -> np.ndarray:
+    """A block over kept index sets closed under negation, read at -u: each
+    axis reversed, then rolled by one where it keeps 0 (its own mirror)."""
+    shift = [int(len(u) > 0 and u[0] == 0) for u in axes]
+    return np.roll(np.flip(block), shift, range(block.ndim))
+
+
+def _gather(half: np.ndarray, axes: Axes, m: tuple[int, ...]) -> np.ndarray:
+    """Block over the kept indices u of a Hermitian spectrum with extents m,
+    from its half: bin u mod m, or conj(block[-u]) past residue m//2."""
+    block = np.empty([len(u) for u in axes], dtype=np.complex128)
+    for src, dst in _slices(axes, m):
+        block[src] = half[dst]
+    lower = np.count_nonzero(axes[-1] % m[-1] <= m[-1] // 2)
+    block[..., lower:] = np.conj(_mirror(block, axes)[..., lower:])
+    return block
+
+
+def synthesize(T: tuple[int, ...], blocks: dict[str, tuple[Axes, np.ndarray]]) -> Grid:
+    """Real image with extents T whose spectrum is made of the named blocks,
+    each on its own kept indices, disjoint from the others.  Refuses unless
+    every block has X[u] = conj(X[-u]) to IMAG_RESIDUE_TOL times the largest
+    |X[u]| of all blocks; NaN or inf anywhere fails too."""
+    peak = max(np.abs(block).max(initial=0.0) for _, block in blocks.values())
+    half = np.zeros((*T[:-1], T[-1] // 2 + 1), dtype=np.complex128)
+    for what, (axes, block) in blocks.items():
+        n = np.count_nonzero(axes[-1] <= T[-1] // 2)  # the rest mirror these
+        residue = np.abs(block[..., :n] - _mirror(block, axes)[..., :n].conj())
+        residue = residue.max(initial=0.0)
+        if not residue <= IMAG_RESIDUE_TOL * peak < np.inf:
+            raise NumericalFailureError(
+                f"{what} is not finite and Hermitian: residue {residue:.3e} exceeds "
+                f"{IMAG_RESIDUE_TOL:.0e} relative to peak {peak:.3e}"
+            )
+        for src, dst in _slices(axes, T):
+            half[dst] = block[src]
     return Grid(T, np.fft.irfftn(half, s=T, axes=tuple(range(len(T)))))
 
 
@@ -115,7 +166,7 @@ def read_mht1(fh: BinaryIO) -> Grid:
         raise FormatError(f"unknown magic {magic!r}, expected {_MHT1_MAGIC!r}")
     try:  # struct.error: the header ends early
         (d,) = struct.unpack("<I", fh.read(4))
-        if not 1 <= d <= 16:
+        if not 1 <= d <= MAX_DIMS:
             raise FormatError(f"unreasonable dimension count {d}")
         extents = struct.unpack(f"<{d}Q", fh.read(8 * d))
         (dtype_code,) = struct.unpack("<B", fh.read(1))

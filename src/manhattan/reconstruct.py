@@ -6,21 +6,14 @@ is reached only by the replicas of its supersets b' (Lemma 1,
 ``freq.guaranteed_disjoint``), so the peeling terminates with the lowpass
 atom and the summed spectrum inverts to the original image.
 
-The image is real, so every spectrum is Hermitian and the sweep keeps only
-the half with last-axis residues 0..m//2.  By the replica identity, the
-comb spectrum of the samples on lattice b (steps s, reduced extents
-m = T/s) is ``rfftn(x[::s]) * prod(s)`` tiled with period m, and that of a
-recovered superset component x^{b'} is its spectrum folded modulo m: an
-atom's kept indices modulo m form a few runs per axis, so a fold is a few
-slice subtractions.  Atom b lies inside the Nyquist cell of lattice b, so
-its block is read at ``u mod m``, or as the conjugate of bin ``-u mod m``
-where the last residue exceeds m//2.  The blocks, checked to be Hermitian,
-fill one half spectrum of extents T, and one ``irfftn`` gives the image.
+By the replica identity, the half spectrum (``grid``) of the samples on
+lattice b (steps s, reduced extents m = T/s) is ``rfftn(x[::s]) * prod(s)``
+less every recovered superset block folded modulo m; atom b lies inside the
+Nyquist cell of lattice b, so what is left on its kept indices is its block.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from math import prod
@@ -30,10 +23,9 @@ import numpy as np
 from .core import BiStep, Collection, ManhattanParams
 from .errors import DomainError
 from .freq import FreqMask, atom_axes, atom_mask, region_mask
-from .grid import Grid, apply_mask, check_hermitian, dft, idft
+from .grid import Axes, Grid, _gather, _slices, apply_mask, dft, idft, synthesize
 from .sampler import SampleSet, grid_from_samples
 
-Axes = tuple[np.ndarray, ...]  # per-axis kept DFT indices, ascending
 SPECTRUM_FLOOR = 1e-12  # keeps log10 finite on empty bins in spectrum_report
 
 
@@ -58,56 +50,6 @@ class ReconstructionPlan:
         return {b: atom_mask(b, self.params) for b in self.members}
 
 
-def _runs(u: np.ndarray, m: int, top: int) -> list[tuple[slice, slice]]:
-    """(position, residue) slices over the runs of consecutive residues of
-    the ascending kept indices u modulo m, clipped to residues 0..top."""
-    r = (u % m).tolist()
-    edges = [0, *(np.flatnonzero(np.diff(r) != 1) + 1).tolist(), len(r)]
-    runs = [(a, min(z - a, top - r[a] + 1)) for a, z in zip(edges, edges[1:]) if a < z]
-    return [(slice(a, a + n), slice(r[a], r[a] + n)) for a, n in runs if n > 0]
-
-
-def _slices(axes: Axes, m: tuple[int, ...]) -> list[tuple]:
-    """(block, half-spectrum) slice pairs folding a block over the kept indices
-    modulo m onto last-axis residues 0..m//2; none if an axis keeps nothing."""
-    tops = [*(mi - 1 for mi in m[:-1]), m[-1] // 2]
-    per_axis = [_runs(u, mi, top) for u, mi, top in zip(axes, m, tops)]
-    return [tuple(zip(*pairs)) for pairs in itertools.product(*per_axis)]
-
-
-def _mirror(block: np.ndarray, axes: Axes) -> np.ndarray:
-    """A block over kept index sets closed under negation, read at -u: each
-    axis reversed, then rolled by one where it keeps 0 (its own mirror)."""
-    shift = [int(len(u) > 0 and u[0] == 0) for u in axes]
-    return np.roll(np.flip(block), shift, range(block.ndim))
-
-
-def _gather(half: np.ndarray, axes: Axes, m: tuple[int, ...]) -> np.ndarray:
-    """Block over the kept indices u of a Hermitian spectrum with extents m,
-    from its half: bin u mod m, or conj(block[-u]) past residue m//2."""
-    block = np.empty([len(u) for u in axes], dtype=np.complex128)
-    for src, dst in _slices(axes, m):
-        block[src] = half[dst]
-    lower = np.count_nonzero(axes[-1] % m[-1] <= m[-1] // 2)
-    block[..., lower:] = np.conj(_mirror(block, axes)[..., lower:])
-    return block
-
-
-def _assemble(plan: ReconstructionPlan, blocks: dict[BiStep, np.ndarray]) -> np.ndarray:
-    """Last-axis half spectrum from the atom blocks; each must be Hermitian
-    relative to the largest |X[u]| of all blocks."""
-    T = plan.params.T
-    peak = max(np.abs(block).max(initial=0.0) for block in blocks.values())
-    half = np.zeros((*T[:-1], T[-1] // 2 + 1), dtype=np.complex128)
-    for b, block in blocks.items():
-        axes = plan.axes[b]
-        n = np.count_nonzero(axes[-1] <= T[-1] // 2)  # the rest mirror these
-        check_hermitian(block[..., :n], _mirror(block, axes)[..., :n], peak, f"atom {b}")
-        for src, dst in _slices(axes, T):
-            half[dst] = block[src]
-    return half
-
-
 def reconstruct(ss: SampleSet) -> Grid:
     """Recover a Manhattan-bandlimited image from its samples (any d)."""
     T = ss.params.T
@@ -123,8 +65,7 @@ def reconstruct(ss: SampleSet) -> Grid:
                 for src, dst in _slices(plan.axes[b_prime], m):
                     H[dst] -= block[src]
         blocks[b] = _gather(H, plan.axes[b], m)
-    half = _assemble(plan, blocks)
-    return Grid(T, np.fft.irfftn(half, s=T, axes=tuple(range(len(T)))))
+    return synthesize(T, {f"atom {b}": (plan.axes[b], block) for b, block in blocks.items()})
 
 
 def bandlimit(image: Grid, c: Collection) -> Grid:

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -28,6 +30,9 @@ class TestInfo:
 
     def test_bad_collection_token(self, capsys):
         assert run("info", "--k", "3,3", "--collection", "10,2X") == 2
+
+    def test_wrong_length_collection_token(self):
+        assert run("info", "--k", "3,3", "--collection", "10,011") == 2
 
     @pytest.mark.parametrize("lam", ["1/0,1", "1,1/0"])
     def test_bad_lambda_is_usage_error(self, lam):
@@ -242,6 +247,21 @@ class TestErrorPaths:
             "reconstruct", "--samples", str(samples),
             "--output", str(output), "--reference", str(reference),
         ) == 2
+
+    @pytest.mark.parametrize(
+        "name,data",
+        [
+            ("zero.mht1", b"MHT1" + struct.pack("<I2QB", 2, 0, 4, 0)),
+            ("zero.pgm", b"P5 0 4 255\n"),
+        ],
+        ids=["mht1", "pgm"],
+    )
+    def test_zero_extent_is_usage_error(self, tmp_path, name, data):
+        bad = tmp_path / name
+        bad.write_bytes(data)
+        out = tmp_path / ("out" + bad.suffix)
+        assert run("spectrum", "--input", str(bad), "--output", str(out)) == 2
+        assert not out.exists()
 
     def test_truncated_mht1_header_is_format_error(self, tmp_path):
         bad = tmp_path / "bad.mht1"

@@ -166,6 +166,21 @@ class TestCollections:
             )
             assert pointwise == dominated
 
+    @pytest.mark.parametrize(
+        "text,error",
+        [
+            ("10,011", DimensionError),  # wrong length
+            ("1,01", DimensionError),
+            ("10,2X", DomainError),  # not a bit
+            ("10,", DomainError),  # empty token
+        ],
+    )
+    def test_from_string_refuses_bad_tokens(self, text, error):
+        p = ManhattanParams(d=2, lam=(1, 1), k=(4, 4))
+        with pytest.raises(error):
+            Collection.from_string(p, text)
+        assert Collection.from_string(p, " 10 , 01 ") == Collection.of(p, ["10", "01"])
+
     def test_manhattan_contains_examples(self):
         p = ManhattanParams(d=2, lam=(1, 1), k=(4, 4), T=(16, 16))
         c = Collection.of(p, ["10", "01"])
@@ -280,6 +295,19 @@ class TestParamsValidation:
     def test_inexact_numbers_refused(self, kwargs):
         with pytest.raises(DomainError):
             ManhattanParams(**{"d": 1, "lam": (1,), **kwargs})
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(d=1, lam=1, k=(4,)),  # a scalar is not a sequence
+            dict(d=1, lam=None, k=(4,)),
+            dict(d=2, lam="12", k=(2, 2)),  # not read as lambda = (1, 2)
+            dict(d=1, lam="1", k=(4,)),
+        ],
+    )
+    def test_lambda_must_be_a_sequence(self, kwargs):
+        with pytest.raises(DomainError, match="sequence"):
+            ManhattanParams(**kwargs)
 
     def test_numpy_integers_accepted(self):
         i = np.int64

@@ -127,6 +127,11 @@ class TestDataModel:
     def test_real_input_is_float64(self, dtype):
         assert Grid.from_array(np.ones((2, 3), dtype=dtype)).data.dtype == np.float64
 
+    @pytest.mark.parametrize("shape", [(0, 4), (4, 0), (0,)])
+    def test_zero_extent_refused(self, shape):
+        with pytest.raises(DomainError, match="positive"):
+            Grid.from_array(np.zeros(shape))
+
     def test_complex_input_is_complex128(self):
         g = Grid.from_array(np.ones((2, 3), dtype=np.complex64))
         assert g.data.dtype == np.complex128
