@@ -150,13 +150,13 @@ def cmd_generate(args) -> int:
     if args.kind == "random":
         rng = np.random.default_rng(args.seed)
         arr = rng.uniform(0.0, 255.0, size=size)
-    elif args.kind == "constant":
-        arr = np.full(size, args.value, dtype=np.float64)
     elif args.kind == "impulse":
         arr = np.zeros(size)
         arr[(0,) * len(size)] = 1.0
+    elif np.isfinite(args.value):  # a constant image
+        arr = np.full(size, args.value, dtype=np.float64)
     else:
-        raise DomainError(f"unknown kind {args.kind!r}")
+        raise DomainError(f"constant value must be finite, got {args.value}")
     _write_grid(args.output, Grid(size, arr), args.format)
     log.info("generated %s image %s -> %s", args.kind, args.size, args.output)
     return EXIT_OK

@@ -6,11 +6,11 @@ data is its spectrum.  The transform pair is unnormalized forward,
 
 A real image has a Hermitian spectrum, X[-u] = conj(X[u]), so only the half
 with last-axis residues 0..m//2 is kept.  A block is a spectrum on per-axis
-kept indices, ascending and closed under negation; modulo m they form a few
-runs per axis, so ``_slices`` folds a block onto a half spectrum in a few
-slice copies, and ``_gather`` reads it back, past residue m//2 as conjugate
-mirrors.  ``synthesize``, the only way back to an image, checks that every
-block is Hermitian, fills one half spectrum and calls ``irfftn`` once.
+kept indices, ascending and closed under negation, or lower-only: its last
+axis stops at T//2.  Modulo m they form a few runs per axis, so ``_slices``
+and ``_fold`` fold a block onto a half spectrum in a few slice copies and
+``_gather`` reads one back.  ``synthesize``, the only way back to an image,
+checks every block is Hermitian, fills one half spectrum and calls ``irfftn`` once.
 """
 
 from __future__ import annotations
@@ -96,35 +96,45 @@ def _slices(axes: Axes, m: tuple[int, ...]) -> list[tuple]:
     return [tuple(zip(*pairs)) for pairs in itertools.product(*per_axis)]
 
 
-def _mirror(block: np.ndarray, axes: Axes) -> np.ndarray:
-    """A block over kept index sets closed under negation, read at -u: each
-    axis reversed, then rolled by one where it keeps 0 (its own mirror)."""
-    shift = [int(len(u) > 0 and u[0] == 0) for u in axes]
-    return np.roll(np.flip(block), shift, range(block.ndim))
+def _fold(half: np.ndarray, axes: Axes, block: np.ndarray, m: tuple[int, ...]) -> None:
+    """Subtract a lower-only Hermitian block, folded modulo m, from a half
+    spectrum: its bins, then their mirrors conj(X[u]) at -u for u_last > 0 (no
+    atom keeps T/2).  Those land at residues up to m//2 only when a dense last
+    axis folds onto a coarse m."""
+    for src, dst in _slices(axes, m):
+        half[dst] -= block[src]
+    z = np.count_nonzero(axes[-1] == 0)  # the u_last = 0 plane is its own mirror
+    mirror = np.flip(block[..., z:])  # X[u] in the order of -u ascending
+    for src, dst in _slices((*(-u[::-1] for u in axes[:-1]), -axes[-1][z:][::-1]), m):
+        half[dst] -= mirror[src].conj()
 
 
 def _gather(half: np.ndarray, axes: Axes, m: tuple[int, ...]) -> np.ndarray:
-    """Block over the kept indices u of a Hermitian spectrum with extents m,
-    from its half: bin u mod m, or conj(block[-u]) past residue m//2."""
+    """Lower-only block over the kept indices u of a Hermitian spectrum with
+    extents m, read from its half: bin u mod m."""
     block = np.empty([len(u) for u in axes], dtype=np.complex128)
     for src, dst in _slices(axes, m):
         block[src] = half[dst]
-    lower = np.count_nonzero(axes[-1] % m[-1] <= m[-1] // 2)
-    block[..., lower:] = np.conj(_mirror(block, axes)[..., lower:])
     return block
 
 
 def synthesize(T: tuple[int, ...], blocks: dict[str, tuple[Axes, np.ndarray]]) -> Grid:
     """Real image with extents T whose spectrum is made of the named blocks,
     each on its own kept indices, disjoint from the others.  Refuses unless
-    every block has X[u] = conj(X[-u]) to IMAG_RESIDUE_TOL times the largest
-    |X[u]| of all blocks; NaN or inf anywhere fails too."""
+    X[u] = conj(X[-u]) wherever a block holds both, to IMAG_RESIDUE_TOL times
+    the largest |X[u]| of all blocks; NaN or inf anywhere fails too."""
     peak = max(np.abs(block).max(initial=0.0) for _, block in blocks.values())
     half = np.zeros((*T[:-1], T[-1] // 2 + 1), dtype=np.complex128)
     for what, (axes, block) in blocks.items():
-        n = np.count_nonzero(axes[-1] <= T[-1] // 2)  # the rest mirror these
-        residue = np.abs(block[..., :n] - _mirror(block, axes)[..., :n].conj())
-        residue = residue.max(initial=0.0)
+        u, t = axes[-1], T[-1]
+        rows = np.flatnonzero((u <= t // 2) & np.isin(-u % t, u))
+        mirror = np.take(block, np.searchsorted(u, -u[rows] % t), axis=-1)  # X[-u]
+        for i, (v, tv) in enumerate(zip(axes[:-1], T)):
+            mirror = np.take(mirror, np.searchsorted(v, -v % tv), axis=i)
+        np.conjugate(mirror, out=mirror)
+        mirror -= np.take(block, rows, axis=-1)
+        residue = np.abs(mirror).max(initial=0.0)
+        del mirror  # not held through irfftn
         if not residue <= IMAG_RESIDUE_TOL * peak < np.inf:
             raise NumericalFailureError(
                 f"{what} is not finite and Hermitian: residue {residue:.3e} exceeds "

@@ -10,6 +10,8 @@ By the replica identity, the half spectrum (``grid``) of the samples on
 lattice b (steps s, reduced extents m = T/s) is ``rfftn(x[::s]) * prod(s)``
 less every recovered superset block folded modulo m; atom b lies inside the
 Nyquist cell of lattice b, so what is left on its kept indices is its block.
+Lattice b is lattice b | e_i (i not the last axis) subsampled by k_i on axis
+i, so its raw spectrum is also that one's summed over k_i replicas on axis i.
 """
 
 from __future__ import annotations
@@ -21,9 +23,9 @@ from math import prod
 import numpy as np
 
 from .core import BiStep, Collection, ManhattanParams
-from .errors import DomainError
+from .errors import DomainError, NumericalFailureError
 from .freq import FreqMask, atom_axes, atom_mask, region_mask
-from .grid import Axes, Grid, _gather, _slices, apply_mask, dft, idft, synthesize
+from .grid import Axes, Grid, _fold, _gather, apply_mask, dft, idft, synthesize
 from .sampler import SampleSet, grid_from_samples
 
 SPECTRUM_FLOOR = 1e-12  # keeps log10 finite on empty bins in spectrum_report
@@ -52,20 +54,26 @@ class ReconstructionPlan:
 
 def reconstruct(ss: SampleSet) -> Grid:
     """Recover a Manhattan-bandlimited image from its samples (any d)."""
-    T = ss.params.T
+    p, T = ss.params, ss.params.T
     plan = ReconstructionPlan.for_collection(ss.collection)
+    lower = {b: (*u[:-1], u[-1][u[-1] <= T[-1] // 2]) for b, u in plan.axes.items()}
     x = grid_from_samples(ss).data
-    blocks: dict[BiStep, np.ndarray] = {}  # spectrum of x^b on its atom's block
+    sums: dict[BiStep, np.ndarray] = {}  # raw spectra of members yet to come
+    blocks: dict[BiStep, np.ndarray] = {}  # spectrum of x^b on its atom's lower block
     for b in plan.members:
-        s = ss.params.step_int(b)
+        s = p.step_int(b)
         m = tuple(t // si for t, si in zip(T, s))
-        H = np.fft.rfftn(x[tuple(slice(None, None, si) for si in s)]) * prod(s)
+        xb = x[tuple(slice(None, None, si) for si in s)]  # the samples on lattice b
+        H = sums.pop(b) if b in sums else np.fft.rfftn(xb) * prod(s)
+        for i, bit in enumerate(b.bits[:-1]):
+            sub = BiStep((*b.bits[:i], 0, *b.bits[i + 1 :]))
+            if bit and sub not in sums:  # replica sum over axis i, before the folds
+                sums[sub] = H.reshape(*H.shape[:i], p.k[i], -1, *H.shape[i + 1 :]).sum(i)
         for b_prime, block in blocks.items():
             if b.issubset(b_prime):  # other replicas miss atom b (Lemma 1)
-                for src, dst in _slices(plan.axes[b_prime], m):
-                    H[dst] -= block[src]
-        blocks[b] = _gather(H, plan.axes[b], m)
-    return synthesize(T, {f"atom {b}": (plan.axes[b], block) for b, block in blocks.items()})
+                _fold(H, lower[b_prime], block, m)
+        blocks[b] = _gather(H, lower[b], m)
+    return synthesize(T, {f"atom {b}": (lower[b], block) for b, block in blocks.items()})
 
 
 def bandlimit(image: Grid, c: Collection) -> Grid:
@@ -77,6 +85,8 @@ def bandlimit(image: Grid, c: Collection) -> Grid:
 def spectrum_report(image: Grid) -> Grid:
     """Centered log-magnitude spectrum of an image or a spectrum, for display."""
     spec = image.data if np.iscomplexobj(image.data) else dft(image).data
+    if not np.isfinite(spec).all():
+        raise NumericalFailureError("spectrum is not finite (NaN or inf)")
     report = np.log10(np.abs(np.fft.fftshift(spec)) + SPECTRUM_FLOOR)
     return Grid(image.extents, report)
 

@@ -120,7 +120,7 @@ def grid_from_samples(ss: SampleSet) -> Grid:
     if not np.isfinite(ss.values).all():
         raise DomainError("sample values must be finite")
     x = np.zeros(T)
-    x.put(flat, ss.values)
+    x.reshape(-1)[flat] = ss.values  # a fancy assignment outruns put here
     return Grid(T, x)
 
 

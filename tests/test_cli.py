@@ -161,6 +161,28 @@ class TestErrorPaths:
         ) == 4
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_constant_is_usage_error(self, tmp_path, value):
+        out = tmp_path / "c.mht1"
+        assert run("generate", "--size", "4,4", "--kind", "constant", f"--value={value}",
+                   "--output", str(out)) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value,where", [(np.nan, (3, 5)), (1e308, slice(None))],
+                             ids=["nan-pixel", "overflowing-dft"])
+    @pytest.mark.parametrize("suffix", [".mht1", ".pgm"])
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_non_finite_spectrum_is_numerical_failure(self, tmp_path, value, where, suffix):
+        image = np.ones((16, 16))
+        image[where] = value
+        raw = tmp_path / "raw.mht1"
+        with open(raw, "wb") as fh:
+            write_mht1(fh, Grid.from_array(image))
+        out = tmp_path / ("spec" + suffix)
+        assert run("spectrum", "--input", str(raw), "--output", str(out)) == 4
+        assert not out.exists()
+
     def test_unknown_magic_is_format_error(self, tmp_path):
         bogus = tmp_path / "bogus.mht1"
         bogus.write_bytes(b"WHAT" + b"\0" * 32)

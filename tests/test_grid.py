@@ -1,5 +1,6 @@
 import io
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -106,6 +107,19 @@ class TestTransforms:
         X[2, 6] += 1e-3 * np.abs(X).max()
         with pytest.raises(NumericalFailureError):
             idft(Grid.from_array(X))
+
+    @pytest.mark.parametrize("T", [(48, 48, 48), (256, 256)])
+    def test_idft_peak_memory(self, T):
+        # the Hermitian check gathers the mirrors of the lower half only; with a
+        # full-size mirror copy of the spectrum the peak was over twice its size
+        X = dft(Grid.from_array(np.random.default_rng(7).normal(size=T)))
+        tracemalloc.start()
+        try:
+            idft(X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.8 * X.data.nbytes
 
     def test_domain_tags(self):
         x = Grid.from_array(np.ones((4, 4)))

@@ -45,3 +45,13 @@ def test_one_checked_synthesis():
                 compares.add((path.name, owner))
     assert len(inverts) == 1, f"irfftn is called in {sorted(inverts, key=str)}"
     assert compares == inverts, f"IMAG_RESIDUE_TOL is compared in {sorted(compares, key=str)}"
+
+
+def test_one_forward_half_transform():
+    # every raw spectrum of the sweep comes from one rfftn site or a replica sum
+    calls = set()
+    for path in SOURCES:
+        for owner, node in _owned_nodes(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == "rfftn":
+                calls.add((path.name, owner))
+    assert calls == {("reconstruct.py", "reconstruct")}, f"rfftn is called in {sorted(calls)}"

@@ -1,3 +1,4 @@
+import importlib
 import itertools
 import random
 
@@ -29,9 +30,11 @@ from manhattan import (
     spectrum_report,
 )
 from manhattan.freq import atom_mask
-from manhattan.grid import _slices, synthesize
+from manhattan.grid import _fold, _slices, synthesize
 from manhattan.reconstruct import ReconstructionPlan
 from manhattan.sampler import comb_from_grid, comb_from_samples
+
+engine = importlib.import_module("manhattan.reconstruct")  # the attribute is the function
 
 
 def B(s):
@@ -209,6 +212,51 @@ class TestHalfSpectrumEngine:
                     got[dst] += block[src]
                 assert np.allclose(got, want[:, : m[1] // 2 + 1], atol=1e-12)
 
+    def test_lower_block_fold_matches_scatter_add(self):
+        # _fold of the lower half of a Hermitian block equals the brute-force fold
+        # of the whole block, also where a dense last axis wraps a coarse one
+        rng = np.random.default_rng(9)
+        wrapped = 0
+        for T, k, lam in [((16, 12), (4, 3), (1, 1)), ((18, 6), (3, 2), (1, 3)),
+                          ((12, 8, 16), (3, 2, 4), (1, 2, 1))]:
+            p = ManhattanParams(d=len(T), lam=lam, k=k, T=T)
+            plan = ReconstructionPlan.for_collection(Collection.of(p, ["1" * len(T)]))
+            X = np.fft.fftn(rng.normal(size=T))
+            for b, b_prime in itertools.product(plan.members, repeat=2):
+                axes = plan.axes[b_prime]
+                m = tuple(t // s for t, s in zip(T, p.step_int(b)))
+                block = X[np.ix_(*axes)]
+                want = np.zeros(m, dtype=complex)
+                np.add.at(want, np.ix_(*(u % mi for u, mi in zip(axes, m))), block)
+                low = axes[-1] <= T[-1] // 2
+                got = np.zeros((*m[:-1], m[-1] // 2 + 1), dtype=complex)
+                _fold(got, (*axes[:-1], axes[-1][low]), block[..., low], m)
+                assert np.abs(got + want[..., : m[-1] // 2 + 1]).max() <= 1e-12 * np.abs(X).max()
+                wrapped += block.size > 0 and not np.all(2 * axes[-1][low] < m[-1])
+        assert wrapped >= 4
+
+    def lower_blocks(self):
+        """The setup's atom blocks cut at T//2 on the last axis."""
+        blocks = {}
+        for b, axes in self.plan.axes.items():
+            low = axes[-1] <= self.p.T[-1] // 2
+            blocks[f"atom {b}"] = ((*axes[:-1], axes[-1][low]), self.blocks[b][..., low])
+        return blocks
+
+    def test_lower_only_blocks_invert_to_image(self):
+        image = synthesize(self.p.T, self.lower_blocks()).data
+        assert np.abs(image - self.ref.data).max() <= 1e-12 * np.abs(self.ref.data).max()
+
+    @pytest.mark.parametrize("bump", [1e-3j, 1e-3, np.nan])
+    def test_lower_only_bump_on_zero_plane_refused(self, bump):
+        # a lower-only block holds both u and -u only where u_last = 0
+        blocks = self.lower_blocks()
+        axes, block = blocks["atom 00"]
+        assert axes[-1][0] == 0
+        block[1, 0] += bump * np.abs(block).max()  # its mirror [-1, 0] is left alone
+        with pytest.raises(NumericalFailureError, match="atom 00"):
+            synthesize(self.p.T, blocks)
+
     def test_empty_axis_has_no_slices(self):
         # T=6, k=2, lambda=3: the highpass band of atom 1 keeps no DFT index
         p = ManhattanParams(d=2, lam=(3, 1), k=(2, 2), T=(6, 4))
@@ -217,6 +265,52 @@ class TestHalfSpectrumEngine:
         assert len(plan.axes[B("10")][0]) == 0
         assert _slices(plan.axes[B("10")], p.T) == []
         assert roundtrip_error(p, c, seed=5) <= 1e-9
+
+
+class TestFinestLatticeTransforms:
+    """Only members with no superset b | e_i (i not the last axis) run an rfftn;
+    each other member sums the replicas of such a superset's raw spectrum."""
+
+    @pytest.mark.parametrize(
+        "T,k,coll,calls",
+        [((12, 12, 12), (3, 3, 3), "110,101,011", 3), ((16, 16), (4, 4), "10,01", 2)],
+    )
+    def test_rfftn_calls(self, monkeypatch, T, k, coll, calls):
+        p = ManhattanParams(d=len(T), lam=(1,) * len(T), k=k, T=T)
+        c = Collection.from_string(p, coll)
+        ref = bandlimited_image(p, c, seed=10)
+        ss = extract_samples(ref, c)
+        rfftn, seen = np.fft.rfftn, []
+        monkeypatch.setattr(np.fft, "rfftn", lambda *a, **kw: seen.append(1) or rfftn(*a, **kw))
+        result = reconstruct(ss)
+        assert len(seen) == calls
+        assert np.abs(result.data - ref.data).max() <= 1e-12 * np.abs(ref.data).max()
+
+    def test_replica_sums_equal_subsampled_transforms(self, monkeypatch):
+        # with the folds switched off, each member's half spectrum reaches the
+        # gather as it was made: it must be rfftn(x[::s]) * prod(s)
+        seen = []
+        monkeypatch.setattr(engine, "_fold", lambda *args: None)
+        monkeypatch.setattr(engine, "_gather", lambda half, axes, m: seen.append(half.copy()))
+        monkeypatch.setattr(engine, "synthesize", lambda T, blocks: None)
+        rng = random.Random(12)
+        configs = [ManhattanParams(d=3, lam=(3, 1, 2), k=(2, 3, 4), T=(12, 6, 16)),
+                   ManhattanParams(d=4, lam=(1, 3, 1, 1), k=(2, 2, 3, 2), T=(4, 12, 6, 4))]
+        while len(configs) < 25:
+            p = random_params(rng, d_max=4, k_max=4)
+            if np.prod(p.T) <= 20000:
+                configs.append(p)
+        for p in configs:
+            c = Collection.of(p, ["1" * p.d])  # every bi-step is in the closure
+            x = np.random.default_rng(p.d).normal(size=p.T)
+            seen.clear()
+            reconstruct(extract_samples(Grid.from_array(x), c))
+            members = ReconstructionPlan.for_collection(c).members
+            assert len(seen) == len(members)
+            for b, half in zip(members, seen):
+                s = p.step_int(b)
+                want = np.fft.rfftn(x[tuple(slice(None, None, si) for si in s)]) * np.prod(s)
+                assert np.abs(half - want).max() <= 1e-12 * np.abs(want).max()
 
 
 class TestSweepStructure:
