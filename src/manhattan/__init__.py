@@ -30,7 +30,7 @@ from .freq import (
     region_mask,
     replica_overlap_oracle,
 )
-from .grid import Grid, apply_mask, dft, idft, read_mht1, read_pgm, write_mht1, write_pgm
+from .grid import Grid, dft, idft, read_mht1, read_pgm, write_mht1, write_pgm
 from .oracle import rank_report, solve_reconstruct
 from .reconstruct import (
     ReconstructionPlan,
@@ -57,7 +57,7 @@ __all__ = [
     "MissingSamplesError", "NumericalFailureError",
     "FreqMask", "atom_mask", "atom_volume", "guaranteed_disjoint",
     "manhattan_region_volume", "nyquist_mask", "region_mask", "replica_overlap_oracle",
-    "Grid", "apply_mask", "dft", "idft",
+    "Grid", "dft", "idft",
     "read_mht1", "read_pgm", "write_mht1", "write_pgm",
     "rank_report", "solve_reconstruct",
     "ReconstructionPlan", "SpatialFilter", "bandlimit", "reconstruct",

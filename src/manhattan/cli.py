@@ -7,6 +7,7 @@ Set MANHATTAN_LOG=quiet|info|debug to control verbosity.
 from __future__ import annotations
 
 import argparse
+import io
 import logging
 import os
 import sys
@@ -64,12 +65,13 @@ def _read_grid(path: str, fmt: str | None) -> Grid:
 
 
 def _write_grid(path: str, g: Grid, fmt: str | None) -> None:
-    kind = _file_format(path, fmt)
+    if _file_format(path, fmt) == "pgm":
+        pgm = io.BytesIO()
+        write_pgm(pgm, g)  # refuses a 3D image or a spectrum before the path is opened
+        Path(path).write_bytes(pgm.getvalue())
+        return
     with open(path, "wb") as fh:
-        if kind == "pgm":
-            write_pgm(fh, g)
-        else:
-            write_mht1(fh, g)
+        write_mht1(fh, g)
 
 
 def cmd_info(args) -> int:

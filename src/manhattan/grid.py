@@ -25,7 +25,6 @@ import numpy as np
 
 from .core import MAX_DIMS
 from .errors import DimensionError, DomainError, FormatError, NumericalFailureError
-from .freq import FreqMask
 
 IMAG_RESIDUE_TOL = 1e-9
 
@@ -143,15 +142,6 @@ def synthesize(T: tuple[int, ...], blocks: dict[str, tuple[Axes, np.ndarray]]) -
         for src, dst in _slices(axes, T):
             half[dst] = block[src]
     return Grid(T, np.fft.irfftn(half, s=T, axes=tuple(range(len(T)))))
-
-
-def apply_mask(g: Grid, m: FreqMask) -> Grid:
-    """Zero every bin outside the mask."""
-    if not np.iscomplexobj(g.data):
-        raise DomainError("apply_mask expects a spectrum, got a real image")
-    if tuple(g.extents) != tuple(m.extents):
-        raise DimensionError("grid/mask extent mismatch")
-    return Grid(g.extents, g.data * m.kept)
 
 
 # ---------------------------------------------------------------------------

@@ -301,3 +301,23 @@ class TestErrorPaths:
             "reconstruct", "--samples", str(samples),
             "--output", str(tmp_path / "out.mht1"), "--reference", str(reference),
         ) == 2
+
+    @pytest.mark.parametrize("existed", [True, False], ids=["existing", "new"])
+    @pytest.mark.parametrize("command", ["generate", "bandlimit", "spectrum"])
+    def test_refused_pgm_write_leaves_output_alone(self, tmp_path, command, existed):
+        # a 3D image has no PGM form; the refusal comes before the path is opened
+        raw = tmp_path / "raw.mht1"
+        run("generate", "--size", "4,4,4", "--output", str(raw))
+        out, before = tmp_path / "out.pgm", b"P5\n2 1\n255\n\x03\xfa"
+        if existed:
+            out.write_bytes(before)
+        argv = {
+            "generate": ["--size", "4,4,4"],
+            "bandlimit": ["--k", "2,2,2", "--collection", "110,101,011", "--input", str(raw)],
+            "spectrum": ["--input", str(raw)],
+        }[command]
+        assert run(command, *argv, "--output", str(out)) == 2
+        if existed:
+            assert out.read_bytes() == before
+        else:
+            assert not out.exists()

@@ -15,12 +15,10 @@ from manhattan import (
     ManhattanError,
     ManhattanParams,
     NumericalFailureError,
-    apply_mask,
     bandlimit,
     dft,
     extract_samples,
     idft,
-    nyquist_mask,
     read_mht1,
     read_pgm,
     reconstruct,
@@ -28,7 +26,6 @@ from manhattan import (
     write_mht1,
     write_pgm,
 )
-from manhattan.freq import FreqMask
 
 
 class TestTransforms:
@@ -178,24 +175,6 @@ class TestDataModel:
             bandlimit(spectrum, self.c)
         with pytest.raises(DomainError):
             write_pgm(io.BytesIO(), spectrum)
-
-
-class TestApplyMask:
-    def setup_method(self):
-        self.p = ManhattanParams(d=2, lam=(1, 1), k=(4, 4), T=(8, 8))
-        rng = np.random.default_rng(5)
-        self.X = dft(Grid.from_array(rng.normal(size=(8, 8))))
-
-    def test_full_and_empty(self):
-        full = FreqMask((8, 8), np.ones((8, 8), dtype=bool))
-        empty = FreqMask((8, 8), np.zeros((8, 8), dtype=bool))
-        assert np.array_equal(apply_mask(self.X, full).data, self.X.data)
-        assert not apply_mask(self.X, empty).data.any()
-
-    def test_idempotent(self):
-        m = nyquist_mask(self.p, (4, 4))
-        once = apply_mask(self.X, m)
-        assert np.array_equal(apply_mask(once, m).data, once.data)
 
 
 # write_mht1 of np.arange(6.0).reshape(2, 3) / 4 - 0.5

@@ -54,4 +54,15 @@ def test_one_forward_half_transform():
         for owner, node in _owned_nodes(ast.parse(path.read_text(), filename=str(path))):
             if isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == "rfftn":
                 calls.add((path.name, owner))
-    assert calls == {("reconstruct.py", "reconstruct")}, f"rfftn is called in {sorted(calls)}"
+    assert calls == {("reconstruct.py", "_raw_spectrum")}, f"rfftn is called in {sorted(calls)}"
+
+
+def test_bandlimit_builds_no_full_spectrum():
+    # bandlimit gathers the atom blocks from one half spectrum, as reconstruct does
+    tree = ast.parse((Path(manhattan.__file__).parent / "reconstruct.py").read_text())
+    called = {
+        ast.unparse(node.func).split(".")[-1]
+        for owner, node in _owned_nodes(tree)
+        if owner == "bandlimit" and isinstance(node, ast.Call)
+    }
+    assert not called & {"fftn", "dft", "region_mask", "apply_mask", "idft"}, sorted(called)

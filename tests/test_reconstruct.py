@@ -1,6 +1,7 @@
 import importlib
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from manhattan import (
     spatial_filter_eval,
     spectrum_report,
 )
-from manhattan.freq import atom_mask
+from manhattan.freq import atom_mask, region_mask
 from manhattan.grid import _fold, _slices, synthesize
 from manhattan.reconstruct import ReconstructionPlan
 from manhattan.sampler import comb_from_grid, comb_from_samples
@@ -465,6 +466,43 @@ class TestBandlimit:
             idft(Grid.from_array(np.fft.fftn(arr)))
         arr[0, 0] = 1.0 + 1e-12j
         assert not idft(Grid.from_array(np.fft.fftn(arr))).data.imag.any()
+
+
+class TestRegionSynthesis:
+    """bandlimit and reconstruct both end in the plan's atom-block synthesis."""
+
+    def test_bandlimit_matches_full_mask_definition(self):
+        # the region is the union of the closure's atoms, as a full-size mask
+        rng = random.Random(41)
+        p = ManhattanParams(d=2, lam=(3, 1), k=(2, 2), T=(6, 4))  # atom 10 keeps nothing
+        configs = [(p, Collection.of(p, ["10", "01"]))]
+        while len(configs) < 40:
+            p = random_params(rng, d_max=4)
+            if np.prod(p.T) <= 20000:
+                configs.append((p, random_collection(rng, p)))
+        for seed, (p, c) in enumerate(configs):
+            x = np.random.default_rng(seed).uniform(0.0, 255.0, size=p.T)
+            want = np.fft.ifftn(np.fft.fftn(x) * region_mask(c).kept).real
+            got = bandlimit(Grid.from_array(x), c).data
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize(
+        "T,k,coll", [((256, 256), (2, 2), "10,01"), ((48, 48, 48), (3, 3, 3), "110,101,011")]
+    )
+    @pytest.mark.parametrize("call", ["bandlimit", "reconstruct"])
+    def test_peak_memory(self, T, k, coll, call):
+        # no full-size spectrum, mask or scattered image is held through synthesis
+        p = ManhattanParams(d=len(T), lam=(1,) * len(T), k=k, T=T)
+        c = Collection.from_string(p, coll)
+        image = bandlimited_image(p, c, seed=11)
+        ss, nbytes = extract_samples(image, c), image.data.nbytes
+        tracemalloc.start()
+        try:
+            bandlimit(image, c) if call == "bandlimit" else reconstruct(ss)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.2 * nbytes
 
 
 class TestSpectrumReport:
