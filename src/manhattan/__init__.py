@@ -34,10 +34,8 @@ from .grid import Grid, dft, idft, read_mht1, read_pgm, write_mht1, write_pgm
 from .oracle import rank_report, solve_reconstruct
 from .reconstruct import (
     ReconstructionPlan,
-    SpatialFilter,
     bandlimit,
     reconstruct,
-    spatial_filter_eval,
     spectrum_report,
 )
 from .sampler import (
@@ -60,8 +58,7 @@ __all__ = [
     "Grid", "dft", "idft",
     "read_mht1", "read_pgm", "write_mht1", "write_pgm",
     "rank_report", "solve_reconstruct",
-    "ReconstructionPlan", "SpatialFilter", "bandlimit", "reconstruct",
-    "spatial_filter_eval", "spectrum_report",
+    "ReconstructionPlan", "bandlimit", "reconstruct", "spectrum_report",
     "CombGrid", "SampleSet", "comb_from_grid", "comb_from_samples", "extract_samples",
     "read_mhs1", "write_mhs1",
 ]

@@ -45,27 +45,26 @@ def _parse_ints(text: str) -> tuple[int, ...]:
         raise DomainError(f"expected comma-separated integers, got {text!r}") from exc
 
 
-def _params_from_args(args, T: tuple[int, ...] | None) -> ManhattanParams:
+def _collection(args, T: tuple[int, ...] | None) -> Collection:
+    """The collection named by --k, --lambda and --collection; d is len(k)."""
     k = _parse_ints(args.k)
     lam = args.lam.split(",") if args.lam is not None else (1,) * len(k)
-    d = args.dims if args.dims is not None else len(k)
-    return ManhattanParams(d=d, lam=lam, k=k, T=T)
+    params = ManhattanParams(d=len(k), lam=lam, k=k, T=T)
+    return Collection.from_string(params, args.collection)
 
 
-def _file_format(path: str, override: str | None) -> str:
-    if override:
-        return override
-    return "pgm" if Path(path).suffix.lower() == ".pgm" else "mht1"
+def _is_pgm(path: str) -> bool:
+    """A file's suffix alone picks its format: .pgm in any case is PGM, else MHT1."""
+    return Path(path).suffix.lower() == ".pgm"
 
 
-def _read_grid(path: str, fmt: str | None) -> Grid:
-    kind = _file_format(path, fmt)
+def _read_grid(path: str) -> Grid:
     with open(path, "rb") as fh:
-        return read_pgm(fh) if kind == "pgm" else read_mht1(fh)
+        return read_pgm(fh) if _is_pgm(path) else read_mht1(fh)
 
 
-def _write_grid(path: str, g: Grid, fmt: str | None) -> None:
-    if _file_format(path, fmt) == "pgm":
+def _write_grid(path: str, g: Grid) -> None:
+    if _is_pgm(path):
         pgm = io.BytesIO()
         write_pgm(pgm, g)  # refuses a 3D image or a spectrum before the path is opened
         Path(path).write_bytes(pgm.getvalue())
@@ -75,8 +74,7 @@ def _write_grid(path: str, g: Grid, fmt: str | None) -> None:
 
 
 def cmd_info(args) -> int:
-    params = _params_from_args(args, None)
-    collection = Collection.from_string(params, args.collection)
+    collection = _collection(args, None)
     closure = collection.closure()
     minimal = collection.minimal()
     rho = density(collection)
@@ -87,25 +85,23 @@ def cmd_info(args) -> int:
     print(f"density: {rho} = {float(rho):.6f} samples per unit volume")
     print(f"samples per fundamental cell: {fundamental_cell_count(collection)}")
     for b in closure.sorted_members():
-        print(f"  atom {b}: volume {atom_volume(b, params)}")
+        print(f"  atom {b}: volume {atom_volume(b, collection.params)}")
     status = "holds" if volume == rho else "VIOLATED"
     print(f"landau identity (region volume == density): {status} ({volume})")
     return EXIT_OK if volume == rho else EXIT_NUMERICAL
 
 
 def cmd_bandlimit(args) -> int:
-    image = _read_grid(args.input, args.format)
-    params = _params_from_args(args, tuple(image.extents))
-    collection = Collection.from_string(params, args.collection)
-    _write_grid(args.output, bandlimit(image, collection), args.format)
+    image = _read_grid(args.input)
+    collection = _collection(args, tuple(image.extents))
+    _write_grid(args.output, bandlimit(image, collection))
     log.info("bandlimited %s -> %s", args.input, args.output)
     return EXIT_OK
 
 
 def cmd_sample(args) -> int:
-    image = _read_grid(args.input, args.format)
-    params = _params_from_args(args, tuple(image.extents))
-    collection = Collection.from_string(params, args.collection)
+    image = _read_grid(args.input)
+    collection = _collection(args, tuple(image.extents))
     ss = extract_samples(image, collection)
     with open(args.samples, "w") as fh:
         write_mhs1(fh, ss)
@@ -117,10 +113,10 @@ def cmd_reconstruct(args) -> int:
     with open(args.samples) as fh:
         ss = read_mhs1(fh)
     result = reconstruct(ss)
-    _write_grid(args.output, result, args.format)
+    _write_grid(args.output, result)
     log.info("reconstructed %s -> %s", args.samples, args.output)
     if args.reference:
-        ref = _read_grid(args.reference, args.format)
+        ref = _read_grid(args.reference)
         if np.iscomplexobj(ref.data):
             raise DomainError("reference must be an image, got a spectrum")
         ss.params.check_extents(ref.extents)
@@ -133,14 +129,14 @@ def cmd_reconstruct(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    image = _read_grid(args.input, args.format)
+    image = _read_grid(args.input)
     report = spectrum_report(image)
-    if _file_format(args.output, args.format) == "pgm":
+    if _is_pgm(args.output):
         out = report.data
         lo, hi = out.min(), out.max()
         scaled = (out - lo) / (hi - lo) * 255.0 if hi > lo else out * 0.0
         report = Grid(report.extents, scaled)
-    _write_grid(args.output, report, args.format)
+    _write_grid(args.output, report)
     log.info("spectrum of %s -> %s", args.input, args.output)
     return EXIT_OK
 
@@ -159,7 +155,7 @@ def cmd_generate(args) -> int:
         arr = np.full(size, args.value, dtype=np.float64)
     else:
         raise DomainError(f"constant value must be finite, got {args.value}")
-    _write_grid(args.output, Grid(size, arr), args.format)
+    _write_grid(args.output, Grid(size, arr))
     log.info("generated %s image %s -> %s", args.kind, args.size, args.output)
     return EXIT_OK
 
@@ -172,12 +168,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     params = argparse.ArgumentParser(add_help=False)  # flags of ManhattanParams
-    params.add_argument("--dims", type=int, help="dimension d")
     params.add_argument("--k", required=True, help="sampling factors, e.g. 4,4")
     params.add_argument("--lambda", dest="lam", help="dense spacings, e.g. 1,1 or 1/2,3")
     params.add_argument("--collection", required=True, help="bit strings, e.g. 10,01")
-    fmt = argparse.ArgumentParser(add_help=False)
-    fmt.add_argument("--format", choices=["pgm", "mht1"])
 
     def command(name: str, func, summary: str, *parents) -> argparse.ArgumentParser:
         p = sub.add_parser(name, parents=list(parents), help=summary)
@@ -187,26 +180,25 @@ def build_parser() -> argparse.ArgumentParser:
     command("info", cmd_info, "report closure, density, atom volumes", params)
 
     p = command("bandlimit", cmd_bandlimit, "zero spectrum outside the Manhattan region",
-                params, fmt)
+                params)
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
 
     p = command("sample", cmd_sample, "extract Manhattan samples to an MHS1 file",
-                params, fmt)
+                params)
     p.add_argument("--input", required=True)
     p.add_argument("--samples", required=True, help="output MHS1 path")
 
-    p = command("reconstruct", cmd_reconstruct, "reconstruct an image from MHS1 samples",
-                fmt)
+    p = command("reconstruct", cmd_reconstruct, "reconstruct an image from MHS1 samples")
     p.add_argument("--samples", required=True, help="input MHS1 path")
     p.add_argument("--output", required=True)
     p.add_argument("--reference", default=None, help="compare against this image")
 
-    p = command("spectrum", cmd_spectrum, "write centered log-magnitude spectrum", fmt)
+    p = command("spectrum", cmd_spectrum, "write centered log-magnitude spectrum")
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
 
-    p = command("generate", cmd_generate, "write a synthetic test image", fmt)
+    p = command("generate", cmd_generate, "write a synthetic test image")
     p.add_argument("--size", required=True, help="extents, e.g. 64,64")
     p.add_argument("--kind", choices=["random", "constant", "impulse"], default="random")
     p.add_argument("--value", type=float, default=0.0)

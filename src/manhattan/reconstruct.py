@@ -30,7 +30,7 @@ from .freq import FreqMask, atom_axes, atom_mask
 from .grid import Axes, Grid, _fold, _gather, dft, synthesize
 from .sampler import SampleSet, grid_from_samples
 
-SPECTRUM_FLOOR = 1e-12  # keeps log10 finite on empty bins in spectrum_report
+SPECTRUM_FLOOR = 1e-12  # times the peak |X|: keeps log10 finite, hides FFT noise
 
 
 @dataclass(frozen=True)
@@ -112,40 +112,8 @@ def spectrum_report(image: Grid) -> Grid:
     spec = image.data if np.iscomplexobj(image.data) else dft(image).data
     if not np.isfinite(spec).all():
         raise NumericalFailureError("spectrum is not finite (NaN or inf)")
-    report = np.log10(np.abs(np.fft.fftshift(spec)) + SPECTRUM_FLOOR)
+    mag = np.abs(np.fft.fftshift(spec))
+    floor = SPECTRUM_FLOOR * (mag.max() or 1.0)  # 1.0 for an all-zero spectrum
+    report = np.log10(mag + floor)
     return Grid(image.extents, report)
 
-
-@dataclass(frozen=True)
-class SpatialFilter:
-    """Continuous-space impulse response whose spectrum is the atom of b."""
-
-    b: BiStep
-    params: ManhattanParams
-
-    def center(self, i: int) -> float:
-        lam = float(self.params.lam[i])
-        k = self.params.k[i]
-        return 0.5 * (1.0 / (2.0 * lam) + 1.0 / (2.0 * k * lam))
-
-    def width(self, i: int) -> float:
-        lam = float(self.params.lam[i])
-        k = self.params.k[i]
-        if self.b.bits[i]:
-            return 1.0 / (2.0 * lam) - 1.0 / (2.0 * k * lam)
-        return 1.0 / (k * lam)
-
-
-def spatial_filter_eval(f: SpatialFilter, t) -> float:
-    """Pointwise evaluation: product of scaled sincs, modulated along the
-    highpass dimensions."""
-    t = np.asarray(t, dtype=np.float64)
-    if t.shape != (f.params.d,):
-        raise DomainError("coordinate length does not match d")
-    value = 1.0
-    for i in range(f.params.d):
-        w = f.width(i)
-        value *= w * np.sinc(w * t[i])
-        if f.b.bits[i]:
-            value *= 2.0 * np.cos(2.0 * np.pi * f.center(i) * t[i])
-    return float(value)

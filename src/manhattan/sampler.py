@@ -59,6 +59,8 @@ class SampleSet:
         if values.shape != (coords.shape[0],):
             raise DimensionError("values length must match coords")
         self.params.extents  # raises DomainError without T
+        if self.params != self.collection.params:  # the plan reads the collection's
+            raise DomainError("sample params differ from the collection's params")
         object.__setattr__(self, "coords", coords)
         object.__setattr__(self, "values", values)
         coords.setflags(write=False)

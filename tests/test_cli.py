@@ -14,7 +14,7 @@ def run(*argv):
 class TestInfo:
     def test_lines_density(self, capsys):
         assert run(
-            "info", "--dims", "3", "--k", "3,3,3", "--lambda", "1,1,1",
+            "info", "--k", "3,3,3", "--lambda", "1,1,1",
             "--collection", "100,010,001",
         ) == 0
         out = capsys.readouterr().out
@@ -121,6 +121,41 @@ class TestPipeline:
         assert run("spectrum", "--input", str(limited), "--output", str(spec)) == 0
         assert spec.read_bytes().startswith(b"P5")
 
+    def test_each_path_by_its_own_suffix(self, tmp_path, capsys):
+        raw, ref = tmp_path / "raw.PGM", tmp_path / "ref.pgm"  # a constant is bandlimited
+        limited, samples, recon = (tmp_path / n for n in ("bl.mht1", "s.mhs1", "rec.mht1"))
+        for out in (raw, ref):
+            run("generate", "--size", "16,16", "--kind", "constant", "--value", "7",
+                "--output", str(out))
+        assert run(
+            "bandlimit", "--k", "4,4", "--collection", "10,01",
+            "--input", str(raw), "--output", str(limited),
+        ) == 0
+        run("sample", "--k", "4,4", "--collection", "10,01",
+            "--input", str(limited), "--samples", str(samples))
+        assert run(
+            "reconstruct", "--samples", str(samples), "--output", str(recon),
+            "--reference", str(ref),
+        ) == 0
+        assert "PASS" in capsys.readouterr().out
+        assert raw.read_bytes().startswith(b"P5") and ref.read_bytes().startswith(b"P5")
+        assert limited.read_bytes().startswith(b"MHT1")
+        assert recon.read_bytes().startswith(b"MHT1")
+
+    def test_spectrum_ignores_rounding_noise(self, tmp_path):
+        # a bandlimited image and its reconstruction differ by rounding only
+        raw, limited, samples = (tmp_path / n for n in ("raw.mht1", "bl.mht1", "s.mhs1"))
+        recon, a, b = (tmp_path / n for n in ("rec.mht1", "a.pgm", "b.pgm"))
+        run("generate", "--size", "48,48", "--seed", "2", "--output", str(raw))
+        run("bandlimit", "--k", "4,4", "--collection", "10,01",
+            "--input", str(raw), "--output", str(limited))
+        run("sample", "--k", "4,4", "--collection", "10,01",
+            "--input", str(limited), "--samples", str(samples))
+        assert run("reconstruct", "--samples", str(samples), "--output", str(recon)) == 0
+        assert run("spectrum", "--input", str(limited), "--output", str(a)) == 0
+        assert run("spectrum", "--input", str(recon), "--output", str(b)) == 0
+        assert a.read_bytes() == b.read_bytes()
+
     def test_3d_via_mht1(self, tmp_path, capsys):
         raw = tmp_path / "raw.mht1"
         limited = tmp_path / "bl.mht1"
@@ -138,7 +173,31 @@ class TestPipeline:
         assert "PASS" in capsys.readouterr().out
 
 
+VALID_ARGV = {
+    "info": ["--k", "3,3,3", "--collection", "100,010,001"],
+    "bandlimit": ["--k", "4,4", "--collection", "10,01", "--input", "a.mht1",
+                  "--output", "b.mht1"],
+    "sample": ["--k", "4,4", "--collection", "10,01", "--input", "a.mht1",
+               "--samples", "s.mhs1"],
+    "reconstruct": ["--samples", "s.mhs1", "--output", "b.mht1"],
+    "spectrum": ["--input", "a.mht1", "--output", "b.pgm"],
+    "generate": ["--size", "4,4", "--output", "a.mht1"],
+}
+
+
 class TestErrorPaths:
+    @pytest.mark.parametrize("flag", [("--format", "pgm"), ("--dims", "3")],
+                             ids=["format", "dims"])
+    @pytest.mark.parametrize("command", list(VALID_ARGV))
+    def test_removed_flag_is_usage_error(self, tmp_path, monkeypatch, capsys, command, flag):
+        # d comes from --k and each file's format from its suffix, nothing else
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            run(command, *VALID_ARGV[command], *flag)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     def test_extent_violation_is_usage_error(self, tmp_path):
         raw = tmp_path / "raw.mht1"
         out = tmp_path / "out.mht1"

@@ -23,11 +23,9 @@ from manhattan import (
     MissingSamplesError,
     NumericalFailureError,
     SampleSet,
-    SpatialFilter,
     bandlimit,
     extract_samples,
     reconstruct,
-    spatial_filter_eval,
     spectrum_report,
 )
 from manhattan.freq import atom_mask, region_mask
@@ -153,6 +151,17 @@ class TestMalformedSamples:
         perm = np.random.default_rng(4).permutation(len(ss))
         with pytest.raises(error):
             entry(SampleSet(p, c, ss.coords[perm], ss.values[perm]))
+
+    @pytest.mark.parametrize("T,k", [((32, 32), (4, 4)), ((16, 16), (2, 2))],
+                             ids=["other-T", "other-k"])
+    def test_params_differ_from_collection(self, T, k):
+        # the plan reads the collection's params; the scatter and MHS1 the sample set's
+        p = ManhattanParams(d=2, lam=(1, 1), k=(4, 4), T=(16, 16))
+        c = Collection.of(p, ["10", "01"])
+        ss = extract_samples(bandlimited_image(p, c, seed=3), c)
+        other = ManhattanParams(d=2, lam=(1, 1), k=k, T=T)
+        with pytest.raises(DomainError):
+            SampleSet(other, c, ss.coords, ss.values)
 
 
 class TestHalfSpectrumEngine:
@@ -522,38 +531,12 @@ class TestSpectrumReport:
         outside = ~region_mask(c).kept
         assert rep[outside].max() < -6.0  # near the 1e-12 floor
 
+    def test_zero_image_finite(self):
+        rep = spectrum_report(Grid.from_array(np.zeros((6, 4)))).data
+        assert np.isfinite(rep).all()
+
     def test_real_input_symmetric(self):
         rng = np.random.default_rng(5)
         rep = spectrum_report(Grid.from_array(rng.normal(size=(9, 9)))).data.real
         assert np.abs(rep - rep[::-1, ::-1]).max() <= 1e-9
 
-
-class TestSpatialFilter:
-    def test_origin_lowpass(self):
-        p = ManhattanParams(d=2, lam=(1, 1), k=(5, 3))
-        f = SpatialFilter(B("00"), p)
-        assert spatial_filter_eval(f, (0.0, 0.0)) == pytest.approx(1 / 15)
-
-    def test_origin_value_formula(self):
-        p = ManhattanParams(d=2, lam=(1, 1), k=(5, 3))
-        f = SpatialFilter(B("10"), p)
-        expected = f.width(0) * 2 * f.width(1)
-        assert spatial_filter_eval(f, (0.0, 0.0)) == pytest.approx(expected)
-
-    def test_sinc_zeros(self):
-        p = ManhattanParams(d=1, lam=(1,), k=(4,))
-        f = SpatialFilter(B("0"), p)
-        assert spatial_filter_eval(f, (4.0,)) == pytest.approx(0.0, abs=1e-15)
-
-    def test_matches_quadrature_inverse_transform(self):
-        # Riemann sum of exp(2 pi i u t) over the atom's two bands
-        p = ManhattanParams(d=1, lam=(1,), k=(4,))
-        f = SpatialFilter(B("1"), p)
-        n = 200_000
-        lo, hi = 1 / 8, 1 / 2
-        u = np.linspace(lo, hi, n, endpoint=False) + (hi - lo) / (2 * n)
-        for t in (0.0, 0.3, 1.7, 2.0):
-            integral = 2 * np.sum(np.cos(2 * np.pi * u * t)) * (hi - lo) / n
-            assert integral == pytest.approx(
-                spatial_filter_eval(f, (t,)), abs=1e-6
-            )
