@@ -158,12 +158,6 @@ class ManhattanParams:
             raise DomainError("operation requires support extents T")
         return self.T
 
-    def check_extents(self, extents: Sequence[int]) -> tuple[int, ...]:
-        """T, after checking that an image with these extents lies on it."""
-        if tuple(extents) != self.extents:
-            raise DomainError(f"image extents {tuple(extents)} do not match T {self.T}")
-        return self.T
-
     @property
     def lam_int(self) -> tuple[int, ...]:
         """Integer dense spacings; raises DomainError outside the discrete regime."""

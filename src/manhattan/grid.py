@@ -61,12 +61,18 @@ class Grid:
     def from_array(cls, arr: np.ndarray) -> "Grid":
         return cls(tuple(np.shape(arr)), arr)
 
+    def image(self, T: tuple[int, ...] | None = None) -> np.ndarray:
+        """The data, no copy, after checking it is a real image (on T if given)."""
+        if np.iscomplexobj(self.data):
+            raise DomainError("expected a real image, got a spectrum")
+        if T is not None and tuple(self.extents) != tuple(T):
+            raise DomainError(f"image extents {tuple(self.extents)} do not match T {T}")
+        return self.data
+
 
 def dft(g: Grid) -> Grid:
     """Unnormalized forward DFT of an image, separable over dimensions."""
-    if np.iscomplexobj(g.data):
-        raise DomainError("dft expects a real image, got a spectrum")
-    return Grid(g.extents, np.fft.fftn(g.data))
+    return Grid(g.extents, np.fft.fftn(g.image()))
 
 
 def idft(g: Grid) -> Grid:
@@ -192,9 +198,9 @@ def read_mht1(fh: BinaryIO) -> Grid:
 
 
 def write_pgm(fh: BinaryIO, g: Grid) -> None:
-    if len(g.extents) != 2 or np.iscomplexobj(g.data):
-        raise DomainError("PGM output is only defined for 2D real images")
-    img = np.clip(np.rint(g.data), 0, 255).astype(np.uint8)
+    if len(g.extents) != 2:
+        raise DomainError("PGM output is only defined for 2D images")
+    img = np.clip(np.rint(g.image()), 0, 255).astype(np.uint8)
     rows, cols = g.extents
     fh.write(f"P5\n{cols} {rows}\n255\n".encode("ascii"))
     fh.write(img.tobytes())

@@ -25,7 +25,7 @@ from math import prod
 import numpy as np
 
 from .core import BiStep, Collection, ManhattanParams
-from .errors import DomainError, NumericalFailureError
+from .errors import NumericalFailureError
 from .freq import FreqMask, atom_axes, atom_mask
 from .grid import Axes, Grid, _fold, _gather, dft, synthesize
 from .sampler import SampleSet, grid_from_samples
@@ -74,9 +74,9 @@ def _raw_spectrum(x: np.ndarray, s: tuple[int, ...]) -> np.ndarray:
 
 def reconstruct(ss: SampleSet) -> Grid:
     """Recover a Manhattan-bandlimited image from its samples (any d)."""
+    x = grid_from_samples(ss).data  # refuses a bad sample set before the plan
     plan = ReconstructionPlan.for_collection(ss.collection)
     p, T, lower = plan.params, plan.params.T, plan.lower
-    x = grid_from_samples(ss).data
     sums: dict[BiStep, np.ndarray] = {}  # raw spectra of members yet to come
     blocks: dict[BiStep, np.ndarray] = {}  # spectrum of x^b on its atom's lower block
     for b in plan.members:
@@ -97,11 +97,9 @@ def reconstruct(ss: SampleSet) -> Grid:
 
 def bandlimit(image: Grid, c: Collection) -> Grid:
     """Zero the image's spectrum outside the Manhattan region, its atoms; idempotent."""
-    T = c.params.check_extents(image.extents)
-    if np.iscomplexobj(image.data):
-        raise DomainError("bandlimit expects a real image, got a spectrum")
+    x, T = image.image(c.params.extents), c.params.T
     plan = ReconstructionPlan.for_collection(c)
-    H = _raw_spectrum(image.data, (1,) * len(T))
+    H = _raw_spectrum(x, (1,) * len(T))
     blocks = {b: _gather(H, plan.lower[b], T) for b in plan.members}
     del H  # not held through irfftn
     return plan.synthesize(blocks)

@@ -80,13 +80,12 @@ class SampleSet:
 
 def extract_samples(image: Grid, c: Collection) -> SampleSet:
     """All and only the Manhattan-grid values of the image, lexicographic order."""
-    params = c.params
-    params.check_extents(image.extents)
-    if np.iscomplexobj(image.data):
-        raise DomainError("samples are taken of a real image, got a spectrum")
+    x = image.image(c.params.extents)
     mask = manhattan_indicator(c)
     coords = np.argwhere(mask)  # argwhere is lexicographic in C order
-    ss = SampleSet(params, c, coords, image.data[mask])
+    ss = SampleSet(c.params, c, coords, x[mask])
+    if not np.isfinite(ss.values).all():  # reconstruct would refuse them
+        raise DomainError("sample values must be finite")
     if len(ss) != ss.expected_count:
         raise MissingSamplesError(
             f"extracted {len(ss)} samples, density accounting expects "
@@ -100,20 +99,23 @@ def grid_from_samples(ss: SampleSet) -> Grid:
 
     Refuses a sample set that does not hit every point of M(B) exactly once
     with a finite value: any such set would reconstruct to a wrong image.
-    M(B) listed in lexicographic order, as ``extract_samples`` and MHS1
-    give it, passes with one comparison; any other order takes the full check.
+    The count comes first, before anything of size prod(T); with it equal,
+    samples that cover M(B) hit no point twice.  M(B) in lexicographic order,
+    as ``extract_samples`` and MHS1 give it, passes with one comparison.
     """
     T = ss.params.T
-    expected = manhattan_indicator(ss.collection)
+    if len(ss) != ss.expected_count:
+        raise MissingSamplesError(
+            f"{len(ss)} samples given, M({ss.collection}) has {ss.expected_count} points"
+        )
     try:
         flat = np.ravel_multi_index(tuple(ss.coords.T), T)
     except ValueError:  # numpy refuses a coordinate outside [0, T)
         raise MissingSamplesError(f"sample coordinates outside [0, T) for T={T}")
+    expected = manhattan_indicator(ss.collection)
     if not np.array_equal(flat, np.flatnonzero(expected)):  # not the canonical order
         hit = np.zeros(T, dtype=bool)
         hit.flat[flat] = True
-        if np.count_nonzero(hit) != len(flat):
-            raise MissingSamplesError("sample coordinates are repeated")
         if not np.array_equal(hit, expected):
             raise MissingSamplesError(
                 f"{np.count_nonzero(expected & ~hit)} points of M({ss.collection}) "
@@ -137,10 +139,9 @@ class CombGrid:
 
 def comb_from_grid(image: Grid, b: BiStep, params: ManhattanParams) -> CombGrid:
     """Comb of a full grid: step-size-scaled values on lattice b, zero off it."""
-    T = params.check_extents(image.extents)
+    x = image.image(params.extents)
     scale = prod(params.step_int(b))
-    arr = image.data * lattice_indicator(params, b) * scale
-    return CombGrid(Grid(T, arr), b, scale)
+    return CombGrid(Grid(params.T, x * lattice_indicator(params, b) * scale), b, scale)
 
 
 def comb_from_samples(ss: SampleSet, b: BiStep) -> CombGrid:

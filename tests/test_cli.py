@@ -156,6 +156,23 @@ class TestPipeline:
         assert run("spectrum", "--input", str(recon), "--output", str(b)) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("suffix,code,verdict", [(".mht1", 0, "PASS"), (".pgm", 4, "FAIL")])
+    def test_pgm_output_is_not_exact(self, tmp_path, capsys, suffix, code, verdict):
+        # PGM rounds and clips to 8 bits, so a bandlimited image saved as PGM is no
+        # longer bandlimited; the loss shows as a loud FAIL, never as a quiet PASS
+        raw, limited, recon = (tmp_path / (n + suffix) for n in ("raw", "bl", "rec"))
+        samples = tmp_path / "s.mhs1"
+        run("generate", "--size", "48,48", "--seed", "3", "--output", str(raw))
+        run("bandlimit", "--k", "4,4", "--collection", "10,01",
+            "--input", str(raw), "--output", str(limited))
+        assert run("sample", "--k", "4,4", "--collection", "10,01",
+                   "--input", str(limited), "--samples", str(samples)) == 0
+        assert run(
+            "reconstruct", "--samples", str(samples), "--output", str(recon),
+            "--reference", str(limited),
+        ) == code
+        assert capsys.readouterr().out.startswith(f"{verdict} relative max error")
+
     def test_3d_via_mht1(self, tmp_path, capsys):
         raw = tmp_path / "raw.mht1"
         limited = tmp_path / "bl.mht1"
@@ -257,6 +274,34 @@ class TestErrorPaths:
             "--input", str(tmp_path / "nope.mht1"),
             "--output", str(tmp_path / "out.mht1"),
         ) == 2
+
+    def test_output_directory_is_usage_error(self, tmp_path, caplog):
+        # every OSError on a path is a usage error, not only a missing file
+        assert run("generate", "--size", "8,8", "--output", f"{tmp_path}/") == 2
+        assert any(r.levelname == "ERROR" for r in caplog.records)
+
+    @pytest.mark.parametrize("pixel,code", [((0, 3), 2), ((1, 1), 0)], ids=["on-set", "off-set"])
+    def test_non_finite_sample_is_usage_error(self, tmp_path, pixel, code):
+        # a NaN on M(B) would make an MHS1 file that reconstruct refuses
+        image = np.ones((16, 16))
+        image[pixel] = np.nan
+        raw, samples = tmp_path / "raw.mht1", tmp_path / "s.mhs1"
+        with open(raw, "wb") as fh:
+            write_mht1(fh, Grid.from_array(image))
+        assert run(
+            "sample", "--k", "4,4", "--collection", "10,01",
+            "--input", str(raw), "--samples", str(samples),
+        ) == code
+        assert samples.exists() == (code == 0)
+
+    def test_few_rows_on_large_extents_is_usage_error(self, tmp_path):
+        # counted before any array of size prod(T) is built
+        samples = tmp_path / "s.mhs1"
+        samples.write_text("MHS1\ndims 2\nT 4096 4096\nk 4 4\nlambda 1 1\n"
+                           "collection 10,01\n0 0 1.0\n0 1 2.0\n")
+        out = tmp_path / "out.mht1"
+        assert run("reconstruct", "--samples", str(samples), "--output", str(out)) == 2
+        assert not out.exists()
 
     def test_bad_mhs1_magic(self, tmp_path):
         bad = tmp_path / "bad.mhs1"

@@ -11,6 +11,7 @@ from manhattan import (
     Collection,
     DimensionError,
     DomainError,
+    Grid,
     ManhattanParams,
     density,
     fundamental_cell_count,
@@ -320,9 +321,9 @@ class TestParamsValidation:
         with pytest.raises(DomainError):
             p.extents
         p = ManhattanParams(d=2, lam=(1, 1), k=(4, 4), T=(8, 16))
-        assert p.check_extents((8, 16)) == (8, 16)
+        assert Grid.from_array(np.zeros((8, 16))).image(p.extents).shape == (8, 16)
         with pytest.raises(DomainError):
-            p.check_extents((16, 8))
+            Grid.from_array(np.zeros((16, 8))).image(p.extents)
 
     def test_exact_lambda_forms(self):
         for lam in (Fraction(1, 10), "1/10", "0.1"):

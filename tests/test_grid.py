@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 
 from conftest import bandlimited_image
 from manhattan import (
+    BiStep,
     Collection,
     DomainError,
     FormatError,
@@ -16,6 +17,7 @@ from manhattan import (
     ManhattanParams,
     NumericalFailureError,
     bandlimit,
+    comb_from_grid,
     dft,
     extract_samples,
     idft,
@@ -26,6 +28,7 @@ from manhattan import (
     write_mht1,
     write_pgm,
 )
+from manhattan.cli import main
 
 
 class TestTransforms:
@@ -175,6 +178,57 @@ class TestDataModel:
             bandlimit(spectrum, self.c)
         with pytest.raises(DomainError):
             write_pgm(io.BytesIO(), spectrum)
+
+
+P16 = ManhattanParams(d=2, lam=(1, 1), k=(4, 4), T=(16, 16))
+C16 = Collection.from_string(P16, "10,01")
+
+
+def _cli_reference(g, tmp_path):
+    """Exit code of ``reconstruct --reference`` against g, on samples of T=(16, 16)."""
+    raw, samples, ref = tmp_path / "raw.mht1", tmp_path / "s.mhs1", tmp_path / "ref.mht1"
+    main(["generate", "--size", "16,16", "--kind", "constant", "--value", "3",
+          "--output", str(raw)])
+    main(["sample", "--k", "4,4", "--collection", "10,01", "--input", str(raw),
+          "--samples", str(samples)])
+    with open(ref, "wb") as fh:
+        write_mht1(fh, g)
+    return main(["reconstruct", "--samples", str(samples),
+                 "--output", str(tmp_path / "rec.mht1"), "--reference", str(ref)])
+
+
+IMAGE_CONSUMERS = {  # name -> (call on a grid, whether it takes T=(16, 16))
+    "dft": (dft, False),
+    "write_pgm": (lambda g: write_pgm(io.BytesIO(), g), False),
+    "bandlimit": (lambda g: bandlimit(g, C16), True),
+    "extract_samples": (lambda g: extract_samples(g, C16), True),
+    "comb_from_grid": (lambda g: comb_from_grid(g, BiStep.from_string("10"), P16), True),
+    "cli-reference": (None, True),  # reconstruct --reference, exit 2
+}
+
+
+class TestImageGate:
+    """``Grid.image`` is the one check that a grid is a real image on T."""
+
+    def test_returns_data_without_copy(self):
+        g = Grid.from_array(np.ones((16, 16)))
+        assert g.image() is g.data and g.image((16, 16)) is g.data
+
+    @pytest.mark.parametrize(
+        "consumer,bad",
+        [(name, bad) for name, (_, takes_T) in IMAGE_CONSUMERS.items()
+         for bad in ("spectrum", "extents")[: 1 + takes_T]],
+    )
+    def test_every_consumer_refuses(self, tmp_path, consumer, bad):
+        call = IMAGE_CONSUMERS[consumer][0]
+        g = Grid.from_array(np.ones((16, 16), dtype=complex) if bad == "spectrum"
+                            else np.ones((16, 8)))
+        if call is None:
+            assert _cli_reference(g, tmp_path) == 2
+        else:  # one wording for each refusal, whoever asks
+            wording = "real image" if bad == "spectrum" else "do not match T"
+            with pytest.raises(DomainError, match=wording):
+                call(g)
 
 
 # write_mht1 of np.arange(6.0).reshape(2, 3) / 4 - 0.5

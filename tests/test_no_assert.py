@@ -1,6 +1,7 @@
 """Structure of the package sources: runtime checks raise typed errors, as it
-holds no ``assert``, which ``python -O`` would strip, and one function owns the
-way from a half spectrum back to an image."""
+holds no ``assert``, which ``python -O`` would strip, one function owns the
+way from a half spectrum back to an image, and one method decides whether a
+grid is a real image."""
 
 import ast
 from pathlib import Path
@@ -66,3 +67,16 @@ def test_bandlimit_builds_no_full_spectrum():
         if owner == "bandlimit" and isinstance(node, ast.Call)
     }
     assert not called & {"fftn", "dft", "region_mask", "apply_mask", "idft"}, sorted(called)
+
+
+def test_one_image_gate():
+    # Grid.image decides "a real image on T"; outside grid.py only the display
+    # of an image or a spectrum asks which of the two a grid holds
+    calls = set()
+    for path in SOURCES:
+        for owner, node in _owned_nodes(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Call) and ast.unparse(node.func).endswith("iscomplexobj"):
+                calls.add((path.name, owner))
+    outside = {call for call in calls if call[0] != "grid.py"}
+    assert ("grid.py", "image") in calls, sorted(calls, key=str)
+    assert outside == {("reconstruct.py", "spectrum_report")}, sorted(outside, key=str)

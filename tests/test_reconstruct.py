@@ -163,6 +163,22 @@ class TestMalformedSamples:
         with pytest.raises(DomainError):
             SampleSet(other, c, ss.coords, ss.values)
 
+    def test_count_checked_before_anything_of_size_T(self):
+        # 2 samples on T = 4096^2: refused before a 16 MB indicator of M(B) is built
+        p = ManhattanParams(d=2, lam=(1, 1), k=(4, 4), T=(4096, 4096))
+        c = Collection.of(p, ["10", "01"])
+        ss = SampleSet(p, c, np.array([[0, 0], [0, 1]]), np.array([1.0, 2.0]))
+        tracemalloc.start()
+        try:
+            with pytest.raises(MissingSamplesError) as exc:
+                reconstruct(ss)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert f"{len(ss)} samples" in str(exc.value)
+        assert f"{ss.expected_count} points" in str(exc.value)
+        assert peak < 1 << 20
+
 
 class TestHalfSpectrumEngine:
     """Run-slice folds and the Hermitian check of the half-spectrum sweep."""
