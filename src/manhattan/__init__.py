@@ -30,14 +30,11 @@ from .freq import (
     region_mask,
     replica_overlap_oracle,
 )
-from .grid import Grid, dft, idft, read_mht1, read_pgm, write_mht1, write_pgm
-from .oracle import rank_report, solve_reconstruct
-from .reconstruct import (
-    ReconstructionPlan,
-    bandlimit,
-    reconstruct,
-    spectrum_report,
+from .grid import (
+    Grid, dft, idft, read_mht1, read_pgm, spectrum_report, write_mht1, write_pgm,
 )
+from .oracle import rank_report, solve_reconstruct
+from .reconstruct import ReconstructionPlan, bandlimit, reconstruct
 from .sampler import (
     CombGrid,
     SampleSet,
@@ -55,10 +52,10 @@ __all__ = [
     "MissingSamplesError", "NumericalFailureError",
     "FreqMask", "atom_mask", "atom_volume", "guaranteed_disjoint",
     "manhattan_region_volume", "nyquist_mask", "region_mask", "replica_overlap_oracle",
-    "Grid", "dft", "idft",
+    "Grid", "dft", "idft", "spectrum_report",
     "read_mht1", "read_pgm", "write_mht1", "write_pgm",
     "rank_report", "solve_reconstruct",
-    "ReconstructionPlan", "bandlimit", "reconstruct", "spectrum_report",
+    "ReconstructionPlan", "bandlimit", "reconstruct",
     "CombGrid", "SampleSet", "comb_from_grid", "comb_from_samples", "extract_samples",
     "read_mhs1", "write_mhs1",
 ]

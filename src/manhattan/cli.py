@@ -18,8 +18,8 @@ import numpy as np
 from .core import Collection, ManhattanParams, density, fundamental_cell_count
 from .errors import DomainError, FormatError, ManhattanError, NumericalFailureError
 from .freq import atom_volume, manhattan_region_volume
-from .grid import Grid, read_mht1, read_pgm, write_mht1, write_pgm
-from .reconstruct import bandlimit, reconstruct, spectrum_report
+from .grid import Grid, read_mht1, read_pgm, spectrum_report, write_mht1, write_pgm
+from .reconstruct import bandlimit, reconstruct
 from .sampler import extract_samples, read_mhs1, write_mhs1
 
 log = logging.getLogger("manhattan")
@@ -142,16 +142,19 @@ def cmd_generate(args) -> int:
     size = _parse_ints(args.size)
     if any(s <= 0 for s in size):
         raise DomainError(f"invalid size {args.size!r}")
-    if args.kind == "random":
-        rng = np.random.default_rng(args.seed)
-        arr = rng.uniform(0.0, 255.0, size=size)
-    elif args.kind == "impulse":
-        arr = np.zeros(size)
-        arr[(0,) * len(size)] = 1.0
-    elif np.isfinite(args.value):  # a constant image
-        arr = np.full(size, args.value, dtype=np.float64)
-    else:
-        raise DomainError(f"constant value must be finite, got {args.value}")
+    try:  # MemoryError, or ValueError for a size numpy will not even try
+        if args.kind == "random":
+            rng = np.random.default_rng(args.seed)
+            arr = rng.uniform(0.0, 255.0, size=size)
+        elif args.kind == "impulse":
+            arr = np.zeros(size)
+            arr[(0,) * len(size)] = 1.0
+        elif np.isfinite(args.value):  # a constant image
+            arr = np.full(size, args.value, dtype=np.float64)
+        else:
+            raise DomainError(f"constant value must be finite, got {args.value}")
+    except (MemoryError, ValueError) as exc:
+        raise DomainError(f"cannot generate size {args.size!r}: {exc}") from exc
     _write_grid(args.output, Grid(size, arr))
     log.info("generated %s image %s -> %s", args.kind, args.size, args.output)
     return EXIT_OK

@@ -49,17 +49,18 @@ def manhattan_region_volume(c: Collection) -> Fraction:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FreqMask:
     """Boolean keep-mask over the DFT index grid of extents T."""
 
-    extents: tuple[int, ...]
-    kept: np.ndarray  # bool, shape == extents
+    kept: np.ndarray  # bool, shape T
 
     def __post_init__(self) -> None:
-        if tuple(self.kept.shape) != tuple(self.extents):
-            raise DimensionError("mask shape does not match extents")
         self.kept.setflags(write=False)
+
+    @property
+    def extents(self) -> tuple[int, ...]:
+        return self.kept.shape
 
     @property
     def count(self) -> int:
@@ -69,13 +70,6 @@ class FreqMask:
         if self.extents != other.extents:
             raise DimensionError("mask extents mismatch")
         return not bool((self.kept & other.kept).any())
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, FreqMask):
-            return NotImplemented
-        return self.extents == other.extents and bool(
-            np.array_equal(self.kept, other.kept)
-        )
 
 
 def axis_kept(T: int, alpha: int) -> np.ndarray:
@@ -97,7 +91,7 @@ def nyquist_mask(params: ManhattanParams, alpha_steps: tuple[int, ...]) -> FreqM
     if len(alpha_steps) != params.d:
         raise DimensionError("alpha_steps must have length d")
     axes = [axis_kept(t, a) for t, a in zip(T, alpha_steps)]
-    return FreqMask(T, tensor_mask(axes))
+    return FreqMask(tensor_mask(axes))
 
 
 def atom_axes(b: BiStep, params: ManhattanParams) -> list[np.ndarray]:
@@ -117,17 +111,15 @@ def atom_axes(b: BiStep, params: ManhattanParams) -> list[np.ndarray]:
 
 def atom_mask(b: BiStep, params: ManhattanParams) -> FreqMask:
     """Discrete atom of b as a keep-mask over the full DFT grid."""
-    T = params.extents
-    return FreqMask(T, tensor_mask(atom_axes(b, params)))
+    return FreqMask(tensor_mask(atom_axes(b, params)))
 
 
 def region_mask(c: Collection) -> FreqMask:
     """Union of the atom masks over the closure of the collection."""
-    T = c.params.extents
-    out = np.zeros(T, dtype=bool)
+    out = np.zeros(c.params.extents, dtype=bool)
     for b in c.closure().members:
         out |= atom_mask(b, c.params).kept
-    return FreqMask(T, out)
+    return FreqMask(out)
 
 
 def guaranteed_disjoint(s: BiStep, b: BiStep, b_prime: BiStep) -> bool:
@@ -137,11 +129,8 @@ def guaranteed_disjoint(s: BiStep, b: BiStep, b_prime: BiStep) -> bool:
         raise DimensionError("bi-step length mismatch")
     if b.issubset(s) and b_prime.issubset(s):
         return True
-    if ((b ^ b_prime) & s).weight != 0:
-        return True
-    if b == s and b_prime.weight <= s.weight:
-        return True
-    return False
+    # no rule "b == s, weight(b') <= weight(s)": past both, b == s means s strictly in b'
+    return ((b ^ b_prime) & s).weight != 0
 
 
 def reciprocal_offsets(params: ManhattanParams, s: BiStep) -> list[tuple[int, ...]]:

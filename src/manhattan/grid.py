@@ -1,16 +1,18 @@
 """d-dimensional grids, the DFT and its half spectra, tensor/PGM file formats.
 
 A grid's dtype says what it holds: float64 data is a real image, complex128
-data is its spectrum.  The transform pair is unnormalized forward,
-1/prod(T) inverse, which is exactly numpy's fftn/ifftn convention.
+data is its spectrum.  Only this module asks which, and every transform but
+the oracle's is made here, in numpy's fftn/ifftn convention: unnormalized
+forward, 1/prod(T) inverse.
 
 A real image has a Hermitian spectrum, X[-u] = conj(X[u]), so only the half
 with last-axis residues 0..m//2 is kept.  A block is a spectrum on per-axis
 kept indices, ascending and closed under negation, or lower-only: its last
 axis stops at T//2.  Modulo m they form a few runs per axis, so ``_slices``
 and ``_fold`` fold a block onto a half spectrum in a few slice copies and
-``_gather`` reads one back.  ``synthesize``, the only way back to an image,
-checks every block is Hermitian, fills one half spectrum and calls ``irfftn`` once.
+``_gather`` reads one back.  ``_raw_spectrum``, the only ``rfftn``, is the way
+in; ``synthesize``, the only way back to an image, checks every block is
+Hermitian, fills one half spectrum and calls ``irfftn`` once.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from .core import MAX_DIMS
 from .errors import DimensionError, DomainError, FormatError, NumericalFailureError
 
 IMAG_RESIDUE_TOL = 1e-9
+SPECTRUM_FLOOR = 1e-12  # times the peak |X|: keeps log10 finite, hides FFT noise
 
 Axes = tuple[np.ndarray, ...]  # per-axis kept DFT indices, ascending
 
@@ -46,6 +49,8 @@ class Grid:
     data: np.ndarray  # float64 image or complex128 spectrum, shape == extents
 
     def __post_init__(self) -> None:
+        if not 1 <= len(self.extents) <= MAX_DIMS:  # what MHT1 can hold
+            raise DimensionError(f"a grid has 1 to {MAX_DIMS} axes, not {len(self.extents)}")
         if any(t <= 0 for t in self.extents):
             raise DomainError(f"grid extents must be positive, got {tuple(self.extents)}")
         dtype = np.complex128 if np.iscomplexobj(self.data) else np.float64
@@ -82,6 +87,13 @@ def idft(g: Grid) -> Grid:
         raise DomainError("idft expects a spectrum, got a real image")
     whole = tuple(np.arange(t) for t in g.extents)
     return synthesize(g.extents, {"spectrum": (whole, g.data)})
+
+
+def _raw_spectrum(x: np.ndarray, s: tuple[int, ...]) -> np.ndarray:
+    """Raw half spectrum of x on the lattice of steps s: ``rfftn(x[::s]) * prod(s)``."""
+    H = np.fft.rfftn(x[tuple(slice(None, None, si) for si in s)])
+    H *= prod(s)
+    return H
 
 
 def _runs(u: np.ndarray, m: int, top: int) -> list[tuple[slice, slice]]:
@@ -148,6 +160,17 @@ def synthesize(T: tuple[int, ...], blocks: dict[str, tuple[Axes, np.ndarray]]) -
         for src, dst in _slices(axes, T):
             half[dst] = block[src]
     return Grid(T, np.fft.irfftn(half, s=T, axes=tuple(range(len(T)))))
+
+
+def spectrum_report(image: Grid) -> Grid:
+    """Centered log-magnitude spectrum of an image or a spectrum, for display."""
+    spec = image.data if np.iscomplexobj(image.data) else dft(image).data
+    if not np.isfinite(spec).all():
+        raise NumericalFailureError("spectrum is not finite (NaN or inf)")
+    mag = np.abs(np.fft.fftshift(spec))
+    floor = SPECTRUM_FLOOR * (mag.max() or 1.0)  # 1.0 for an all-zero spectrum
+    report = np.log10(mag + floor)
+    return Grid(image.extents, report)
 
 
 # ---------------------------------------------------------------------------

@@ -20,17 +20,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import prod
 
 import numpy as np
 
 from .core import BiStep, Collection, ManhattanParams
-from .errors import NumericalFailureError
 from .freq import FreqMask, atom_axes, atom_mask
-from .grid import Axes, Grid, _fold, _gather, dft, synthesize
+from .grid import Axes, Grid, _fold, _gather, _raw_spectrum, synthesize
 from .sampler import SampleSet, grid_from_samples
-
-SPECTRUM_FLOOR = 1e-12  # times the peak |X|: keeps log10 finite, hides FFT noise
 
 
 @dataclass(frozen=True)
@@ -65,13 +61,6 @@ class ReconstructionPlan:
         return synthesize(self.params.T, named)
 
 
-def _raw_spectrum(x: np.ndarray, s: tuple[int, ...]) -> np.ndarray:
-    """Raw half spectrum of x on the lattice of steps s: ``rfftn(x[::s]) * prod(s)``."""
-    H = np.fft.rfftn(x[tuple(slice(None, None, si) for si in s)])
-    H *= prod(s)
-    return H
-
-
 def reconstruct(ss: SampleSet) -> Grid:
     """Recover a Manhattan-bandlimited image from its samples (any d)."""
     x = grid_from_samples(ss).data  # refuses a bad sample set before the plan
@@ -103,15 +92,3 @@ def bandlimit(image: Grid, c: Collection) -> Grid:
     blocks = {b: _gather(H, plan.lower[b], T) for b in plan.members}
     del H  # not held through irfftn
     return plan.synthesize(blocks)
-
-
-def spectrum_report(image: Grid) -> Grid:
-    """Centered log-magnitude spectrum of an image or a spectrum, for display."""
-    spec = image.data if np.iscomplexobj(image.data) else dft(image).data
-    if not np.isfinite(spec).all():
-        raise NumericalFailureError("spectrum is not finite (NaN or inf)")
-    mag = np.abs(np.fft.fftshift(spec))
-    floor = SPECTRUM_FLOOR * (mag.max() or 1.0)  # 1.0 for an all-zero spectrum
-    report = np.log10(mag + floor)
-    return Grid(image.extents, report)
-

@@ -215,6 +215,15 @@ class TestErrorPaths:
         assert "unrecognized arguments" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("size", [",".join(["1"] * 17), "4294967296,4294967296,4294967296"],
+                             ids=["17-axes", "too-big"])
+    @pytest.mark.parametrize("kind", ["random", "constant", "impulse"])
+    def test_unwritable_size_is_usage_error(self, tmp_path, size, kind):
+        # MHT1 holds at most 16 axes; numpy refuses the other size before allocating
+        out = tmp_path / "g.mht1"
+        assert run("generate", "--size", size, "--kind", kind, "--output", str(out)) == 2
+        assert not out.exists()
+
     def test_extent_violation_is_usage_error(self, tmp_path):
         raw = tmp_path / "raw.mht1"
         out = tmp_path / "out.mht1"

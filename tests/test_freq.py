@@ -191,6 +191,13 @@ class TestOverlapPredicates:
         p = ManhattanParams(d=2, lam=(1, 1), k=(4, 4), T=(16, 16))
         assert replica_overlap_oracle(B("01"), B("00"), B("10"), p)
 
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_equal_lattice_rule_is_implied(self, d):
+        # b == s with weight(b') <= weight(s) needs no rule of its own
+        for s, b2 in itertools.product(all_bisteps(d), repeat=2):
+            if b2.weight <= s.weight:
+                assert guaranteed_disjoint(s, s, b2), (s, b2)
+
     @pytest.mark.parametrize(
         "d,k",
         [(2, (2, 3)), (3, (2, 2, 3))],

@@ -10,6 +10,7 @@ from conftest import bandlimited_image
 from manhattan import (
     BiStep,
     Collection,
+    DimensionError,
     DomainError,
     FormatError,
     Grid,
@@ -146,6 +147,12 @@ class TestDataModel:
         with pytest.raises(DomainError, match="positive"):
             Grid.from_array(np.zeros(shape))
 
+    @pytest.mark.parametrize("d", [0, 17])
+    def test_axis_count_refused(self, d):
+        # MHT1 holds 1 to 16 axes, so no grid has more or fewer
+        with pytest.raises(DimensionError, match="1 to 16 axes"):
+            Grid.from_array(np.zeros((1,) * d))
+
     def test_complex_input_is_complex128(self):
         g = Grid.from_array(np.ones((2, 3), dtype=np.complex64))
         assert g.data.dtype == np.complex128
@@ -257,6 +264,12 @@ class TestMht1:
         rng = np.random.default_rng(7)
         g = Grid.from_array(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
         assert np.array_equal(self._cycle(g).data, g.data)
+
+    def test_sixteen_axes_round_trip(self):
+        g = Grid.from_array(np.arange(64.0).reshape((2,) * 6 + (1,) * 10))
+        back = self._cycle(g)
+        assert back.extents == g.extents
+        assert np.array_equal(back.data, g.data)
 
     def test_golden_bytes(self):
         buf = io.BytesIO()

@@ -1,7 +1,7 @@
 """Structure of the package sources: runtime checks raise typed errors, as it
-holds no ``assert``, which ``python -O`` would strip, one function owns the
-way from a half spectrum back to an image, and one method decides whether a
-grid is a real image."""
+holds no ``assert``, which ``python -O`` would strip, one module calls
+``numpy.fft``, one function owns the way from a half spectrum back to an
+image, and one method decides whether a grid is a real image."""
 
 import ast
 from pathlib import Path
@@ -55,7 +55,20 @@ def test_one_forward_half_transform():
         for owner, node in _owned_nodes(ast.parse(path.read_text(), filename=str(path))):
             if isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == "rfftn":
                 calls.add((path.name, owner))
-    assert calls == {("reconstruct.py", "_raw_spectrum")}, f"rfftn is called in {sorted(calls)}"
+    assert calls == {("grid.py", "_raw_spectrum")}, f"rfftn is called in {sorted(calls)}"
+
+
+def test_one_transform_module():
+    # every FFT call (np.fft.*, or an fft function imported bare) is in grid.py;
+    # the oracle keeps its own ifftn so that it shares nothing with the engine
+    calls = set()
+    for path in SOURCES:
+        for owner, node in _owned_nodes(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Call) and "fft" in ast.unparse(node.func):
+                calls.add((path.name, owner))
+    outside = {call for call in calls if call[0] not in ("grid.py", "oracle.py")}
+    assert ("grid.py", "_raw_spectrum") in calls, sorted(calls, key=str)
+    assert not outside, f"np.fft is called in {sorted(outside, key=str)}"
 
 
 def test_bandlimit_builds_no_full_spectrum():
@@ -70,13 +83,14 @@ def test_bandlimit_builds_no_full_spectrum():
 
 
 def test_one_image_gate():
-    # Grid.image decides "a real image on T"; outside grid.py only the display
-    # of an image or a spectrum asks which of the two a grid holds
+    # Grid.image decides "a real image on T"; only grid.py asks whether a grid
+    # holds an image or a spectrum
     calls = set()
     for path in SOURCES:
         for owner, node in _owned_nodes(ast.parse(path.read_text(), filename=str(path))):
             if isinstance(node, ast.Call) and ast.unparse(node.func).endswith("iscomplexobj"):
                 calls.add((path.name, owner))
-    outside = {call for call in calls if call[0] != "grid.py"}
     assert ("grid.py", "image") in calls, sorted(calls, key=str)
-    assert outside == {("reconstruct.py", "spectrum_report")}, sorted(outside, key=str)
+    outside = [path.name for path in SOURCES
+               if path.name != "grid.py" and "iscomplexobj" in path.read_text()]
+    assert not outside, f"iscomplexobj appears in {outside}"
