@@ -1,5 +1,9 @@
 """Extracting Manhattan samples and building scaled comb grids.
 
+A sample set in canonical form holds only the values of M(B), which (T, k, λ, B)
+fix, in lexicographic order: ``extract_samples`` gives it, and ``read_mhs1`` for
+rows that are M(B) in that order. Explicit coordinates keep every check.
+
 A comb grid for bi-step lattice b is zero off the lattice and carries the
 image values scaled by the product of the lattice step sizes, so that the
 spectral replicas it induces have unit amplitude.
@@ -8,6 +12,7 @@ spectral replicas it induces have unit amplitude.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 from math import prod
 from typing import TextIO
@@ -15,12 +20,7 @@ from typing import TextIO
 import numpy as np
 
 from .core import BiStep, Collection, ManhattanParams, fundamental_cell_count
-from .errors import (
-    DimensionError,
-    DomainError,
-    FormatError,
-    MissingSamplesError,
-)
+from .errors import DimensionError, DomainError, FormatError, MissingSamplesError
 from .freq import tensor_mask
 from .grid import Grid
 
@@ -48,30 +48,43 @@ class SampleSet:
 
     params: ManhattanParams
     collection: Collection
-    coords: np.ndarray  # int, shape (n, d)
+    explicit_coords: np.ndarray | None  # int, shape (n, d); None: canonical form
     values: np.ndarray  # float64, shape (n,)
 
     def __post_init__(self) -> None:
-        coords = np.ascontiguousarray(self.coords, dtype=np.int64)
         values = np.ascontiguousarray(self.values, dtype=np.float64)
-        if coords.ndim != 2 or coords.shape[1] != self.params.d:
-            raise DimensionError("coords must have shape (n, d)")
-        if values.shape != (coords.shape[0],):
+        if (coords := self.explicit_coords) is not None:
+            coords = np.ascontiguousarray(coords, dtype=np.int64)
+            if coords.ndim != 2 or coords.shape[1] != self.params.d:
+                raise DimensionError("coords must have shape (n, d)")
+            coords.setflags(write=False)
+        if values.shape != (values.size if coords is None else coords.shape[0],):
             raise DimensionError("values length must match coords")
         self.params.extents  # raises DomainError without T
         if self.params != self.collection.params:  # the plan reads the collection's
             raise DomainError("sample params differ from the collection's params")
-        object.__setattr__(self, "coords", coords)
+        if coords is None and len(values) != self.expected_count:
+            raise MissingSamplesError(
+                f"{len(values)} values given, M({self.collection}) has "
+                f"{self.expected_count} points"
+            )
+        object.__setattr__(self, "explicit_coords", coords)
         object.__setattr__(self, "values", values)
-        coords.setflags(write=False)
         values.setflags(write=False)
+
+    @cached_property
+    def coords(self) -> np.ndarray:
+        """Int coordinates, shape (n, d); the canonical form's are derived here."""
+        if self.explicit_coords is not None:
+            return self.explicit_coords
+        coords = np.argwhere(manhattan_indicator(self.collection))  # C order
+        coords.setflags(write=False)
+        return coords
 
     @property
     def expected_count(self) -> int:
-        lam = self.params.lam_int
-        cells = prod(
-            t // (k * li) for t, k, li in zip(self.params.T, self.params.k, lam)
-        )
+        p = self.params
+        cells = prod(t // (k * li) for t, k, li in zip(p.T, p.k, p.lam_int))
         return fundamental_cell_count(self.collection) * cells
 
     def __len__(self) -> int:
@@ -79,18 +92,10 @@ class SampleSet:
 
 
 def extract_samples(image: Grid, c: Collection) -> SampleSet:
-    """All and only the Manhattan-grid values of the image, lexicographic order."""
-    x = image.image(c.params.extents)
-    mask = manhattan_indicator(c)
-    coords = np.argwhere(mask)  # argwhere is lexicographic in C order
-    ss = SampleSet(c.params, c, coords, x[mask])
+    """The image's values on M(B), canonical: a mask reads them in C order."""
+    ss = SampleSet(c.params, c, None, image.image(c.params.extents)[manhattan_indicator(c)])
     if not np.isfinite(ss.values).all():  # reconstruct would refuse them
         raise DomainError("sample values must be finite")
-    if len(ss) != ss.expected_count:
-        raise MissingSamplesError(
-            f"extracted {len(ss)} samples, density accounting expects "
-            f"{ss.expected_count}"
-        )
     return ss
 
 
@@ -100,31 +105,34 @@ def grid_from_samples(ss: SampleSet) -> Grid:
     Refuses a sample set that does not hit every point of M(B) exactly once
     with a finite value: any such set would reconstruct to a wrong image.
     The count comes first, before anything of size prod(T); with it equal,
-    samples that cover M(B) hit no point twice.  M(B) in lexicographic order,
-    as ``extract_samples`` and MHS1 give it, passes with one comparison.
+    samples that cover M(B) hit no point twice.  A canonical set has no
+    coordinates to check; explicit ones in M(B)'s order pass in one comparison.
     """
     T = ss.params.T
     if len(ss) != ss.expected_count:
         raise MissingSamplesError(
             f"{len(ss)} samples given, M({ss.collection}) has {ss.expected_count} points"
         )
-    try:
-        flat = np.ravel_multi_index(tuple(ss.coords.T), T)
-    except ValueError:  # numpy refuses a coordinate outside [0, T)
-        raise MissingSamplesError(f"sample coordinates outside [0, T) for T={T}")
-    expected = manhattan_indicator(ss.collection)
-    if not np.array_equal(flat, np.flatnonzero(expected)):  # not the canonical order
-        hit = np.zeros(T, dtype=bool)
-        hit.flat[flat] = True
-        if not np.array_equal(hit, expected):
-            raise MissingSamplesError(
-                f"{np.count_nonzero(expected & ~hit)} points of M({ss.collection}) "
-                f"missing, {np.count_nonzero(hit & ~expected)} samples off it"
-            )
+    if ss.explicit_coords is None:
+        where = manhattan_indicator(ss.collection).reshape(-1)
+    else:
+        try:
+            where = np.ravel_multi_index(tuple(ss.coords.T), T)
+        except ValueError:  # numpy refuses a coordinate outside [0, T)
+            raise MissingSamplesError(f"sample coordinates outside [0, T) for T={T}")
+        expected = manhattan_indicator(ss.collection)
+        if not np.array_equal(where, np.flatnonzero(expected)):  # not lexicographic
+            hit = np.zeros(T, dtype=bool)
+            hit.flat[where] = True
+            if not np.array_equal(hit, expected):
+                raise MissingSamplesError(
+                    f"{np.count_nonzero(expected & ~hit)} points of M({ss.collection}) "
+                    f"missing, {np.count_nonzero(hit & ~expected)} samples off it"
+                )
     if not np.isfinite(ss.values).all():
         raise DomainError("sample values must be finite")
     x = np.zeros(T)
-    x.reshape(-1)[flat] = ss.values  # a fancy assignment outruns put here
+    x.reshape(-1)[where] = ss.values  # a mask or flat indices: both outrun put here
     return Grid(T, x)
 
 
@@ -171,9 +179,12 @@ def write_mhs1(fh: TextIO, ss: SampleSet) -> None:
     fh.write("lambda " + " ".join(map(str, p.lam_int)) + "\n")
     fh.write(f"collection {ss.collection}\n")
     row = "%d " * p.d + "%.17g\n"
+    coords = ss.explicit_coords  # None: each chunk's rows from the flat positions
+    flat = np.flatnonzero(manhattan_indicator(ss.collection)) if coords is None else None
     for start in range(0, len(ss), _MHS1_CHUNK_ROWS):
         chunk = slice(start, start + _MHS1_CHUNK_ROWS)
-        cols = [*ss.coords[chunk].T.tolist(), ss.values[chunk].tolist()]
+        axes = coords[chunk].T if flat is None else np.unravel_index(flat[chunk], p.T)
+        cols = [*(axis.tolist() for axis in axes), ss.values[chunk].tolist()]
         fh.write("".join(map(row.__mod__, zip(*cols))))
 
 
@@ -209,4 +220,13 @@ def read_mhs1(fh: TextIO) -> SampleSet:
         raise FormatError(
             f"malformed MHS1 body: each row must be {d} integer coordinates, one value"
         ) from exc
-    return SampleSet(params, collection, rows["coords"], rows["value"])
+    ss = SampleSet(params, collection, rows["coords"], rows["value"])
+    del rows  # ss holds its own copies
+    if len(ss) == ss.expected_count:  # M(B) in lexicographic order needs no coordinates
+        try:
+            flat = np.ravel_multi_index(tuple(ss.explicit_coords.T), T)
+        except ValueError:  # outside [0, T): grid_from_samples refuses it
+            return ss
+        if np.array_equal(flat, np.flatnonzero(manhattan_indicator(collection))):
+            return SampleSet(params, collection, None, ss.values)
+    return ss

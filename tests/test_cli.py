@@ -358,6 +358,17 @@ class TestErrorPaths:
             "--output", str(tmp_path / "out.mht1"),
         ) == 2
 
+    def test_out_of_range_mhs1_row_is_usage_error(self, tmp_path):
+        # the file reads with explicit coordinates; reconstruct refuses the row
+        samples = self._sample_16(tmp_path)
+        lines = samples.read_text().splitlines(keepends=True)
+        lines[6] = "16 0 1.0\n"  # the first sample row, one past the last row of T
+        samples.write_text("".join(lines))
+        assert run(
+            "reconstruct", "--samples", str(samples),
+            "--output", str(tmp_path / "out.mht1"),
+        ) == 2
+
     @pytest.mark.parametrize("command", ["sample", "bandlimit"])
     def test_spectrum_input_is_usage_error(self, tmp_path, command):
         spectrum = tmp_path / "spectrum.mht1"

@@ -1,7 +1,8 @@
 """Structure of the package sources: runtime checks raise typed errors, as it
 holds no ``assert``, which ``python -O`` would strip, one module calls
 ``numpy.fft``, one function owns the way from a half spectrum back to an
-image, and one method decides whether a grid is a real image."""
+image, one method decides whether a grid is a real image, and one property
+builds the (n, d) coordinate array of a sample set."""
 
 import ast
 from pathlib import Path
@@ -94,3 +95,19 @@ def test_one_image_gate():
     outside = [path.name for path in SOURCES
                if path.name != "grid.py" and "iscomplexobj" in path.read_text()]
     assert not outside, f"iscomplexobj appears in {outside}"
+
+
+def test_sample_producers_build_no_coordinates():
+    # a canonical sample set carries no (n, d) array; only SampleSet.coords
+    # derives one, and the producers and the writer never ask for it
+    calls, reads = set(), set()
+    for path in SOURCES:
+        for owner, node in _owned_nodes(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Call) and ast.unparse(node.func).endswith("argwhere"):
+                calls.add((path.name, owner))
+            if isinstance(node, ast.Attribute) and node.attr == "coords":
+                reads.add((path.name, owner))
+    outside = {call for call in calls if call[0] != "oracle.py"}  # its bins, not samples
+    assert outside == {("sampler.py", "coords")}, f"argwhere is called in {sorted(calls, key=str)}"
+    producers = {("sampler.py", f) for f in ("extract_samples", "read_mhs1", "write_mhs1")}
+    assert not reads & producers, f".coords is read in {sorted(reads & producers)}"

@@ -13,6 +13,7 @@ from manhattan import (
     DomainError,
     Grid,
     ManhattanParams,
+    MissingSamplesError,
     SampleSet,
     atom_mask,
     extract_samples,
@@ -78,6 +79,10 @@ REFUSALS = [
                  DimensionError, r"coords must have shape \(n, d\)", id="samples-coords"),
     pytest.param(lambda: SampleSet(P, C, np.zeros((3, 2)), np.zeros(2)),
                  DimensionError, "values length must match coords", id="samples-values"),
+    pytest.param(lambda: SampleSet(P, C, None, np.zeros(3)), MissingSamplesError,
+                 r"3 values given, M\(10,01\) has 48 points", id="canonical-count"),
+    pytest.param(lambda: SampleSet(P, C, None, np.zeros((4, 7))),
+                 DimensionError, "values length must match coords", id="canonical-values"),
 ]
 
 

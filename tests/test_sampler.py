@@ -1,5 +1,6 @@
 import io
 import random
+import re
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from conftest import random_collection, random_params
 from manhattan import (
     BiStep,
     Collection,
+    DimensionError,
     DomainError,
     FormatError,
     Grid,
@@ -22,6 +24,7 @@ from manhattan import (
     extract_samples,
     manhattan_contains,
     read_mhs1,
+    reconstruct,
     write_mhs1,
 )
 from manhattan import sampler
@@ -370,3 +373,112 @@ class TestMhs1Fuzz:
     @given(_mutations(BODY, len(VALID)))
     def test_mutated_body(self, mutations):
         self.read_mutated(mutations)
+
+
+@st.composite
+def canonical_sets(draw):
+    """A random (params, collection) with d <= 3 and the canonical sample set
+    of a random image on it."""
+    d = draw(st.integers(1, 3))
+    k = tuple(draw(st.integers(2, 4)) for _ in range(d))
+    lam = tuple(draw(st.integers(1, 2)) for _ in range(d))
+    T = tuple(ki * li * draw(st.integers(1, 3)) for ki, li in zip(k, lam))
+    p = ManhattanParams(d=d, lam=lam, k=k, T=T)
+    bits = st.tuples(*[st.integers(0, 1)] * d).map(BiStep)
+    c = Collection(frozenset(draw(st.sets(bits, min_size=1))), p)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return extract_samples(Grid.from_array(rng.normal(size=T)), c)
+
+
+class TestCanonicalForm:
+    """The values-only form of M(B) and its explicit copy behave alike."""
+
+    @given(canonical_sets())
+    def test_agrees_with_explicit_copy(self, ss):
+        grid, result, text = grid_from_samples(ss).data, reconstruct(ss).data, mhs1_text(ss)
+        assert ss.explicit_coords is None and "coords" not in vars(ss)  # none derived
+        assert np.array_equal(ss.coords, np.argwhere(manhattan_indicator(ss.collection)))
+        explicit = SampleSet(ss.params, ss.collection, ss.coords, ss.values)
+        assert explicit.explicit_coords is not None
+        assert np.array_equal(grid_from_samples(explicit).data, grid)
+        assert np.array_equal(reconstruct(explicit).data.view(np.uint64), result.view(np.uint64))
+        assert mhs1_text(explicit) == text
+
+    @given(canonical_sets(), st.data())
+    def test_damaged_explicit_sets_refused(self, ss, data):
+        # the same error and wording for a damaged explicit set as ever
+        p, c, coords, values = ss.params, ss.collection, ss.coords, ss.values
+        n, on = len(ss), manhattan_indicator(ss.collection)
+        i = data.draw(st.integers(0, n - 1))
+        axis = data.draw(st.integers(0, p.d - 1))
+        outside = coords.copy()
+        outside[i, axis] = data.draw(st.sampled_from([-1, p.T[axis]]))
+        cases = [  # (coords, values, message fragment)
+            (np.delete(coords, i, 0), np.delete(values, i),
+             f"{n - 1} samples given, M({c}) has {n} points"),
+            (np.vstack([coords, coords[i:i + 1]]), np.append(values, 0.0),
+             f"{n + 1} samples given"),
+            (outside, values, "outside [0, T)"),
+        ]
+        if n > 1:  # one row repeated in place of another: 1 point missing
+            repeated = coords.copy()
+            repeated[i] = coords[(i + 1) % n]
+            cases.append((repeated, values, f"1 points of M({c}) missing, 0 samples off"))
+        if not on.all():  # a point of T off M(B) to land on
+            off = coords.copy()
+            off[i] = np.argwhere(~on)[0]
+            cases.append((off, values, "missing, 1 samples off it"))
+        for bad_coords, bad_values, fragment in cases:
+            bad = SampleSet(p, c, bad_coords, bad_values)
+            for entry in (grid_from_samples, reconstruct):
+                with pytest.raises(MissingSamplesError, match=re.escape(fragment)):
+                    entry(bad)
+
+
+class TestMhs1Canonical:
+    """read_mhs1 gives the canonical form for M(B) in lexicographic order only."""
+
+    def setup_method(self):
+        self.p = ManhattanParams(d=2, lam=(1, 1), k=(4, 4), T=(16, 16))
+        self.c = Collection.of(self.p, ["10", "01"])
+        self.image = bandlimit(
+            Grid.from_array(np.random.default_rng(6).normal(size=(16, 16))), self.c
+        )
+        self.ss = extract_samples(self.image, self.c)
+        self.lines = mhs1_text(self.ss).splitlines(keepends=True)
+
+    def read(self, lines):
+        return read_mhs1(io.StringIO("".join(lines)))
+
+    def test_canonical_text_reads_values_only(self):
+        back = self.read(self.lines)
+        assert back.explicit_coords is None and "coords" not in vars(back)
+        assert np.array_equal(reconstruct(back).data, reconstruct(self.ss).data)
+        assert "coords" not in vars(back)  # reconstruct derives none
+        assert_same_samples(back, self.ss)
+
+    def test_shuffled_text_reads_explicit(self):
+        body = self.lines[6:]
+        random.Random(7).shuffle(body)
+        back = self.read(self.lines[:6] + body)
+        assert back.explicit_coords is not None
+        assert sorted(map(tuple, back.coords.tolist())) == list(map(tuple, self.ss.coords))
+        assert np.array_equal(reconstruct(back).data, reconstruct(self.ss).data)
+
+    @pytest.mark.parametrize("coord", ["16 0", "-16 0", "0 16"])
+    def test_out_of_range_row_reads_then_refused(self, coord):
+        lines = list(self.lines)
+        lines[6] = f"{coord} 1.0\n"  # first sample row, (0, 0) in the canonical order
+        back = self.read(lines)
+        assert back.explicit_coords is not None
+        with pytest.raises(MissingSamplesError, match=re.escape("outside [0, T)")):
+            reconstruct(back)
+
+    def test_non_finite_value_reads_canonical_then_refused(self):
+        lines = list(self.lines)
+        lines[7] = lines[7].rsplit(" ", 1)[0] + " nan\n"  # the coordinates stay
+        back = self.read(lines)
+        assert back.explicit_coords is None
+        for entry in (grid_from_samples, reconstruct):
+            with pytest.raises(DomainError, match="finite"):
+                entry(back)
