@@ -12,7 +12,8 @@ axis stops at T//2.  Modulo m they form a few runs per axis, so ``_slices``
 and ``_fold`` fold a block onto a half spectrum in a few slice copies and
 ``_gather`` reads one back.  ``_raw_spectrum``, the only ``rfftn``, is the way
 in; ``synthesize``, the only way back to an image, checks every block is
-Hermitian, fills one half spectrum and calls ``irfftn`` once.
+Hermitian, moves the blocks into one half spectrum and inverts it in place:
+an ``ifft`` per leading axis, then the one ``irfftn``, over the last axis.
 """
 
 from __future__ import annotations
@@ -91,7 +92,9 @@ def idft(g: Grid) -> Grid:
 
 def _raw_spectrum(x: np.ndarray, s: tuple[int, ...]) -> np.ndarray:
     """Raw half spectrum of x on the lattice of steps s: ``rfftn(x[::s]) * prod(s)``."""
-    H = np.fft.rfftn(x[tuple(slice(None, None, si) for si in s)])
+    view = x[tuple(slice(None, None, si) for si in s)]
+    H = np.empty((*view.shape[:-1], view.shape[-1] // 2 + 1), dtype=np.complex128)
+    np.fft.rfftn(view, out=H)  # leading-axis passes run in place
     H *= prod(s)
     return H
 
@@ -139,10 +142,13 @@ def synthesize(T: tuple[int, ...], blocks: dict[str, tuple[Axes, np.ndarray]]) -
     """Real image with extents T whose spectrum is made of the named blocks,
     each on its own kept indices, disjoint from the others.  Refuses unless
     X[u] = conj(X[-u]) wherever a block holds both, to IMAG_RESIDUE_TOL times
-    the largest |X[u]| of all blocks; NaN or inf anywhere fails too."""
+    the largest |X[u]| of all blocks; NaN or inf anywhere fails too.  Consumes
+    ``blocks`` in order, dropping each once it is in the half spectrum, which
+    is then inverted in place."""
     peak = max(np.abs(block).max(initial=0.0) for _, block in blocks.values())
     half = np.zeros((*T[:-1], T[-1] // 2 + 1), dtype=np.complex128)
-    for what, (axes, block) in blocks.items():
+    for what in list(blocks):
+        axes, block = blocks.pop(what)
         u, t = axes[-1], T[-1]
         rows = np.flatnonzero((u <= t // 2) & np.isin(-u % t, u))
         mirror = np.take(block, np.searchsorted(u, -u[rows] % t), axis=-1)  # X[-u]
@@ -151,7 +157,7 @@ def synthesize(T: tuple[int, ...], blocks: dict[str, tuple[Axes, np.ndarray]]) -
         np.conjugate(mirror, out=mirror)
         mirror -= np.take(block, rows, axis=-1)
         residue = np.abs(mirror).max(initial=0.0)
-        del mirror  # not held through irfftn
+        del mirror  # not held through the copy or the inverse
         if not residue <= IMAG_RESIDUE_TOL * peak < np.inf:
             raise NumericalFailureError(
                 f"{what} is not finite and Hermitian: residue {residue:.3e} exceeds "
@@ -159,7 +165,10 @@ def synthesize(T: tuple[int, ...], blocks: dict[str, tuple[Axes, np.ndarray]]) -
             )
         for src, dst in _slices(axes, T):
             half[dst] = block[src]
-    return Grid(T, np.fft.irfftn(half, s=T, axes=tuple(range(len(T)))))
+        del block  # the last one too is not held through the inverse
+    for i in range(len(T) - 1):  # irfftn's own passes, in its order
+        np.fft.ifft(half, axis=i, out=half)
+    return Grid(T, np.fft.irfftn(half, s=T[-1:], axes=(-1,)))
 
 
 def spectrum_report(image: Grid) -> Grid:

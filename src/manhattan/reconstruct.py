@@ -56,8 +56,9 @@ class ReconstructionPlan:
         return {b: (*u[:-1], u[-1][u[-1] <= t // 2]) for b, u in self.axes.items()}
 
     def synthesize(self, blocks: dict[BiStep, np.ndarray]) -> Grid:
-        """Image whose spectrum is the given lower-only atom blocks, zero elsewhere."""
-        named = {f"atom {b}": (self.lower[b], block) for b, block in blocks.items()}
+        """Image whose spectrum is the given lower-only atom blocks, zero
+        elsewhere; the blocks are handed over, leaving ``blocks`` empty."""
+        named = {f"atom {b}": (self.lower[b], blocks.pop(b)) for b in list(blocks)}
         return synthesize(self.params.T, named)
 
 
@@ -76,11 +77,12 @@ def reconstruct(ss: SampleSet) -> Grid:
             sub = BiStep((*b.bits[:i], 0, *b.bits[i + 1 :]))
             if bit and sub not in sums:  # replica sum over axis i, before the folds
                 sums[sub] = H.reshape(*H.shape[:i], p.k[i], -1, *H.shape[i + 1 :]).sum(i)
-        for b_prime, block in blocks.items():
+        for b_prime in blocks:
             if b.issubset(b_prime):  # other replicas miss atom b (Lemma 1)
-                _fold(H, lower[b_prime], block, m)
+                _fold(H, lower[b_prime], blocks[b_prime], m)
         blocks[b] = _gather(H, lower[b], m)
-    del x, H  # not held through irfftn
+        del H  # before the next member's spectrum is built
+    del x  # not held through synthesis
     return plan.synthesize(blocks)
 
 
@@ -90,5 +92,5 @@ def bandlimit(image: Grid, c: Collection) -> Grid:
     plan = ReconstructionPlan.for_collection(c)
     H = _raw_spectrum(x, (1,) * len(T))
     blocks = {b: _gather(H, plan.lower[b], T) for b in plan.members}
-    del H  # not held through irfftn
+    del H  # not held through synthesis
     return plan.synthesize(blocks)

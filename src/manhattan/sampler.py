@@ -19,7 +19,7 @@ from typing import TextIO
 
 import numpy as np
 
-from .core import BiStep, Collection, ManhattanParams, fundamental_cell_count
+from .core import BiStep, Collection, ManhattanParams, density, fundamental_cell_count
 from .errors import DimensionError, DomainError, FormatError, MissingSamplesError
 from .freq import tensor_mask
 from .grid import Grid
@@ -220,13 +220,12 @@ def read_mhs1(fh: TextIO) -> SampleSet:
         raise FormatError(
             f"malformed MHS1 body: each row must be {d} integer coordinates, one value"
         ) from exc
-    ss = SampleSet(params, collection, rows["coords"], rows["value"])
-    del rows  # ss holds its own copies
-    if len(ss) == ss.expected_count:  # M(B) in lexicographic order needs no coordinates
-        try:
-            flat = np.ravel_multi_index(tuple(ss.explicit_coords.T), T)
+    coords, values = rows["coords"], rows["value"]  # views: a SampleSet copies what it keeps
+    if len(rows) == density(collection) * prod(T):  # |M(B)|: checked before anything of size T
+        try:  # M(B) in lexicographic order needs no coordinates
+            flat = np.ravel_multi_index(tuple(coords.T), T)
         except ValueError:  # outside [0, T): grid_from_samples refuses it
-            return ss
+            return SampleSet(params, collection, coords, values)
         if np.array_equal(flat, np.flatnonzero(manhattan_indicator(collection))):
-            return SampleSet(params, collection, None, ss.values)
-    return ss
+            return SampleSet(params, collection, None, values)
+    return SampleSet(params, collection, coords, values)

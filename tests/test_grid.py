@@ -30,6 +30,7 @@ from manhattan import (
     write_pgm,
 )
 from manhattan.cli import main
+from manhattan.grid import synthesize
 
 
 class TestTransforms:
@@ -128,6 +129,36 @@ class TestTransforms:
             idft(x)
         with pytest.raises(DomainError):
             dft(dft(x))
+
+
+class TestInPlaceSynthesis:
+    """synthesize inverts its half spectrum in place, exactly as irfftn would."""
+
+    @given(st.data())
+    def test_matches_irfftn_and_consumes_blocks(self, data):
+        # blocks split one axis into negation-closed groups, lower-only on the
+        # last axis; group 2 is left out, so its bins stay zero
+        d = data.draw(st.integers(1, 4), label="d")
+        T = tuple(data.draw(st.lists(st.integers(1, 7), min_size=d, max_size=d), label="T"))
+        j = data.draw(st.integers(0, d - 1), label="split axis")
+        lower = T[-1] // 2 + 1
+        classes = sorted({min(u, -u % T[j]) for u in range(lower if j == d - 1 else T[j])})
+        groups = data.draw(st.lists(st.integers(0, 2), min_size=len(classes),
+                                    max_size=len(classes)), label="groups")
+        H = np.fft.rfftn(np.random.default_rng(len(classes)).normal(size=T))
+        half, blocks = np.zeros_like(H), {}
+        for g in (0, 1):
+            kept = {c for c, gc in zip(classes, groups) if gc == g}
+            if j < d - 1:
+                kept |= {-c % T[j] for c in kept}
+            axes = [np.arange(t) for t in (*T[:-1], lower)]
+            axes[j] = np.array(sorted(kept), dtype=int)
+            blocks[f"group {g}"] = (tuple(axes), H[np.ix_(*axes)])
+            half[np.ix_(*axes)] = H[np.ix_(*axes)]
+        got = synthesize(T, blocks).data
+        want = np.fft.irfftn(half, s=T, axes=tuple(range(d)))
+        assert got.tobytes() == want.tobytes()
+        assert blocks == {}
 
 
 class TestDataModel:

@@ -1,8 +1,9 @@
 """Structure of the package sources: runtime checks raise typed errors, as it
 holds no ``assert``, which ``python -O`` would strip, one module calls
 ``numpy.fft``, one function owns the way from a half spectrum back to an
-image, one method decides whether a grid is a real image, and one property
-builds the (n, d) coordinate array of a sample set."""
+image and every inverse transform pass on it, one method decides whether a
+grid is a real image, and one property builds the (n, d) coordinate array of
+a sample set."""
 
 import ast
 from pathlib import Path
@@ -47,6 +48,19 @@ def test_one_checked_synthesis():
                 compares.add((path.name, owner))
     assert len(inverts) == 1, f"irfftn is called in {sorted(inverts, key=str)}"
     assert compares == inverts, f"IMAG_RESIDUE_TOL is compared in {sorted(compares, key=str)}"
+
+
+def test_inverse_passes_in_synthesis():
+    # the in-place inverse: each ifft pass and the last-axis irfftn run on
+    # synthesize's own half spectrum; the oracle keeps its ifftn
+    calls = set()
+    for path in SOURCES:
+        for owner, node in _owned_nodes(ast.parse(path.read_text(), filename=str(path))):
+            name = ast.unparse(node.func).split(".")[-1] if isinstance(node, ast.Call) else ""
+            if name.startswith(("ifft", "irfft")):
+                calls.add((path.name, owner))
+    outside = {call for call in calls if call[0] != "oracle.py"}
+    assert outside == {("grid.py", "synthesize")}, f"inverse FFTs in {sorted(calls, key=str)}"
 
 
 def test_one_forward_half_transform():

@@ -527,7 +527,7 @@ class TestRegionSynthesis:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 4.2 * nbytes
+        assert peak <= 2.5 * nbytes
 
 
 class TestSpectrumReport:

@@ -1,6 +1,7 @@
 import io
 import random
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -482,3 +483,35 @@ class TestMhs1Canonical:
         for entry in (grid_from_samples, reconstruct):
             with pytest.raises(DomainError, match="finite"):
                 entry(back)
+
+    @pytest.mark.parametrize(
+        "T,k,coll", [((256, 256), (2, 2), "10,01"), ((24, 24, 24), (3, 3, 3), "110,101,011")]
+    )
+    def test_canonical_read_peak_memory(self, T, k, coll):
+        # the order is checked on the loaded rows, and only their values are
+        # copied out; a copy of the coordinates as well would peak at 2x
+        p = ManhattanParams(d=len(T), lam=(1,) * len(T), k=k, T=T)
+        c = Collection.from_string(p, coll)
+        ss = extract_samples(Grid.from_array(np.random.default_rng(1).normal(size=T)), c)
+        fh, rows = io.StringIO(mhs1_text(ss)), len(ss) * (len(T) + 1) * 8
+        tracemalloc.start()
+        try:
+            back = read_mhs1(fh)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert back.explicit_coords is None and back.values.flags.owndata
+        assert peak <= 1.85 * rows
+
+    def test_few_rows_counted_before_anything_of_size_T(self):
+        # 2 rows on T = 4096^2: no 16 MB indicator of M(B) is built to compare them
+        text = ("MHS1\ndims 2\nT 4096 4096\nk 4 4\nlambda 1 1\ncollection 10,01\n"
+                "0 0 1.0\n0 1 2.0\n")
+        tracemalloc.start()
+        try:
+            back = self.read([text])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert back.explicit_coords is not None and len(back) == 2
+        assert peak < 1 << 20
