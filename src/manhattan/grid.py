@@ -13,7 +13,8 @@ and ``_fold`` fold a block onto a half spectrum in a few slice copies and
 ``_gather`` reads one back.  ``_raw_spectrum``, the only ``rfftn``, is the way
 in; ``synthesize``, the only way back to an image, checks every block is
 Hermitian, moves the blocks into one half spectrum and inverts it in place:
-an ``ifft`` per leading axis, then the one ``irfftn``, over the last axis.
+an ``ifft`` per leading axis, then the one ``irfftn`` over the last axis, by
+slabs of rows, into the half spectrum's own memory, whose head is the image.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ SPECTRUM_FLOOR = 1e-12  # times the peak |X|: keeps log10 finite, hides FFT nois
 Axes = tuple[np.ndarray, ...]  # per-axis kept DFT indices, ascending
 
 _MHT1_MAGIC = b"MHT1"
+_SLAB_BYTES = 1 << 18  # image bytes per last-axis inverse in synthesize
 
 
 @dataclass(frozen=True)
@@ -90,11 +92,10 @@ def idft(g: Grid) -> Grid:
     return synthesize(g.extents, {"spectrum": (whole, g.data)})
 
 
-def _raw_spectrum(x: np.ndarray, s: tuple[int, ...]) -> np.ndarray:
-    """Raw half spectrum of x on the lattice of steps s: ``rfftn(x[::s]) * prod(s)``."""
-    view = x[tuple(slice(None, None, si) for si in s)]
-    H = np.empty((*view.shape[:-1], view.shape[-1] // 2 + 1), dtype=np.complex128)
-    np.fft.rfftn(view, out=H)  # leading-axis passes run in place
+def _raw_spectrum(y: np.ndarray, s: tuple[int, ...]) -> np.ndarray:
+    """Raw half spectrum ``rfftn(y) * prod(s)`` of the samples y = x[::s] of an image x."""
+    H = np.empty((*y.shape[:-1], y.shape[-1] // 2 + 1), dtype=np.complex128)
+    np.fft.rfftn(y, out=H)  # leading-axis passes run in place
     H *= prod(s)
     return H
 
@@ -144,7 +145,8 @@ def synthesize(T: tuple[int, ...], blocks: dict[str, tuple[Axes, np.ndarray]]) -
     X[u] = conj(X[-u]) wherever a block holds both, to IMAG_RESIDUE_TOL times
     the largest |X[u]| of all blocks; NaN or inf anywhere fails too.  Consumes
     ``blocks`` in order, dropping each once it is in the half spectrum, which
-    is then inverted in place."""
+    is then inverted in place: the image is the head of its memory, which
+    holds at most 16 bytes more per last-axis row."""
     peak = max(np.abs(block).max(initial=0.0) for _, block in blocks.values())
     half = np.zeros((*T[:-1], T[-1] // 2 + 1), dtype=np.complex128)
     for what in list(blocks):
@@ -168,7 +170,12 @@ def synthesize(T: tuple[int, ...], blocks: dict[str, tuple[Axes, np.ndarray]]) -
         del block  # the last one too is not held through the inverse
     for i in range(len(T) - 1):  # irfftn's own passes, in its order
         np.fft.ifft(half, axis=i, out=half)
-    return Grid(T, np.fft.irfftn(half, s=T[-1:], axes=(-1,)))
+    lines = half.reshape(-1, half.shape[-1])
+    image = half.view(np.float64).reshape(-1)[: prod(T)].reshape(-1, T[-1])
+    slab = max(1, _SLAB_BYTES // image[0].nbytes)
+    for a in range(0, len(lines), slab):  # image row r ends before half row r + 1 begins
+        image[a : a + slab] = np.fft.irfftn(lines[a : a + slab], s=T[-1:], axes=(-1,))
+    return Grid(T, image.reshape(T))
 
 
 def spectrum_report(image: Grid) -> Grid:

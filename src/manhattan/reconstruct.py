@@ -12,6 +12,8 @@ less every recovered superset block folded modulo m; atom b lies inside the
 Nyquist cell of lattice b, so what is left on its kept indices is its block.
 Lattice b is lattice b | e_i (i not the last axis) subsampled by k_i on axis
 i, so its raw spectrum is also that one's summed over k_i replicas on axis i.
+Any other member reads its ``x[::s]`` straight from the canonical sample
+values (``sampler._lattice_values``): no image of the samples is built.
 ``bandlimit`` is the s = 1 case of the same gather and synthesis: every atom's
 block is read straight from the image's half spectrum.
 """
@@ -26,7 +28,7 @@ import numpy as np
 from .core import BiStep, Collection, ManhattanParams
 from .freq import FreqMask, atom_axes, atom_mask
 from .grid import Axes, Grid, _fold, _gather, _raw_spectrum, synthesize
-from .sampler import SampleSet, grid_from_samples
+from .sampler import SampleSet, _canonical_values, _lattice_values
 
 
 @dataclass(frozen=True)
@@ -64,7 +66,7 @@ class ReconstructionPlan:
 
 def reconstruct(ss: SampleSet) -> Grid:
     """Recover a Manhattan-bandlimited image from its samples (any d)."""
-    x = grid_from_samples(ss).data  # refuses a bad sample set before the plan
+    values = _canonical_values(ss)  # refuses a bad sample set before the plan
     plan = ReconstructionPlan.for_collection(ss.collection)
     p, T, lower = plan.params, plan.params.T, plan.lower
     sums: dict[BiStep, np.ndarray] = {}  # raw spectra of members yet to come
@@ -72,7 +74,8 @@ def reconstruct(ss: SampleSet) -> Grid:
     for b in plan.members:
         s = p.step_int(b)
         m = tuple(t // si for t, si in zip(T, s))
-        H = sums.pop(b) if b in sums else _raw_spectrum(x, s)
+        if (H := sums.pop(b, None)) is None:  # x[::s] is dropped once transformed
+            H = _raw_spectrum(_lattice_values(ss.collection, values, s), s)
         for i, bit in enumerate(b.bits[:-1]):
             sub = BiStep((*b.bits[:i], 0, *b.bits[i + 1 :]))
             if bit and sub not in sums:  # replica sum over axis i, before the folds
@@ -82,7 +85,6 @@ def reconstruct(ss: SampleSet) -> Grid:
                 _fold(H, lower[b_prime], blocks[b_prime], m)
         blocks[b] = _gather(H, lower[b], m)
         del H  # before the next member's spectrum is built
-    del x  # not held through synthesis
     return plan.synthesize(blocks)
 
 

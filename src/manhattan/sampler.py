@@ -1,8 +1,8 @@
 """Extracting Manhattan samples and building scaled comb grids.
 
 A sample set in canonical form holds only the values of M(B), which (T, k, λ, B)
-fix, in lexicographic order: ``extract_samples`` gives it, and ``read_mhs1`` for
-rows that are M(B) in that order. Explicit coordinates keep every check.
+fix, in lexicographic order: ``extract_samples`` gives it, ``read_mhs1`` for rows
+in that order, and the gate ``_canonical_values`` the values of any valid set.
 
 A comb grid for bi-step lattice b is zero off the lattice and carries the
 image values scaled by the product of the lattice step sizes, so that the
@@ -11,9 +11,9 @@ spectral replicas it induces have unit amplitude.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import chain
+from itertools import chain, product
 from math import prod
 from typing import TextIO
 
@@ -99,23 +99,22 @@ def extract_samples(image: Grid, c: Collection) -> SampleSet:
     return ss
 
 
-def grid_from_samples(ss: SampleSet) -> Grid:
-    """Image holding the raw sample values, zero elsewhere.
+def _canonical_values(ss: SampleSet) -> np.ndarray:
+    """The sample values in M(B)'s lexicographic order, as a canonical set holds them.
 
     Refuses a sample set that does not hit every point of M(B) exactly once
     with a finite value: any such set would reconstruct to a wrong image.
     The count comes first, before anything of size prod(T); with it equal,
     samples that cover M(B) hit no point twice.  A canonical set has no
-    coordinates to check; explicit ones in M(B)'s order pass in one comparison.
+    coordinates to check; explicit ones in M(B)'s order pass in one
+    comparison, and any other order is sorted once it is known to cover M(B).
     """
-    T = ss.params.T
+    T, values = ss.params.T, ss.values
     if len(ss) != ss.expected_count:
         raise MissingSamplesError(
             f"{len(ss)} samples given, M({ss.collection}) has {ss.expected_count} points"
         )
-    if ss.explicit_coords is None:
-        where = manhattan_indicator(ss.collection).reshape(-1)
-    else:
+    if ss.explicit_coords is not None:
         try:
             where = np.ravel_multi_index(tuple(ss.coords.T), T)
         except ValueError:  # numpy refuses a coordinate outside [0, T)
@@ -129,11 +128,42 @@ def grid_from_samples(ss: SampleSet) -> Grid:
                     f"{np.count_nonzero(expected & ~hit)} points of M({ss.collection}) "
                     f"missing, {np.count_nonzero(hit & ~expected)} samples off it"
                 )
-    if not np.isfinite(ss.values).all():
+            values = values[np.argsort(where)]
+    if not np.isfinite(values).all():
         raise DomainError("sample values must be finite")
-    x = np.zeros(T)
-    x.reshape(-1)[where] = ss.values  # a mask or flat indices: both outrun put here
-    return Grid(T, x)
+    return values
+
+
+def _lattice_values(c: Collection, values: np.ndarray, s: tuple[int, ...]) -> np.ndarray:
+    """The samples ``x[::s]`` of a closure member's lattice (steps s), read from
+    the canonical values of M(B), which repeats with the cell K = k*λ: on each
+    leading axis i the values split into N_i = T_i/K_i equal chunks, residue r_i
+    is one slice of each, and each kept last-axis residue is one strided copy."""
+    p = c.params
+    K = tuple(k * lam for k, lam in zip(p.k, p.lam_int))
+    N = [t // ki for t, ki in zip(p.T, K)]
+    cell = manhattan_indicator(Collection(c.members, replace(p, T=K)))
+    out = np.empty([n for ni, ki, si in zip(N, K, s) for n in (ni, ki // si)])
+    by_residue = out.transpose(*range(1, 2 * p.d, 2), *range(0, 2 * p.d, 2))
+    for r in product(*(range(0, ki, si) for ki, si in zip(K[:-1], s[:-1]))):
+        v = values
+        for i, ri in enumerate(r):  # points per residue of axis i in one chunk
+            sizes = cell[r[:i]].reshape(K[i], -1).sum(1) * prod(N[i + 1 :])
+            v = v.reshape(*v.shape[:-1], N[i], -1)[..., sizes[:ri].sum() :][..., : sizes[ri]]
+        v = v.reshape(*v.shape[:-1], N[-1], -1)
+        pos = np.cumsum(cell[r]) - 1  # each last-axis residue's place in the cell row
+        for rl in range(0, K[-1], s[-1]):
+            by_residue[(*(ri // si for ri, si in zip(r, s)), rl // s[-1])] = v[..., pos[rl]]
+    return out.reshape([t // si for t, si in zip(p.T, s)])
+
+
+def grid_from_samples(ss: SampleSet) -> Grid:
+    """Image holding the raw sample values, zero elsewhere; refuses the
+    sample sets that ``_canonical_values`` refuses."""
+    values = _canonical_values(ss)  # before anything of size prod(T)
+    x = np.zeros(ss.params.T)
+    x[manhattan_indicator(ss.collection)] = values
+    return Grid(ss.params.T, x)
 
 
 @dataclass(frozen=True)

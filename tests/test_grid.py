@@ -1,6 +1,8 @@
 import io
 import struct
 import tracemalloc
+from math import prod
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -29,6 +31,7 @@ from manhattan import (
     write_mht1,
     write_pgm,
 )
+from manhattan import grid
 from manhattan.cli import main
 from manhattan.grid import synthesize
 
@@ -155,10 +158,23 @@ class TestInPlaceSynthesis:
             axes[j] = np.array(sorted(kept), dtype=int)
             blocks[f"group {g}"] = (tuple(axes), H[np.ix_(*axes)])
             half[np.ix_(*axes)] = H[np.ix_(*axes)]
-        got = synthesize(T, blocks).data
+        slab = data.draw(st.sampled_from([8, 24, grid._SLAB_BYTES]), label="slab bytes")
+        with mock.patch.object(grid, "_SLAB_BYTES", slab):  # one row per inverse, a few or all
+            got = synthesize(T, blocks).data
         want = np.fft.irfftn(half, s=T, axes=tuple(range(d)))
         assert got.tobytes() == want.tobytes()
         assert blocks == {}
+
+    @pytest.mark.parametrize("T", [(1,), (2,), (7,), (6, 8), (5, 7), (4, 3, 9), (96, 96, 96)])
+    def test_image_in_half_spectrum_memory(self, T):
+        # no second output buffer: the image is the head of the half spectrum,
+        # which holds at most 16 bytes more per last-axis row
+        H = np.fft.rfftn(np.random.default_rng(8).normal(size=T))
+        whole = (*(np.arange(t) for t in T[:-1]), np.arange(T[-1] // 2 + 1))
+        image = synthesize(T, {"spectrum": (whole, H)}).data
+        base = image.base
+        assert base is not None and base.flags.owndata and np.shares_memory(base, image)
+        assert image.nbytes < base.nbytes <= image.nbytes + 16 * prod(T[:-1])
 
 
 class TestDataModel:

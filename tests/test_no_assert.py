@@ -2,8 +2,8 @@
 holds no ``assert``, which ``python -O`` would strip, one module calls
 ``numpy.fft``, one function owns the way from a half spectrum back to an
 image and every inverse transform pass on it, one method decides whether a
-grid is a real image, and one property builds the (n, d) coordinate array of
-a sample set."""
+grid is a real image, one property builds the (n, d) coordinate array of a
+sample set, and ``reconstruct`` scatters no samples onto a full-size image."""
 
 import ast
 from pathlib import Path
@@ -125,3 +125,12 @@ def test_sample_producers_build_no_coordinates():
     assert outside == {("sampler.py", "coords")}, f"argwhere is called in {sorted(calls, key=str)}"
     producers = {("sampler.py", f) for f in ("extract_samples", "read_mhs1", "write_mhs1")}
     assert not reads & producers, f".coords is read in {sorted(reads & producers)}"
+
+
+def test_reconstruct_scatters_no_samples():
+    # reconstruct reads each lattice from the canonical values; no full-size
+    # image of the samples is built
+    tree = ast.parse((Path(manhattan.__file__).parent / "reconstruct.py").read_text())
+    called = {ast.unparse(node.func).split(".")[-1]
+              for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    assert "grid_from_samples" not in called, sorted(called)

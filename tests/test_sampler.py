@@ -429,11 +429,58 @@ class TestCanonicalForm:
             off = coords.copy()
             off[i] = np.argwhere(~on)[0]
             cases.append((off, values, "missing, 1 samples off it"))
+        order = data.draw(st.permutations(range(n + 1)), label="row order")
         for bad_coords, bad_values, fragment in cases:
-            bad = SampleSet(p, c, bad_coords, bad_values)
-            for entry in (grid_from_samples, reconstruct):
-                with pytest.raises(MissingSamplesError, match=re.escape(fragment)):
-                    entry(bad)
+            rows = [j for j in order if j < len(bad_values)]  # any order refuses alike
+            for bad in (SampleSet(p, c, bad_coords, bad_values),
+                        SampleSet(p, c, bad_coords[rows], bad_values[rows])):
+                for entry in (sampler._canonical_values, grid_from_samples, reconstruct):
+                    with pytest.raises(MissingSamplesError, match=re.escape(fragment)):
+                        entry(bad)
+
+    @given(canonical_sets(), st.data())
+    def test_permuted_set_reconstructs_as_canonical(self, ss, data):
+        # the gate sorts the values of a shuffled set into M(B)'s order
+        order = np.array(data.draw(st.permutations(range(len(ss))), label="row order"))
+        permuted = SampleSet(ss.params, ss.collection, ss.coords[order], ss.values[order])
+        assert np.array_equal(sampler._canonical_values(permuted), ss.values)
+        assert np.array_equal(grid_from_samples(permuted).data, grid_from_samples(ss).data)
+        want = reconstruct(ss).data.view(np.uint64)
+        assert np.array_equal(reconstruct(permuted).data.view(np.uint64), want)
+        values = ss.values[order]
+        values[data.draw(st.integers(0, len(ss) - 1), label="bad row")] = np.nan
+        for entry in (sampler._canonical_values, grid_from_samples, reconstruct):
+            with pytest.raises(DomainError, match="sample values must be finite"):
+                entry(SampleSet(ss.params, ss.collection, ss.coords[order], values))
+
+
+class TestLatticeReader:
+    """The samples x[::s] of every closure member, read from the canonical
+    values of M(B) alone, equal the scattered image's lattice bit for bit."""
+
+    def test_equals_scattered_lattice(self):
+        rng = random.Random(16)
+        configs = [  # an odd last axis, and a last axis of one cell (T = k*lam)
+            ManhattanParams(d=2, lam=(1, 3), k=(2, 3), T=(4, 27)),
+            ManhattanParams(d=3, lam=(2, 1, 3), k=(3, 4, 3), T=(12, 8, 9)),
+            ManhattanParams(d=1, lam=(3,), k=(3,), T=(27,)),
+        ]
+        while len(configs) < 120:
+            p = random_params(rng, d_max=4, k_max=4)
+            if np.prod(p.T) <= 30000:
+                configs.append(p)
+        for i, p in enumerate(configs):
+            c = random_collection(rng, p)
+            ss = extract_samples(Grid.from_array(np.random.default_rng(i).normal(size=p.T)), c)
+            x = grid_from_samples(ss).data
+            for b in c.closure().members:
+                s = p.step_int(b)
+                want = x[tuple(slice(None, None, si) for si in s)]
+                got = sampler._lattice_values(c, ss.values, s)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes(), (p, c, b)
+        assert any(p.T[-1] % 2 for p in configs)
+        assert any(p.T[-1] == p.k[-1] * p.lam_int[-1] for p in configs)
+        assert any(p.d == 4 for p in configs)
 
 
 class TestMhs1Canonical:
