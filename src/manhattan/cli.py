@@ -11,6 +11,7 @@ import io
 import logging
 import os
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -103,15 +104,21 @@ def cmd_sample(args) -> int:
     image = _read_grid(args.input)
     collection = _collection(args, tuple(image.extents))
     ss = extract_samples(image, collection)
+    start = time.perf_counter()
     with open(args.samples, "w") as fh:
         write_mhs1(fh, ss)
+    log.debug("sampler.mhs1_write_s %.6f sampler.mhs1_bytes %d",
+              time.perf_counter() - start, os.path.getsize(args.samples))
     log.info("wrote %d samples to %s", len(ss), args.samples)
     return EXIT_OK
 
 
 def cmd_reconstruct(args) -> int:
+    start = time.perf_counter()
     with open(args.samples) as fh:
         ss = read_mhs1(fh)
+    log.debug("sampler.mhs1_read_s %.6f sampler.mhs1_bytes %d",
+              time.perf_counter() - start, os.path.getsize(args.samples))
     result = reconstruct(ss)
     _write_grid(args.output, result)
     log.info("reconstructed %s -> %s", args.samples, args.output)

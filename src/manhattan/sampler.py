@@ -196,7 +196,9 @@ def comb_from_samples(ss: SampleSet, b: BiStep) -> CombGrid:
 # MHS1 text format: magic line, header lines dims/T/k/lambda/collection, then
 # one row per sample: d integer coordinates and the value to 17 significant
 # digits (exact for float64). Blank lines are ignored, comment lines are not
-# allowed, and a malformed row raises FormatError.
+# allowed, and a malformed row raises FormatError. The writer formats each chunk
+# of rows with one `%`; a canonical set's axis i takes its coordinate text from a
+# table of T_i strings, built only where T_i <= rows, so no table outgrows the rows.
 # ---------------------------------------------------------------------------
 
 
@@ -208,14 +210,19 @@ def write_mhs1(fh: TextIO, ss: SampleSet) -> None:
     fh.write("k " + " ".join(map(str, p.k)) + "\n")
     fh.write("lambda " + " ".join(map(str, p.lam_int)) + "\n")
     fh.write(f"collection {ss.collection}\n")
-    row = "%d " * p.d + "%.17g\n"
     coords = ss.explicit_coords  # None: each chunk's rows from the flat positions
     flat = np.flatnonzero(manhattan_indicator(ss.collection)) if coords is None else None
+    tables = {i: np.array([f"{j} " for j in range(t)], object)  # axis i's "j " texts
+              for i, t in enumerate(p.T) if flat is not None and t <= len(ss)}
+    row = "".join("%s" if i in tables else "%d " for i in range(p.d)) + "%.17g\n"
     for start in range(0, len(ss), _MHS1_CHUNK_ROWS):
         chunk = slice(start, start + _MHS1_CHUNK_ROWS)
         axes = coords[chunk].T if flat is None else np.unravel_index(flat[chunk], p.T)
-        cols = [*(axis.tolist() for axis in axes), ss.values[chunk].tolist()]
-        fh.write("".join(map(row.__mod__, zip(*cols))))
+        cols = [*axes, ss.values[chunk]]
+        fields = [None] * (len(cols) * len(cols[-1]))  # the chunk's fields in row order
+        for i, col in enumerate(cols):
+            fields[i :: len(cols)] = (tables[i][col] if i in tables else col).tolist()
+        fh.write(row * len(cols[-1]) % tuple(fields))  # one % formats the whole chunk
 
 
 def _header_line(fh: TextIO, key: str) -> list[str]:

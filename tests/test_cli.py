@@ -1,3 +1,4 @@
+import logging
 import struct
 
 import numpy as np
@@ -91,6 +92,30 @@ class TestPipeline:
         with open(recon, "rb") as fh:
             got = read_mht1(fh).data.real
         assert np.abs(got - ref).max() <= 1e-9 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("level", [logging.DEBUG, logging.INFO], ids=["debug", "info"])
+    def test_mhs1_io_logged_at_debug(self, tmp_path, caplog, level):
+        # the bench's per-layer names; the INFO lines are the same at both levels
+        caplog.set_level(level, logger="manhattan")
+        image, samples = tmp_path / "img.mht1", tmp_path / "s.mhs1"
+        run("generate", "--size", "16,16", "--output", str(image))
+        caplog.clear()
+        assert run("sample", "--k", "4,4", "--collection", "10,01",
+                   "--input", str(image), "--samples", str(samples)) == 0
+        assert run("reconstruct", "--samples", str(samples),
+                   "--output", str(tmp_path / "rec.mht1")) == 0
+        info = [r.getMessage() for r in caplog.records if r.levelno == logging.INFO]
+        assert info == [f"wrote 112 samples to {samples}",
+                        f"reconstructed {samples} -> {tmp_path / 'rec.mht1'}"]
+        debug = [r.getMessage().split() for r in caplog.records if r.levelno == logging.DEBUG]
+        if level == logging.INFO:
+            assert debug == []
+            return
+        names = [("sampler.mhs1_write_s", "sampler.mhs1_bytes"),
+                 ("sampler.mhs1_read_s", "sampler.mhs1_bytes")]
+        assert [tuple(words[::2]) for words in debug] == names
+        for words in debug:
+            assert float(words[1]) >= 0 and int(words[3]) == samples.stat().st_size
 
     def test_round_trip_lambda2(self, tmp_path, capsys):
         raw = tmp_path / "raw.mht1"

@@ -2,10 +2,12 @@ import io
 import random
 import re
 import tracemalloc
+from math import prod
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import random_collection, random_params
@@ -275,6 +277,72 @@ class TestMhs1Body:
         ss = golden_samples()
         assert mhs1_text(ss) == GOLDEN_MHS1
         assert_same_samples(read_mhs1(io.StringIO(GOLDEN_MHS1)), ss)
+
+    def test_golden_canonical(self):
+        # the form extract_samples gives, and so the rows `manhattan sample` writes
+        explicit = golden_samples()
+        ss = SampleSet(explicit.params, explicit.collection, None, explicit.values)
+        assert mhs1_text(ss) == GOLDEN_MHS1
+        assert_same_samples(read_mhs1(io.StringIO(GOLDEN_MHS1)), ss)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_canonical_equals_per_row(self, data):
+        d = data.draw(st.integers(1, 4))
+        k = tuple(data.draw(st.integers(2, 4)) for _ in range(d))
+        lam = tuple(data.draw(st.integers(1, 3)) for _ in range(d))
+        T = tuple(ki * li * data.draw(st.integers(1, 3)) for ki, li in zip(k, lam))
+        assume(prod(T) <= 30000)
+        p = ManhattanParams(d=d, lam=lam, k=k, T=T)
+        bits = st.tuples(*[st.integers(0, 1)] * d).map(BiStep)
+        c = Collection(frozenset(data.draw(st.sets(bits, min_size=1))), p)
+        n = int(np.count_nonzero(manhattan_indicator(c)))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        values = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+        finite = st.floats(allow_nan=False, allow_infinity=False)
+        extremes = [-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308]
+        forced = np.array(extremes + data.draw(st.lists(finite, max_size=8)))[:n]
+        values[rng.choice(n, len(forced), replace=False)] = forced
+        ss = SampleSet(p, c, None, values)
+        chunk_rows = data.draw(st.sampled_from([1, 5, 7, sampler._MHS1_CHUNK_ROWS]))
+        with mock.patch.object(sampler, "_MHS1_CHUNK_ROWS", chunk_rows):
+            text = mhs1_text(ss)
+        assert text == mhs1_text_per_row(ss)
+        assert_same_samples(read_mhs1(io.StringIO(text)), ss)
+
+    @pytest.mark.parametrize("chunk_rows", [1, 5, 7, sampler._MHS1_CHUNK_ROWS])
+    def test_table_and_int_axes(self, monkeypatch, chunk_rows):
+        # 16 rows: axis 1 (T=4) writes from its text table, axis 0 (T=4096) keeps %d
+        p = ManhattanParams(d=2, lam=(1, 1), k=(512, 2), T=(4096, 4))
+        c = Collection.from_string(p, "00")
+        ss = extract_samples(Grid.from_array(np.random.default_rng(8).normal(size=p.T)), c)
+        assert len(ss) == 16
+        monkeypatch.setattr(sampler, "_MHS1_CHUNK_ROWS", chunk_rows)
+        assert mhs1_text(ss) == mhs1_text_per_row(ss)
+
+    @pytest.mark.parametrize(
+        "T,k,coll,bound_mb",
+        [((1 << 20,), (1 << 10,), "0", 20), ((1024, 1024), (2, 2), "10,01", 10)],
+        ids=["1d-1024-rows", "2d-bench"],
+    )
+    def test_write_peak_memory(self, T, k, coll, bound_mb):
+        # an axis's text table is built only where it has no more entries than
+        # the set has rows: 1024 rows on T=2^20 would otherwise peak at ~67 MB
+        p = ManhattanParams(d=len(T), lam=(1,) * len(T), k=k, T=T)
+        c = Collection.from_string(p, coll)
+        ss = extract_samples(Grid.from_array(np.random.default_rng(9).normal(size=T)), c)
+
+        class NullSink:
+            def write(self, text):
+                return len(text)
+
+        tracemalloc.start()
+        try:
+            write_mhs1(NullSink(), ss)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound_mb * 1e6
 
     @given(st.data())
     def test_round_trip_bit_exact(self, data):
