@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import sampler
 from .core import Collection, ManhattanParams, density, fundamental_cell_count
 from .errors import DomainError, FormatError, ManhattanError, NumericalFailureError
 from .freq import atom_volume, manhattan_region_volume
@@ -107,8 +108,8 @@ def cmd_sample(args) -> int:
     start = time.perf_counter()
     with open(args.samples, "w") as fh:
         write_mhs1(fh, ss)
-    log.debug("sampler.mhs1_write_s %.6f sampler.mhs1_bytes %d",
-              time.perf_counter() - start, os.path.getsize(args.samples))
+    log.debug("sampler.mhs1_write_s %.6f sampler.mhs1_bytes %d sampler.mhs1_split %d",
+              time.perf_counter() - start, os.path.getsize(args.samples), sampler._mhs1_split)
     log.info("wrote %d samples to %s", len(ss), args.samples)
     return EXIT_OK
 
@@ -117,8 +118,8 @@ def cmd_reconstruct(args) -> int:
     start = time.perf_counter()
     with open(args.samples) as fh:
         ss = read_mhs1(fh)
-    log.debug("sampler.mhs1_read_s %.6f sampler.mhs1_bytes %d",
-              time.perf_counter() - start, os.path.getsize(args.samples))
+    log.debug("sampler.mhs1_read_s %.6f sampler.mhs1_bytes %d sampler.mhs1_split %d",
+              time.perf_counter() - start, os.path.getsize(args.samples), sampler._mhs1_split)
     result = reconstruct(ss)
     _write_grid(args.output, result)
     log.info("reconstructed %s -> %s", args.samples, args.output)

@@ -11,11 +11,17 @@ spectral replicas it induces have unit amplitude.
 
 from __future__ import annotations
 
+import codecs
+import os
+import signal
+import tempfile
+import threading
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import chain, product
 from math import prod
-from typing import TextIO
+from typing import BinaryIO, TextIO
 
 import numpy as np
 
@@ -199,10 +205,77 @@ def comb_from_samples(ss: SampleSet, b: BiStep) -> CombGrid:
 # allowed, and a malformed row raises FormatError. The writer formats each chunk
 # of rows with one `%`; a canonical set's axis i takes its coordinate text from a
 # table of T_i strings, built only where T_i <= rows, so no table outgrows the rows.
+# With two CPUs a forked helper writes the second half of a body of two or more
+# chunks, or reads that of a large ASCII file, at the same time; bytes, rows and
+# refusals stay the serial path's, to which any read it cannot prove equal falls back.
 # ---------------------------------------------------------------------------
+
+_MHS1_SPLIT_BYTES = 1 << 20  # a body this long is read in two halves at once
+_MHS1_PIECE_BYTES = 1 << 16  # text parsed or copied at a time: bounds it in memory
+_mhs1_split = False  # whether the last MHS1 read or write split its body, for the log
+
+
+def _can_fork() -> bool:
+    """Two usable CPUs, no other thread whose held locks a forked helper would
+    copy, and children not ignored, which would leave no exit status to read."""
+    cpus = getattr(os, "sched_getaffinity", lambda pid: ())(0)
+    return (len(cpus) > 1 and threading.active_count() == 1
+            and signal.getsignal(signal.SIGCHLD) != signal.SIG_IGN)
+
+
+def _forked(work: Callable[[], object], helper: Callable[[BinaryIO], object],
+            append: Callable[[bytes], object]) -> bool:
+    """Run work() here and helper(out) in a forked process at once, out an unlinked
+    temp file, then pass out's bytes to append a piece at a time; False, with
+    nothing passed, if the helper failed. The helper ends in os._exit, so it
+    flushes no buffer it inherited; if work raises, it is killed. It is reaped.
+    If no process can be forked, work runs alone and the helper counts as failed."""
+    with tempfile.TemporaryFile() as out:
+        try:
+            pid = os.fork()
+        except OSError:  # EAGAIN, ENOMEM: the caller does the helper's part itself
+            pid = None
+        if pid == 0:
+            try:
+                helper(out)
+                out.flush()
+                os._exit(0)
+            finally:
+                os._exit(1)
+        try:
+            work()
+        except BaseException:
+            if pid is not None:
+                os.kill(pid, signal.SIGKILL)
+            raise
+        finally:
+            ok = pid is not None and os.waitpid(pid, 0)[1] == 0
+        out.seek(0)
+        while ok and (piece := out.read(_MHS1_PIECE_BYTES)):
+            append(piece)
+        return ok
+
+
+def _mhs1_chunks(ss: SampleSet, starts: range) -> Iterator[str]:
+    """The body text of the chunks of rows that begin at starts, one string each."""
+    p = ss.params
+    coords = ss.explicit_coords  # None: each chunk's rows from the flat positions
+    flat = np.flatnonzero(manhattan_indicator(ss.collection)) if coords is None else None
+    tables = {i: np.array([f"{j} " for j in range(t)], object)  # axis i's "j " texts
+              for i, t in enumerate(p.T) if flat is not None and t <= len(ss)}
+    row = "".join("%s" if i in tables else "%d " for i in range(p.d)) + "%.17g\n"
+    for start in starts:
+        chunk = slice(start, start + _MHS1_CHUNK_ROWS)
+        axes = coords[chunk].T if flat is None else np.unravel_index(flat[chunk], p.T)
+        cols = [*axes, ss.values[chunk]]
+        fields = [None] * (len(cols) * len(cols[-1]))  # the chunk's fields in row order
+        for i, col in enumerate(cols):
+            fields[i :: len(cols)] = (tables[i][col] if i in tables else col).tolist()
+        yield row * len(cols[-1]) % tuple(fields)  # one % formats the whole chunk
 
 
 def write_mhs1(fh: TextIO, ss: SampleSet) -> None:
+    global _mhs1_split
     p = ss.params
     fh.write(f"{_MHS1_MAGIC}\n")
     fh.write(f"dims {p.d}\n")
@@ -210,19 +283,19 @@ def write_mhs1(fh: TextIO, ss: SampleSet) -> None:
     fh.write("k " + " ".join(map(str, p.k)) + "\n")
     fh.write("lambda " + " ".join(map(str, p.lam_int)) + "\n")
     fh.write(f"collection {ss.collection}\n")
-    coords = ss.explicit_coords  # None: each chunk's rows from the flat positions
-    flat = np.flatnonzero(manhattan_indicator(ss.collection)) if coords is None else None
-    tables = {i: np.array([f"{j} " for j in range(t)], object)  # axis i's "j " texts
-              for i, t in enumerate(p.T) if flat is not None and t <= len(ss)}
-    row = "".join("%s" if i in tables else "%d " for i in range(p.d)) + "%.17g\n"
-    for start in range(0, len(ss), _MHS1_CHUNK_ROWS):
-        chunk = slice(start, start + _MHS1_CHUNK_ROWS)
-        axes = coords[chunk].T if flat is None else np.unravel_index(flat[chunk], p.T)
-        cols = [*axes, ss.values[chunk]]
-        fields = [None] * (len(cols) * len(cols[-1]))  # the chunk's fields in row order
-        for i, col in enumerate(cols):
-            fields[i :: len(cols)] = (tables[i][col] if i in tables else col).tolist()
-        fh.write(row * len(cols[-1]) % tuple(fields))  # one % formats the whole chunk
+
+    def write(starts: range) -> None:
+        for text in _mhs1_chunks(ss, starts):
+            fh.write(text)
+
+    starts = range(0, len(ss), _MHS1_CHUNK_ROWS)
+    head, tail = starts[: len(starts) // 2], starts[len(starts) // 2 :]
+    if not (_mhs1_split := bool(head) and _can_fork()):
+        write(starts)
+    elif not _forked(lambda: write(head),
+                     lambda out: out.writelines(t.encode() for t in _mhs1_chunks(ss, tail)),
+                     lambda piece: fh.write(piece.decode("ascii"))):
+        write(tail)  # the helper failed: its chunks are formatted here
 
 
 def _header_line(fh: TextIO, key: str) -> list[str]:
@@ -231,6 +304,49 @@ def _header_line(fh: TextIO, key: str) -> list[str]:
     if not parts or parts[0] != key:
         raise FormatError(f"expected header line {key!r}, got {line!r}")
     return parts[1:]
+
+
+def _parse_rows(fd: int, start: int, stop: int, row: np.dtype) -> Iterator[np.ndarray]:
+    """The rows of bytes [start, stop), parsed in pieces that end at a line end.
+    ValueError on what the serial reader might read otherwise: a byte outside
+    ASCII, or a carriage return, which ends a line of text in some newline modes."""
+    while start < stop:
+        data = os.pread(fd, min(_MHS1_PIECE_BYTES, stop - start), start)
+        cut = len(data) if start + len(data) >= stop else data.rfind(b"\n") + 1
+        text = data[:cut].decode("ascii")
+        if not cut or "\r" in text:
+            raise ValueError("no line end in a piece, or a carriage return")
+        if not text.isspace():  # loadtxt warns on a piece of blank lines
+            yield np.loadtxt(text.split("\n"), dtype=row, comments=None, ndmin=1)
+        start += cut
+
+
+def _read_split(fh: TextIO, row: np.dtype) -> np.ndarray | None:
+    """The body rows of fh, its halves parsed at once, leaving fh at its end; None,
+    with fh unmoved, where the rows might not be the serial reader's."""
+    try:  # fh may be a StringIO, a pipe, a text file of another encoding
+        fd, start, encoding = fh.fileno(), fh.tell(), codecs.lookup(fh.encoding).name
+    except (AttributeError, LookupError, OSError, TypeError, ValueError):
+        return None
+    if (encoding not in ("utf-8", "ascii")  # else tell() need not be a byte offset
+            or (stop := os.fstat(fd).st_size) - start < _MHS1_SPLIT_BYTES or not _can_fork()
+            or b"\r" in os.pread(fd, start, 0)):  # so any newline mode reads the header alike
+        return None
+    mid = (start + stop) // 2  # the helper's half starts at the first line start after it
+    cut = mid + i + 1 if (i := os.pread(fd, _MHS1_PIECE_BYTES, mid).find(b"\n")) >= 0 else stop
+    with tempfile.TemporaryFile() as rows:  # so that no half's rows stay in this heap
+        try:
+            split = _forked(lambda: rows.writelines(_parse_rows(fd, start, cut, row)),
+                            lambda out: out.writelines(_parse_rows(fd, cut, stop, row)),
+                            rows.write)
+        except ValueError:  # a piece the serial reader might read otherwise
+            split = False
+        if not split:
+            fh.seek(start)
+            return None
+        fh.seek(0, 2)
+        rows.seek(0)
+        return np.fromfile(rows, row)
 
 
 def read_mhs1(fh: TextIO) -> SampleSet:
@@ -247,12 +363,15 @@ def read_mhs1(fh: TextIO) -> SampleSet:
         collection = Collection.from_string(params, coll_text)
     except ValueError as exc:
         raise FormatError(f"malformed MHS1 header: {exc}") from exc
+    global _mhs1_split
     try:  # ValueError: bad numbers, ragged rows, undecodable bytes
         row = np.dtype([("coords", "<i8", (d,)), ("value", "<f8")])
-        first = next((line for line in fh if line.strip()), None)
-        rows = np.empty(0, row)
-        if first is not None:  # loadtxt warns on an empty body
-            rows = np.loadtxt(chain([first], fh), dtype=row, comments=None, ndmin=1)
+        rows = _read_split(fh, row)
+        if not (_mhs1_split := rows is not None):
+            first = next((line for line in fh if line.strip()), None)
+            rows = np.empty(0, row)
+            if first is not None:  # loadtxt warns on an empty body
+                rows = np.loadtxt(chain([first], fh), dtype=row, comments=None, ndmin=1)
     except ValueError as exc:  # numpy's message misnumbers rows, suggests usecols
         raise FormatError(
             f"malformed MHS1 body: each row must be {d} integer coordinates, one value"

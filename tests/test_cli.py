@@ -4,6 +4,7 @@ import struct
 import numpy as np
 import pytest
 
+from manhattan import sampler
 from manhattan.cli import main
 from manhattan.grid import Grid, read_mht1, write_mht1
 
@@ -111,11 +112,27 @@ class TestPipeline:
         if level == logging.INFO:
             assert debug == []
             return
-        names = [("sampler.mhs1_write_s", "sampler.mhs1_bytes"),
-                 ("sampler.mhs1_read_s", "sampler.mhs1_bytes")]
+        names = [("sampler.mhs1_write_s", "sampler.mhs1_bytes", "sampler.mhs1_split"),
+                 ("sampler.mhs1_read_s", "sampler.mhs1_bytes", "sampler.mhs1_split")]
         assert [tuple(words[::2]) for words in debug] == names
         for words in debug:
             assert float(words[1]) >= 0 and int(words[3]) == samples.stat().st_size
+            assert words[5] == "0"  # 112 rows: one chunk, a body under the split size
+
+    def test_mhs1_split_logged(self, tmp_path, caplog, monkeypatch):
+        # with the thresholds lowered, both halves of the 112-row body run at once
+        monkeypatch.setattr(sampler, "_MHS1_CHUNK_ROWS", 7)
+        monkeypatch.setattr(sampler, "_MHS1_SPLIT_BYTES", 64)
+        monkeypatch.setattr(sampler, "_can_fork", lambda: True)
+        caplog.set_level(logging.DEBUG, logger="manhattan")
+        image, samples = tmp_path / "img.mht1", tmp_path / "s.mhs1"
+        run("generate", "--size", "16,16", "--output", str(image))
+        assert run("sample", "--k", "4,4", "--collection", "10,01",
+                   "--input", str(image), "--samples", str(samples)) == 0
+        assert run("reconstruct", "--samples", str(samples),
+                   "--output", str(tmp_path / "rec.mht1")) == 0
+        debug = [r.getMessage().split() for r in caplog.records if r.levelno == logging.DEBUG]
+        assert [words[4:] for words in debug] == [["sampler.mhs1_split", "1"]] * 2
 
     def test_round_trip_lambda2(self, tmp_path, capsys):
         raw = tmp_path / "raw.mht1"

@@ -3,7 +3,8 @@ holds no ``assert``, which ``python -O`` would strip, one module calls
 ``numpy.fft``, one function owns the way from a half spectrum back to an
 image and every inverse transform pass on it, one method decides whether a
 grid is a real image, one property builds the (n, d) coordinate array of a
-sample set, and ``reconstruct`` scatters no samples onto a full-size image."""
+sample set, ``reconstruct`` scatters no samples onto a full-size image, and
+one function forks, its helper leaving only by ``os._exit``."""
 
 import ast
 from pathlib import Path
@@ -123,7 +124,8 @@ def test_sample_producers_build_no_coordinates():
                 reads.add((path.name, owner))
     outside = {call for call in calls if call[0] != "oracle.py"}  # its bins, not samples
     assert outside == {("sampler.py", "coords")}, f"argwhere is called in {sorted(calls, key=str)}"
-    producers = {("sampler.py", f) for f in ("extract_samples", "read_mhs1", "write_mhs1")}
+    producers = {("sampler.py", f) for f in ("extract_samples", "read_mhs1", "write_mhs1",
+                                              "_mhs1_chunks", "_parse_rows", "_read_split")}
     assert not reads & producers, f".coords is read in {sorted(reads & producers)}"
 
 
@@ -134,3 +136,21 @@ def test_reconstruct_scatters_no_samples():
     called = {ast.unparse(node.func).split(".")[-1]
               for node in ast.walk(tree) if isinstance(node, ast.Call)}
     assert "grid_from_samples" not in called, sorted(called)
+
+
+def test_one_fork_that_ends_in_exit():
+    # one function forks, and its child branch leaves only by os._exit from a
+    # finally: the helper never returns into its caller's code or flushes a buffer
+    forks = set()
+    for path in SOURCES:
+        for owner, node in _owned_nodes(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Attribute) and node.attr == "fork":
+                forks.add((path.name, owner))
+    assert forks == {("sampler.py", "_forked")}, f"fork appears in {sorted(forks, key=str)}"
+    tree = ast.parse((Path(manhattan.__file__).parent / "sampler.py").read_text())
+    (forked,) = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and n.name == "_forked"]
+    (child,) = [n for n in ast.walk(forked)
+                if isinstance(n, ast.If) and "os._exit(" in ast.unparse(n.body[-1])]
+    last = child.body[-1]
+    assert isinstance(last, ast.Try) and not last.handlers and last.finalbody, ast.unparse(child)
+    assert ast.unparse(last.finalbody[-1]).startswith("os._exit("), ast.unparse(child)

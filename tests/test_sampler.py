@@ -1,8 +1,13 @@
 import io
+import os
 import random
 import re
+import signal
+import tempfile
 import tracemalloc
+from contextlib import contextmanager
 from math import prod
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -630,3 +635,271 @@ class TestMhs1Canonical:
             tracemalloc.stop()
         assert back.explicit_coords is not None and len(back) == 2
         assert peak < 1 << 20
+
+
+def write_file(path, ss, **open_args):
+    with open(path, "w", **open_args) as fh:
+        write_mhs1(fh, ss)
+    return path.read_text()
+
+
+def read_outcome(path, split, newline=None):
+    """read_mhs1 on the file with the split path allowed or not: the sample set,
+    whether the file was left at its end and whether the body was split, or the
+    refusal's type and text."""
+    with mock.patch.object(sampler, "_can_fork", lambda: split):
+        with open(path, encoding="utf-8", newline=newline) as fh:
+            try:
+                ss = read_mhs1(fh)
+            except ManhattanError as exc:
+                return type(exc), str(exc)
+            return ss, fh.read() == "", sampler._mhs1_split
+
+
+def assert_same_outcome(split, serial):
+    if isinstance(serial[0], SampleSet):
+        assert_same_samples(split[0], serial[0])
+        assert (split[0].explicit_coords is None) == (serial[0].explicit_coords is None)
+        assert split[1] and serial[1]  # both at the end of the file
+    else:
+        assert split == serial
+
+
+@contextmanager
+def leaves_nothing_behind():
+    """No child process left to reap, and no file descriptor left open."""
+    before = len(os.listdir("/proc/self/fd"))
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert len(os.listdir("/proc/self/fd")) == before
+
+
+BAD_ROWS = ["0 x 1.0", "1.5 0 1.0", "0 1", "0 1 1.0 2.0", "# 0 1 1.0", "0 1 one"]
+
+
+class TestMhs1Split:
+    """A large body is written and read in two halves at once, with the bytes,
+    rows and refusals of the serial path; the thresholds are lowered here so
+    that small files split."""
+
+    def setup_method(self):
+        # 45 kB: a text file decodes its first 8 kB with the header, and the rest as read
+        p = ManhattanParams(d=2, lam=(1, 1), k=(4, 4), T=(64, 64))
+        self.ss = extract_samples(
+            Grid.from_array(np.random.default_rng(6).normal(size=p.T)), Collection.of(p, ["10", "01"])
+        )
+        self.lines = mhs1_text(self.ss).splitlines(keepends=True)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_split_reads_as_serial(self, data):
+        body = list(self.lines[6:])
+        if data.draw(st.booleans(), label="shuffled"):
+            random.Random(data.draw(st.integers(0, 99))).shuffle(body)
+        near_middle = st.integers(len(body) // 2 - 3, len(body) // 2 + 3)
+        anywhere = st.integers(0, len(body))
+        blanks = st.sampled_from(["\n", "  \n", "\t\n", "\x0c\n", "\x1c \n"])
+        for _ in range(data.draw(st.integers(0, 6), label="blank lines")):
+            body.insert(data.draw(st.one_of(near_middle, anywhere)), data.draw(blanks))
+        clean = True
+        if data.draw(st.booleans(), label="bad row"):
+            half = data.draw(st.sampled_from([range(len(body) // 2), range(len(body) // 2, len(body))]))
+            body[data.draw(st.sampled_from(half))] = data.draw(st.sampled_from(BAD_ROWS)) + "\n"
+            clean = False
+        text = self.lines[0] + "".join(self.lines[1:6]) + "".join(body)
+        if data.draw(st.booleans(), label="no final newline"):
+            text = text.rstrip("\n")
+        raw = text.encode()
+        edit = data.draw(st.sampled_from(["none", "crlf", "bare cr", "utf-8", "lone byte"]))
+        at = data.draw(st.integers(len(raw) // 3, len(raw) - 1), label="edit at")
+        at = raw.index(b"\n", at) + 1 if b"\n" in raw[at:] else at
+        raw = {
+            "none": raw,
+            "crlf": raw.replace(b"\n", b"\r\n"),
+            "bare cr": raw[: at - 1] + b"\r" + raw[at:],
+            "utf-8": raw[:at] + "0\u00a00 1.0\n".encode() + raw[at:],  # a row: U+00A0 is a space
+            "lone byte": raw[:at] + b"0\xa00 1.0\n" + raw[at:],  # not UTF-8; Latin-1's space
+        }[edit]
+        newline = data.draw(st.sampled_from([None, None, "", "\n", "\r\n", "\r"]))
+        piece = data.draw(st.sampled_from([48, 100, 1 << 16]))
+        with tempfile.TemporaryDirectory() as tmp, \
+                mock.patch.object(sampler, "_MHS1_SPLIT_BYTES", 64), \
+                mock.patch.object(sampler, "_MHS1_PIECE_BYTES", piece):
+            path = Path(tmp) / "s.mhs1"
+            path.write_bytes(raw)
+            with leaves_nothing_behind():
+                split, serial = read_outcome(path, True, newline), read_outcome(path, False, newline)
+        assert_same_outcome(split, serial)
+        if clean and edit == "none" and newline in (None, "", "\n") and piece > 48:
+            assert split[2] and not serial[2]  # every line fits a piece: the halves ran
+
+    @pytest.mark.parametrize("where", ["first half", "second half"])
+    def test_refusal_is_serial_and_leaves_nothing(self, tmp_path, where):
+        # a bad first row fails while the helper still parses; a bad last one in it
+        ss = extract_samples(
+            Grid.from_array(np.random.default_rng(2).normal(size=(256, 256))),
+            Collection.from_string(ManhattanParams(d=2, lam=(1, 1), k=(2, 2), T=(256, 256)), "10,01"),
+        )
+        lines = mhs1_text(ss).splitlines(keepends=True)
+        lines[6 if where == "first half" else -2] = "0 1 one\n"
+        path = tmp_path / "s.mhs1"
+        path.write_text("".join(lines))
+        assert path.stat().st_size > sampler._MHS1_SPLIT_BYTES
+        with leaves_nothing_behind():
+            split = read_outcome(path, True)
+        assert split[0] is FormatError and split == read_outcome(path, False)
+
+    def test_success_leaves_nothing(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(sampler, "_MHS1_CHUNK_ROWS", 7)
+        monkeypatch.setattr(sampler, "_MHS1_SPLIT_BYTES", 64)
+        monkeypatch.setattr(sampler, "_can_fork", lambda: True)
+        with leaves_nothing_behind():
+            text = write_file(tmp_path / "s.mhs1", self.ss)
+            assert sampler._mhs1_split
+            with open(tmp_path / "s.mhs1") as fh:
+                back = read_mhs1(fh)
+            assert sampler._mhs1_split
+        assert text == mhs1_text_per_row(self.ss)
+        assert_same_samples(back, self.ss)
+
+    def test_failing_sink_leaves_nothing(self, monkeypatch):
+        monkeypatch.setattr(sampler, "_MHS1_CHUNK_ROWS", 7)
+        monkeypatch.setattr(sampler, "_can_fork", lambda: True)
+
+        class FailingSink:
+            writes = 0
+
+            def write(self, text):
+                self.writes += 1
+                if self.writes == 10:  # the header's six lines, then chunks
+                    raise OSError("disk full")
+                return len(text)
+
+        with leaves_nothing_behind(), pytest.raises(OSError, match="disk full"):
+            write_mhs1(FailingSink(), self.ss)
+
+    @pytest.mark.parametrize("death", ["raises", "killed", "never forked"])
+    def test_failed_helper_is_redone_here(self, tmp_path, monkeypatch, death):
+        # a helper that dies for any reason, or cannot be forked: the parent
+        # writes the helper's half, or reads the whole body serially
+        monkeypatch.setattr(sampler, "_MHS1_CHUNK_ROWS", 7)
+        monkeypatch.setattr(sampler, "_MHS1_SPLIT_BYTES", 64)
+        monkeypatch.setattr(sampler, "_can_fork", lambda: True)
+        parent = os.getpid()
+
+        def dying(real):
+            def helper_dies(*args):
+                if os.getpid() != parent:
+                    if death == "killed":
+                        os.kill(os.getpid(), signal.SIGKILL)
+                    raise RuntimeError("the helper fails")
+                return real(*args)
+            return helper_dies
+
+        monkeypatch.setattr(sampler, "_mhs1_chunks", dying(sampler._mhs1_chunks))
+        monkeypatch.setattr(sampler, "_parse_rows", dying(sampler._parse_rows))
+        if death == "never forked":
+            monkeypatch.setattr(os, "fork", mock.Mock(side_effect=BlockingIOError(11, "EAGAIN")))
+        with leaves_nothing_behind():
+            assert write_file(tmp_path / "s.mhs1", self.ss) == mhs1_text_per_row(self.ss)
+            with open(tmp_path / "s.mhs1") as fh:
+                back = read_mhs1(fh)
+            assert not sampler._mhs1_split  # read serially
+        assert_same_samples(back, self.ss)
+        assert back.explicit_coords is None
+
+    def test_no_split_while_children_are_ignored(self):
+        # with SIGCHLD ignored the kernel reaps the helper, and its status is lost
+        previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+        try:
+            assert not sampler._can_fork()
+        finally:
+            signal.signal(signal.SIGCHLD, previous)
+        assert sampler._can_fork() == (len(os.sched_getaffinity(0)) > 1)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_split_write_equals_per_row(self, data):
+        d = data.draw(st.integers(1, 4))
+        k = tuple(data.draw(st.integers(2, 4)) for _ in range(d))
+        lam = tuple(data.draw(st.integers(1, 3)) for _ in range(d))
+        T = tuple(ki * li * data.draw(st.integers(1, 3)) for ki, li in zip(k, lam))
+        assume(prod(T) <= 30000)
+        p = ManhattanParams(d=d, lam=lam, k=k, T=T)
+        bits = st.tuples(*[st.integers(0, 1)] * d).map(BiStep)
+        c = Collection(frozenset(data.draw(st.sets(bits, min_size=1))), p)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        ss = extract_samples(Grid.from_array(rng.normal(size=T) * 10.0 ** rng.integers(-300, 300, T)), c)
+        if data.draw(st.booleans(), label="explicit"):
+            ss = SampleSet(p, c, ss.coords, ss.values)
+        chunk_rows = data.draw(st.sampled_from([1, 5, 7]))
+        with mock.patch.object(sampler, "_MHS1_CHUNK_ROWS", chunk_rows), \
+                mock.patch.object(sampler, "_can_fork", lambda: True):
+            if data.draw(st.booleans(), label="real file"):
+                with tempfile.TemporaryDirectory() as tmp:
+                    text = write_file(Path(tmp) / "s.mhs1", ss)
+            else:
+                text = mhs1_text(ss)
+            assert sampler._mhs1_split == (len(ss) > chunk_rows)
+        assert text == mhs1_text_per_row(ss)
+
+    @pytest.mark.parametrize("chunk_rows", [1, 7])
+    def test_unflushed_header_stays_the_parents(self, tmp_path, monkeypatch, chunk_rows):
+        # the header is still in fh's buffer when the helper forks; it leaves by
+        # os._exit and so never writes it a second time
+        monkeypatch.setattr(sampler, "_MHS1_CHUNK_ROWS", chunk_rows)
+        monkeypatch.setattr(sampler, "_can_fork", lambda: True)
+        path, sizes, fork = tmp_path / "s.mhs1", [], os.fork
+
+        def watched_fork():
+            sizes.append(path.stat().st_size)
+            return fork()
+
+        monkeypatch.setattr(os, "fork", watched_fork)
+        assert write_file(path, self.ss, buffering=1 << 20) == mhs1_text_per_row(self.ss)
+        assert sizes == [0]
+
+    @pytest.mark.parametrize(
+        "T,k,coll",
+        [((256, 256), (2, 2), "10,01"), ((24, 24, 24), (3, 3, 3), "110,101,011"),
+         ((1024, 1024), (2, 2), "10,01")],
+    )
+    def test_canonical_read_peak_memory(self, tmp_path, monkeypatch, T, k, coll):
+        # the real-file twin of TestMhs1Canonical's: each half's rows go to a
+        # file and from there straight into the result
+        monkeypatch.setattr(sampler, "_MHS1_SPLIT_BYTES", 1 << 16)  # 24^3 has 0.3 MB
+        monkeypatch.setattr(sampler, "_can_fork", lambda: True)
+        p = ManhattanParams(d=len(T), lam=(1,) * len(T), k=k, T=T)
+        c = Collection.from_string(p, coll)
+        ss = extract_samples(Grid.from_array(np.random.default_rng(1).normal(size=T)), c)
+        write_file(tmp_path / "s.mhs1", ss)
+        rows = len(ss) * (len(T) + 1) * 8
+        with open(tmp_path / "s.mhs1") as fh:
+            tracemalloc.start()
+            try:
+                back = read_mhs1(fh)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert sampler._mhs1_split
+        assert back.explicit_coords is None and back.values.flags.owndata
+        assert_same_samples(back, ss)
+        assert peak <= 1.85 * rows
+
+    def test_write_peak_memory(self, tmp_path, monkeypatch):
+        # the split twin of TestMhs1Body's 2d-bench case, into a real file: the
+        # helper's text comes back a piece at a time
+        monkeypatch.setattr(sampler, "_can_fork", lambda: True)
+        p = ManhattanParams(d=2, lam=(1, 1), k=(2, 2), T=(1024, 1024))
+        c = Collection.from_string(p, "10,01")
+        ss = extract_samples(Grid.from_array(np.random.default_rng(9).normal(size=p.T)), c)
+        with open(tmp_path / "s.mhs1", "w") as fh:
+            tracemalloc.start()
+            try:
+                write_mhs1(fh, ss)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert sampler._mhs1_split
+        assert peak <= 10 * 1e6
