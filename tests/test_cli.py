@@ -117,13 +117,12 @@ class TestPipeline:
         assert [tuple(words[::2]) for words in debug] == names
         for words in debug:
             assert float(words[1]) >= 0 and int(words[3]) == samples.stat().st_size
-            assert words[5] == "0"  # 112 rows: one chunk, a body under the split size
+            assert words[5] == "0"  # 112 rows: under two chunks, so never split
 
     def test_mhs1_split_logged(self, tmp_path, caplog, monkeypatch):
-        # with the thresholds lowered, both halves of the 112-row body run at once
+        # with the split forced, both halves of the 112-row body run at once
         monkeypatch.setattr(sampler, "_MHS1_CHUNK_ROWS", 7)
-        monkeypatch.setattr(sampler, "_MHS1_SPLIT_BYTES", 64)
-        monkeypatch.setattr(sampler, "_can_fork", lambda: True)
+        monkeypatch.setattr(sampler, "_splits", lambda rows: True)
         caplog.set_level(logging.DEBUG, logger="manhattan")
         image, samples = tmp_path / "img.mht1", tmp_path / "s.mhs1"
         run("generate", "--size", "16,16", "--output", str(image))

@@ -1,9 +1,11 @@
+import errno
 import io
 import os
 import random
 import re
 import signal
 import tempfile
+import threading
 import tracemalloc
 from contextlib import contextmanager
 from math import prod
@@ -647,7 +649,7 @@ def read_outcome(path, split, newline=None):
     """read_mhs1 on the file with the split path allowed or not: the sample set,
     whether the file was left at its end and whether the body was split, or the
     refusal's type and text."""
-    with mock.patch.object(sampler, "_can_fork", lambda: split):
+    with mock.patch.object(sampler, "_splits", lambda rows: split):
         with open(path, encoding="utf-8", newline=newline) as fh:
             try:
                 ss = read_mhs1(fh)
@@ -680,8 +682,8 @@ BAD_ROWS = ["0 x 1.0", "1.5 0 1.0", "0 1", "0 1 1.0 2.0", "# 0 1 1.0", "0 1 one"
 
 class TestMhs1Split:
     """A large body is written and read in two halves at once, with the bytes,
-    rows and refusals of the serial path; the thresholds are lowered here so
-    that small files split."""
+    rows and refusals of the serial path; the split is forced here so that small
+    files split."""
 
     def setup_method(self):
         # 45 kB: a text file decodes its first 8 kB with the header, and the rest as read
@@ -724,7 +726,6 @@ class TestMhs1Split:
         newline = data.draw(st.sampled_from([None, None, "", "\n", "\r\n", "\r"]))
         piece = data.draw(st.sampled_from([48, 100, 1 << 16]))
         with tempfile.TemporaryDirectory() as tmp, \
-                mock.patch.object(sampler, "_MHS1_SPLIT_BYTES", 64), \
                 mock.patch.object(sampler, "_MHS1_PIECE_BYTES", piece):
             path = Path(tmp) / "s.mhs1"
             path.write_bytes(raw)
@@ -745,15 +746,14 @@ class TestMhs1Split:
         lines[6 if where == "first half" else -2] = "0 1 one\n"
         path = tmp_path / "s.mhs1"
         path.write_text("".join(lines))
-        assert path.stat().st_size > sampler._MHS1_SPLIT_BYTES
+        assert sampler._splits(len(ss)) == sampler._splits(1 << 30)  # 49k rows: split
         with leaves_nothing_behind():
             split = read_outcome(path, True)
         assert split[0] is FormatError and split == read_outcome(path, False)
 
     def test_success_leaves_nothing(self, tmp_path, monkeypatch):
         monkeypatch.setattr(sampler, "_MHS1_CHUNK_ROWS", 7)
-        monkeypatch.setattr(sampler, "_MHS1_SPLIT_BYTES", 64)
-        monkeypatch.setattr(sampler, "_can_fork", lambda: True)
+        monkeypatch.setattr(sampler, "_splits", lambda rows: True)
         with leaves_nothing_behind():
             text = write_file(tmp_path / "s.mhs1", self.ss)
             assert sampler._mhs1_split
@@ -765,7 +765,7 @@ class TestMhs1Split:
 
     def test_failing_sink_leaves_nothing(self, monkeypatch):
         monkeypatch.setattr(sampler, "_MHS1_CHUNK_ROWS", 7)
-        monkeypatch.setattr(sampler, "_can_fork", lambda: True)
+        monkeypatch.setattr(sampler, "_splits", lambda rows: True)
 
         class FailingSink:
             writes = 0
@@ -784,8 +784,7 @@ class TestMhs1Split:
         # a helper that dies for any reason, or cannot be forked: the parent
         # writes the helper's half, or reads the whole body serially
         monkeypatch.setattr(sampler, "_MHS1_CHUNK_ROWS", 7)
-        monkeypatch.setattr(sampler, "_MHS1_SPLIT_BYTES", 64)
-        monkeypatch.setattr(sampler, "_can_fork", lambda: True)
+        monkeypatch.setattr(sampler, "_splits", lambda rows: True)
         parent = os.getpid()
 
         def dying(real):
@@ -801,22 +800,93 @@ class TestMhs1Split:
         monkeypatch.setattr(sampler, "_parse_rows", dying(sampler._parse_rows))
         if death == "never forked":
             monkeypatch.setattr(os, "fork", mock.Mock(side_effect=BlockingIOError(11, "EAGAIN")))
+        expected = mhs1_text_per_row(self.ss)  # before, as it writes its header by write_mhs1
         with leaves_nothing_behind():
-            assert write_file(tmp_path / "s.mhs1", self.ss) == mhs1_text_per_row(self.ss)
+            assert write_file(tmp_path / "s.mhs1", self.ss) == expected
+            assert not sampler._mhs1_split  # the second half written here
             with open(tmp_path / "s.mhs1") as fh:
                 back = read_mhs1(fh)
             assert not sampler._mhs1_split  # read serially
         assert_same_samples(back, self.ss)
         assert back.explicit_coords is None
 
-    def test_no_split_while_children_are_ignored(self):
-        # with SIGCHLD ignored the kernel reaps the helper, and its status is lost
-        previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+    @pytest.mark.parametrize("temp", ["no temp dir", "full temp dir"])
+    def test_no_temp_file_is_done_here(self, tmp_path, monkeypatch, temp):
+        # a temp file that cannot be made, or fills up part-way, in the helper
+        # or in the parent: the parent writes the helper's half, or reads serially
+        monkeypatch.setattr(sampler, "_MHS1_CHUNK_ROWS", 7)
+        monkeypatch.setattr(sampler, "_splits", lambda rows: True)
+        real = tempfile.TemporaryFile
+
+        class FullTempFile:
+            """A temp file that takes 1,000 bytes, then fails as a full disk does."""
+
+            def __init__(self, *args, **kwargs):
+                if temp == "no temp dir":
+                    raise FileNotFoundError(errno.ENOENT, "No usable temporary directory")
+                self.fh, self.room = real(*args, **kwargs), 1000
+
+            def write(self, data):
+                self.room -= len(data)
+                if self.room < 0:
+                    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+                return self.fh.write(data)
+
+            def writelines(self, lines):
+                for line in lines:
+                    self.write(line)
+
+            def __getattr__(self, name):
+                return getattr(self.fh, name)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+        expected = mhs1_text_per_row(self.ss)  # before, as it writes its header by write_mhs1
+        monkeypatch.setattr(tempfile, "TemporaryFile", FullTempFile)
+        with leaves_nothing_behind():
+            assert write_file(tmp_path / "s.mhs1", self.ss) == expected
+            assert not sampler._mhs1_split
+            with open(tmp_path / "s.mhs1") as fh:
+                back = read_mhs1(fh)
+                assert fh.read() == ""
+            assert not sampler._mhs1_split
+        assert_same_samples(back, self.ss)
+        assert back.explicit_coords is None
+
+    def test_split_rule(self, tmp_path, monkeypatch):
+        # two full chunks of rows at least, by the header's count when reading;
+        # two CPUs; no other thread; SIGCHLD at its default, so no handler and
+        # not the kernel reaps the helper before its status is read
+        monkeypatch.setattr(sampler, "_MHS1_CHUNK_ROWS", 7)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        assert not sampler._splits(13) and sampler._splits(14)
+        for handler in (signal.SIG_IGN, lambda signum, frame: os.waitpid(-1, os.WNOHANG)):
+            previous = signal.signal(signal.SIGCHLD, handler)
+            try:
+                assert not sampler._splits(14)
+            finally:
+                signal.signal(signal.SIGCHLD, previous)
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        thread.start()
         try:
-            assert not sampler._can_fork()
+            assert not sampler._splits(14)
         finally:
-            signal.signal(signal.SIGCHLD, previous)
-        assert sampler._can_fork() == (len(os.sched_getaffinity(0)) > 1)
+            stop.set()
+            thread.join()
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert not sampler._splits(14)
+        write_file(tmp_path / "s.mhs1", self.ss)  # 1,792 rows
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        for chunk_rows, split in [(897, False), (896, True)]:
+            monkeypatch.setattr(sampler, "_MHS1_CHUNK_ROWS", chunk_rows)
+            with open(tmp_path / "s.mhs1") as fh:
+                assert_same_samples(read_mhs1(fh), self.ss)
+            assert sampler._mhs1_split == split
 
     @settings(max_examples=40, deadline=None)
     @given(st.data())
@@ -835,13 +905,13 @@ class TestMhs1Split:
             ss = SampleSet(p, c, ss.coords, ss.values)
         chunk_rows = data.draw(st.sampled_from([1, 5, 7]))
         with mock.patch.object(sampler, "_MHS1_CHUNK_ROWS", chunk_rows), \
-                mock.patch.object(sampler, "_can_fork", lambda: True):
+                mock.patch.object(os, "sched_getaffinity", lambda pid: {0, 1}, create=True):
             if data.draw(st.booleans(), label="real file"):
                 with tempfile.TemporaryDirectory() as tmp:
                     text = write_file(Path(tmp) / "s.mhs1", ss)
             else:
                 text = mhs1_text(ss)
-            assert sampler._mhs1_split == (len(ss) > chunk_rows)
+            assert sampler._mhs1_split == (len(ss) >= 2 * chunk_rows)
         assert text == mhs1_text_per_row(ss)
 
     @pytest.mark.parametrize("chunk_rows", [1, 7])
@@ -849,15 +919,16 @@ class TestMhs1Split:
         # the header is still in fh's buffer when the helper forks; it leaves by
         # os._exit and so never writes it a second time
         monkeypatch.setattr(sampler, "_MHS1_CHUNK_ROWS", chunk_rows)
-        monkeypatch.setattr(sampler, "_can_fork", lambda: True)
+        monkeypatch.setattr(sampler, "_splits", lambda rows: True)
         path, sizes, fork = tmp_path / "s.mhs1", [], os.fork
 
         def watched_fork():
             sizes.append(path.stat().st_size)
             return fork()
 
+        expected = mhs1_text_per_row(self.ss)
         monkeypatch.setattr(os, "fork", watched_fork)
-        assert write_file(path, self.ss, buffering=1 << 20) == mhs1_text_per_row(self.ss)
+        assert write_file(path, self.ss, buffering=1 << 20) == expected
         assert sizes == [0]
 
     @pytest.mark.parametrize(
@@ -868,8 +939,7 @@ class TestMhs1Split:
     def test_canonical_read_peak_memory(self, tmp_path, monkeypatch, T, k, coll):
         # the real-file twin of TestMhs1Canonical's: each half's rows go to a
         # file and from there straight into the result
-        monkeypatch.setattr(sampler, "_MHS1_SPLIT_BYTES", 1 << 16)  # 24^3 has 0.3 MB
-        monkeypatch.setattr(sampler, "_can_fork", lambda: True)
+        monkeypatch.setattr(sampler, "_splits", lambda rows: True)  # 24^3 has 6k rows
         p = ManhattanParams(d=len(T), lam=(1,) * len(T), k=k, T=T)
         c = Collection.from_string(p, coll)
         ss = extract_samples(Grid.from_array(np.random.default_rng(1).normal(size=T)), c)
@@ -890,7 +960,7 @@ class TestMhs1Split:
     def test_write_peak_memory(self, tmp_path, monkeypatch):
         # the split twin of TestMhs1Body's 2d-bench case, into a real file: the
         # helper's text comes back a piece at a time
-        monkeypatch.setattr(sampler, "_can_fork", lambda: True)
+        monkeypatch.setattr(sampler, "_splits", lambda rows: True)
         p = ManhattanParams(d=2, lam=(1, 1), k=(2, 2), T=(1024, 1024))
         c = Collection.from_string(p, "10,01")
         ss = extract_samples(Grid.from_array(np.random.default_rng(9).normal(size=p.T)), c)
