@@ -17,7 +17,7 @@ import os
 import signal
 import tempfile
 import threading
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import chain, product
@@ -26,7 +26,7 @@ from typing import BinaryIO, TextIO
 
 import numpy as np
 
-from .core import BiStep, Collection, ManhattanParams, density, fundamental_cell_count
+from .core import BiStep, Collection, ManhattanParams, fundamental_cell_count
 from .errors import DimensionError, DomainError, FormatError, MissingSamplesError
 from .freq import tensor_mask
 from .grid import Grid
@@ -47,6 +47,12 @@ def manhattan_indicator(c: Collection) -> np.ndarray:
     for b in c.members:
         out |= lattice_indicator(c.params, b)
     return out
+
+
+def _point_count(c: Collection) -> int:
+    """|M(B)| on [0, T): the points of one cell K = k*λ times the cells."""
+    p = c.params
+    return fundamental_cell_count(c) * prod(t // (k * li) for t, k, li in zip(p.T, p.k, p.lam_int))
 
 
 @dataclass(frozen=True)
@@ -90,9 +96,7 @@ class SampleSet:
 
     @property
     def expected_count(self) -> int:
-        p = self.params
-        cells = prod(t // (k * li) for t, k, li in zip(p.T, p.k, p.lam_int))
-        return fundamental_cell_count(self.collection) * cells
+        return _point_count(self.collection)
 
     def __len__(self) -> int:
         return len(self.values)
@@ -206,12 +210,11 @@ def comb_from_samples(ss: SampleSet, b: BiStep) -> CombGrid:
 # allowed, and a malformed row raises FormatError. The writer formats each chunk
 # of rows with one `%`; a canonical set's axis i takes its coordinate text from a
 # table of T_i strings, built only where T_i <= rows, so no table outgrows the rows.
-# With two CPUs a forked helper writes or reads the second half of a body of two
-# full chunks or more at the same time; bytes, rows and refusals stay the serial
-# path's, to which any read it cannot prove equal falls back.
+# One loadtxt parses the rows, of a UTF-8 or ASCII file from its bytes. With two
+# CPUs a forked helper writes or parses the second half of a large body at once.
 # ---------------------------------------------------------------------------
 
-_MHS1_PIECE_BYTES = 1 << 16  # text parsed or copied at a time: bounds it in memory
+_MHS1_PIECE_BYTES = 1 << 14  # text parsed or copied at a time: bounds it in memory
 _mhs1_split = False  # whether the last MHS1 read or write split its body, for the log
 
 
@@ -226,13 +229,12 @@ def _splits(rows: int) -> bool:
 
 
 def _forked(work: Callable[[], object], helper: Callable[[BinaryIO], object],
-            append: Callable[[bytes], object]) -> bool:
+            take: Callable[[BinaryIO], object]) -> bool:
     """Run work() here and helper(out) in a forked process at once, out an unlinked
-    temp file, then pass out's bytes to append a piece at a time; False, with
-    nothing passed, if the helper failed. The helper ends in os._exit, so it
-    flushes no buffer it inherited; if work raises, it is killed. It is reaped.
-    If no temp file or process can be made, work runs alone and the helper counts
-    as failed."""
+    temp file, then take(out) from its start; False, with take not called, if the
+    helper failed. The helper ends in os._exit, so it flushes no buffer it
+    inherited; if work raises, it is killed. It is reaped. If no temp file or
+    process can be made, work runs alone and the helper counts as failed."""
     with contextlib.ExitStack() as stack:
         try:
             out = stack.enter_context(tempfile.TemporaryFile())
@@ -256,8 +258,7 @@ def _forked(work: Callable[[], object], helper: Callable[[BinaryIO], object],
             ok = pid is not None and os.waitpid(pid, 0)[1] == 0
         if ok:
             out.seek(0)
-            while piece := out.read(_MHS1_PIECE_BYTES):
-                append(piece)
+            take(out)
         return ok
 
 
@@ -293,6 +294,10 @@ def write_mhs1(fh: TextIO, ss: SampleSet) -> None:
         for text in _mhs1_chunks(ss, starts):
             fh.write(text)
 
+    def copy(out: BinaryIO) -> None:  # the helper's text, after the parent's
+        while piece := out.read(_MHS1_PIECE_BYTES):
+            fh.write(piece.decode("ascii"))
+
     starts = range(0, len(ss), _MHS1_CHUNK_ROWS)
     head, tail = starts[: len(starts) // 2], starts[len(starts) // 2 :]
     _mhs1_split = False
@@ -300,8 +305,7 @@ def write_mhs1(fh: TextIO, ss: SampleSet) -> None:
         write(starts)
     elif not (_mhs1_split := _forked(
             lambda: write(head),
-            lambda out: out.writelines(t.encode() for t in _mhs1_chunks(ss, tail)),
-            lambda piece: fh.write(piece.decode("ascii")))):
+            lambda out: out.writelines(t.encode() for t in _mhs1_chunks(ss, tail)), copy)):
         write(tail)  # the helper failed: its chunks are formatted here
 
 
@@ -313,52 +317,77 @@ def _header_line(fh: TextIO, key: str) -> list[str]:
     return parts[1:]
 
 
-def _parse_rows(fd: int, start: int, stop: int, row: np.dtype) -> Iterator[np.ndarray]:
-    """The rows of bytes [start, stop), parsed in pieces that end at a line end.
-    ValueError on what the serial reader might read otherwise: a byte outside
-    ASCII, or a carriage return, which ends a line of text in some newline modes."""
+def _rows(pieces: Iterable[Iterable], row: np.dtype, encoding: str | None = None) -> np.ndarray:
+    """The rows of the lines of pieces, by one loadtxt from the first line that is
+    not blank; loadtxt decodes a line of bytes with encoding."""
+    lines = chain.from_iterable(pieces)
+    first = next((line for line in lines if line.strip()), None)
+    if first is None:  # loadtxt warns on no rows
+        return np.empty(0, row)
+    return np.loadtxt(chain([first], lines), dtype=row, comments=None, ndmin=1, encoding=encoding)
+
+
+def _pieces(fd: int, start: int, stop: int, encoding: str) -> Iterator[list[str] | list[bytes]]:
+    """The lines of bytes [start, stop) with universal newlines, a list per piece
+    read: a piece ends at a line end, and a longer line is carried into the next."""
+    data = bytearray()
     while start < stop:
-        data = os.pread(fd, min(_MHS1_PIECE_BYTES, stop - start), start)
-        cut = len(data) if start + len(data) >= stop else data.rfind(b"\n") + 1
-        text = data[:cut].decode("ascii")
-        if not cut or "\r" in text:
-            raise ValueError("no line end in a piece, or a carriage return")
-        if not text.isspace():  # loadtxt warns on a piece of blank lines
-            yield np.loadtxt(text.split("\n"), dtype=row, comments=None, ndmin=1)
-        start += cut
+        piece = os.pread(fd, min(_MHS1_PIECE_BYTES, stop - start), start)
+        start = start + len(piece) if piece else stop  # a file cut short ends here
+        data += piece
+        end = len(data) if start == stop else 1 + max(  # after the last \n, or \r not at the end
+            data.rfind(b"\n", -len(piece)), data.rfind(b"\r", -len(piece) - 1, -1))
+        text = data[:end]
+        del data[:end]
+        if b"\r" in text:  # universal newlines: \r\n and \r end a line as \n does
+            text = text.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        try:
+            yield text.decode(encoding).split("\n")
+        except UnicodeDecodeError:  # as bytes: loadtxt decodes them a line at a time, in order
+            yield bytes(text).split(b"\n")
 
 
-def _read_split(fh: TextIO, row: np.dtype, count: int) -> np.ndarray | None:
-    """The body rows of fh, of which the header gives count, its halves parsed at
-    once, leaving fh at its end; None, with fh unmoved, where the split does not
-    run, or its rows might not be the serial reader's."""
+def _body_rows(fh: TextIO, row: np.dtype, count: int) -> np.ndarray:
+    """The body rows of fh, of which the header gives count, leaving fh at its end.
+    A UTF-8 or ASCII file at a byte offset is read from its bytes, in two halves at
+    once where _splits says so; any other handle from its lines."""
+    global _mhs1_split
+    _mhs1_split = False
     try:  # fh may be a StringIO, a pipe, a text file of another encoding
-        fd, start, encoding = fh.fileno(), fh.tell(), codecs.lookup(fh.encoding).name
+        fd, start, stop = fh.fileno(), fh.tell(), os.fstat(fh.fileno()).st_size
+        codec = codecs.lookup(fh.encoding).name
     except (AttributeError, LookupError, OSError, TypeError, ValueError):
-        return None
-    if (encoding not in ("utf-8", "ascii")  # else tell() need not be a byte offset
-            or not _splits(count)
-            or b"\r" in os.pread(fd, start, 0)):  # so any newline mode reads the header alike
-        return None
-    stop = os.fstat(fd).st_size
+        codec = None
+    if codec not in ("utf-8", "ascii") or fh.errors != "strict" or start > stop:
+        return _rows([fh], row)  # start > stop: tell() holds decoder state, as after a bare \r
+    fh.seek(0, 2)
+
+    def parse(begin: int, end: int) -> np.ndarray:  # the rows of bytes [begin, end)
+        return _rows(_pieces(fd, begin, end, codec), row, codec)
+
+    if not _splits(count):
+        return parse(start, stop)
     mid = (start + stop) // 2  # the helper's half starts at the first line start after it
     cut = mid + i + 1 if (i := os.pread(fd, _MHS1_PIECE_BYTES, mid).find(b"\n")) >= 0 else stop
-    try:  # OSError: no writable temp dir, or a full one
-        with tempfile.TemporaryFile() as rows:  # so that no half's rows stay in this heap
-            if _forked(lambda: rows.writelines(_parse_rows(fd, start, cut, row)),
-                       lambda out: out.writelines(_parse_rows(fd, cut, stop, row)),
-                       rows.write):
-                fh.seek(0, 2)
-                rows.seek(0)
-                return np.fromfile(rows, row)
-    except (OSError, ValueError):  # ValueError: a piece the serial reader might read otherwise
-        pass
-    fh.seek(start)
-    return None
+    rows = []  # the parent's rows, grown in place to take the helper's: no second copy
+
+    def grow(size: int) -> np.ndarray:  # the parent's rows made size bytes longer: those bytes
+        n = rows[0].nbytes
+        rows[0].resize(len(rows[0]) + size // row.itemsize, refcheck=False)
+        return rows[0].view(np.uint8)[n:]
+
+    if not (_mhs1_split := _forked(
+            lambda: rows.append(parse(start, cut)),
+            lambda out: out.write(parse(cut, stop).view(np.uint8)),
+            lambda out: out.readinto(grow(os.fstat(out.fileno()).st_size)))):
+        tail = parse(cut, stop).view(np.uint8)  # the helper failed: its half is parsed here
+        grow(len(tail))[:] = tail
+    return rows[0]
 
 
 def read_mhs1(fh: TextIO) -> SampleSet:
-    try:  # ValueError: bad numbers, undecodable bytes
+    body = False
+    try:  # ValueError: bad numbers, ragged rows, undecodable bytes
         magic = fh.readline().strip()
         if magic != _MHS1_MAGIC:
             raise FormatError(f"unknown magic {magic!r}, expected {_MHS1_MAGIC!r}")
@@ -369,22 +398,14 @@ def read_mhs1(fh: TextIO) -> SampleSet:
         (coll_text,) = _header_line(fh, "collection")
         params = ManhattanParams(d=d, lam=lam, k=k, T=T)
         collection = Collection.from_string(params, coll_text)
-    except ValueError as exc:
-        raise FormatError(f"malformed MHS1 header: {exc}") from exc
-    global _mhs1_split
-    count = int(density(collection) * prod(T))  # |M(B)|: K divides T
-    try:  # ValueError: bad numbers, ragged rows, undecodable bytes
-        row = np.dtype([("coords", "<i8", (d,)), ("value", "<f8")])
-        rows = _read_split(fh, row, count)
-        if not (_mhs1_split := rows is not None):
-            first = next((line for line in fh if line.strip()), None)
-            rows = np.empty(0, row)
-            if first is not None:  # loadtxt warns on an empty body
-                rows = np.loadtxt(chain([first], fh), dtype=row, comments=None, ndmin=1)
+        body, count = True, _point_count(collection)
+        rows = _body_rows(fh, np.dtype([("coords", "<i8", (d,)), ("value", "<f8")]), count)
+    except UnicodeDecodeError as exc:  # in header or body: a text handle decodes ahead
+        bad = exc.object[exc.start : exc.end].hex()
+        raise FormatError(f"MHS1 file is not {exc.encoding} text: {exc.reason} 0x{bad}") from exc
     except ValueError as exc:  # numpy's message misnumbers rows, suggests usecols
-        raise FormatError(
-            f"malformed MHS1 body: each row must be {d} integer coordinates, one value"
-        ) from exc
+        raise FormatError(f"malformed MHS1 body: each row must be {d} integer coordinates, "
+                          "one value" if body else f"malformed MHS1 header: {exc}") from exc
     coords, values = rows["coords"], rows["value"]  # views: a SampleSet copies what it keeps
     if len(rows) == count:  # checked before anything of size T
         try:  # M(B) in lexicographic order needs no coordinates

@@ -390,6 +390,26 @@ class TestErrorPaths:
             "--output", str(tmp_path / "out.mht1"),
         ) == 3
 
+    def test_all_cr_mhs1_reads_as_lf(self, tmp_path, monkeypatch):
+        # after a header line that ends in a bare CR, a text handle's position is
+        # decoder state, not a byte offset; the file still reads, split or not
+        samples = self._sample_16(tmp_path)
+        cr = tmp_path / "cr.mhs1"
+        cr.write_bytes(samples.read_bytes().replace(b"\n", b"\r"))
+        monkeypatch.setattr(sampler, "_splits", lambda rows: True)
+        outputs = []
+        for path in (samples, cr):
+            outputs.append(tmp_path / f"{path.stem}.mht1")
+            assert run("reconstruct", "--samples", str(path), "--output", str(outputs[-1])) == 0
+        assert outputs[0].read_bytes() == outputs[1].read_bytes()
+
+    def test_undecodable_mhs1_is_format_error(self, tmp_path, caplog):
+        samples = self._sample_16(tmp_path)
+        samples.write_bytes(samples.read_bytes().replace(b"\n0 1 ", b"\n0\xa01 ", 1))
+        assert run("reconstruct", "--samples", str(samples),
+                   "--output", str(tmp_path / "out.mht1")) == 3
+        assert "not utf-8 text: invalid start byte 0xa0" in caplog.text
+
     def test_header_only_mhs1_is_usage_error(self, tmp_path):
         samples = self._sample_16(tmp_path)
         lines = samples.read_text().splitlines(keepends=True)

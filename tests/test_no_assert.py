@@ -3,8 +3,9 @@ holds no ``assert``, which ``python -O`` would strip, one module calls
 ``numpy.fft``, one function owns the way from a half spectrum back to an
 image and every inverse transform pass on it, one method decides whether a
 grid is a real image, one property builds the (n, d) coordinate array of a
-sample set, ``reconstruct`` scatters no samples onto a full-size image, and
-one function forks, its helper leaving only by ``os._exit``."""
+sample set, ``reconstruct`` scatters no samples onto a full-size image, one
+function forks (its helper leaving only by ``os._exit``) and makes the only temp
+file, and one function parses MHS1 rows."""
 
 import ast
 from pathlib import Path
@@ -125,7 +126,7 @@ def test_sample_producers_build_no_coordinates():
     outside = {call for call in calls if call[0] != "oracle.py"}  # its bins, not samples
     assert outside == {("sampler.py", "coords")}, f"argwhere is called in {sorted(calls, key=str)}"
     producers = {("sampler.py", f) for f in ("extract_samples", "read_mhs1", "write_mhs1",
-                                              "_mhs1_chunks", "_parse_rows", "_read_split")}
+                                              "_mhs1_chunks", "_rows", "_body_rows")}
     assert not reads & producers, f".coords is read in {sorted(reads & producers)}"
 
 
@@ -154,3 +155,23 @@ def test_one_fork_that_ends_in_exit():
     last = child.body[-1]
     assert isinstance(last, ast.Try) and not last.handlers and last.finalbody, ast.unparse(child)
     assert ast.unparse(last.finalbody[-1]).startswith("os._exit("), ast.unparse(child)
+
+
+def _calls(suffix):
+    """(module, function) of every call whose callee's text ends in suffix."""
+    return {(path.name, owner)
+            for path in SOURCES
+            for owner, node in _owned_nodes(ast.parse(path.read_text(), filename=str(path)))
+            if isinstance(node, ast.Call) and ast.unparse(node.func).endswith(suffix)}
+
+
+def test_one_mhs1_row_parser():
+    # serial or split, from a file's bytes or a handle's lines, one loadtxt reads rows
+    parsers = _calls("loadtxt")
+    assert parsers == {("sampler.py", "_rows")}, sorted(parsers, key=str)
+
+
+def test_one_temp_file():
+    # the forked helper's output is the only temp file: the reader keeps none of its own
+    made = _calls("TemporaryFile")
+    assert made == {("sampler.py", "_forked")}, sorted(made, key=str)

@@ -713,13 +713,14 @@ class TestMhs1Split:
         if data.draw(st.booleans(), label="no final newline"):
             text = text.rstrip("\n")
         raw = text.encode()
-        edit = data.draw(st.sampled_from(["none", "crlf", "bare cr", "utf-8", "lone byte"]))
+        edit = data.draw(st.sampled_from(["none", "crlf", "bare cr", "all cr", "utf-8", "lone byte"]))
         at = data.draw(st.integers(len(raw) // 3, len(raw) - 1), label="edit at")
         at = raw.index(b"\n", at) + 1 if b"\n" in raw[at:] else at
         raw = {
             "none": raw,
             "crlf": raw.replace(b"\n", b"\r\n"),
             "bare cr": raw[: at - 1] + b"\r" + raw[at:],
+            "all cr": raw.replace(b"\n", b"\r"),
             "utf-8": raw[:at] + "0\u00a00 1.0\n".encode() + raw[at:],  # a row: U+00A0 is a space
             "lone byte": raw[:at] + b"0\xa00 1.0\n" + raw[at:],  # not UTF-8; Latin-1's space
         }[edit]
@@ -734,6 +735,38 @@ class TestMhs1Split:
         assert_same_outcome(split, serial)
         if clean and edit == "none" and newline in (None, "", "\n") and piece > 48:
             assert split[2] and not serial[2]  # every line fits a piece: the halves ran
+
+    def test_undecodable_byte_is_named_anywhere(self, tmp_path):
+        # a text handle decodes the first 8 kB with the header: a byte the codec
+        # cannot decode is named as such there and deep in the body alike
+        body = "".join(self.lines[6:])
+        messages = set()
+        for at in (100, 20_000):
+            at = body.index("\n", at) + 1
+            path = tmp_path / f"s{at}.mhs1"
+            path.write_bytes(("".join(self.lines[:6]) + body[:at]).encode() + b"0\xa00 1.0\n"
+                             + body[at:].encode())
+            for split in (True, False):
+                with leaves_nothing_behind():
+                    outcome = read_outcome(path, split)
+                assert outcome[0] is FormatError
+                messages.add(outcome[1])
+        assert messages == {"MHS1 file is not utf-8 text: invalid start byte 0xa0"}
+
+    @pytest.mark.parametrize("first", ["bad row", "bad byte"])
+    def test_first_fault_in_the_file_is_reported(self, tmp_path, first):
+        # a malformed row and an undecodable byte a few lines apart, about the
+        # split: whichever comes first in the file is the refusal, split or not
+        lines = [line.encode() for line in self.lines]
+        faults = [b"0 1 one\n", b"0\xa00 1.0\n"][:: 1 if first == "bad row" else -1]
+        mid = 6 + len(self.lines[6:]) // 2
+        lines[mid + 3 : mid + 3], lines[mid - 3 : mid - 3] = [faults[1]], [faults[0]]
+        path = tmp_path / "s.mhs1"
+        path.write_bytes(b"".join(lines))
+        with leaves_nothing_behind():
+            split, serial = read_outcome(path, True), read_outcome(path, False)
+        assert split == serial
+        assert serial[1].startswith("malformed MHS1 body" if first == "bad row" else "MHS1 file is not")
 
     @pytest.mark.parametrize("where", ["first half", "second half"])
     def test_refusal_is_serial_and_leaves_nothing(self, tmp_path, where):
@@ -782,7 +815,7 @@ class TestMhs1Split:
     @pytest.mark.parametrize("death", ["raises", "killed", "never forked"])
     def test_failed_helper_is_redone_here(self, tmp_path, monkeypatch, death):
         # a helper that dies for any reason, or cannot be forked: the parent
-        # writes the helper's half, or reads the whole body serially
+        # writes or parses the helper's half itself
         monkeypatch.setattr(sampler, "_MHS1_CHUNK_ROWS", 7)
         monkeypatch.setattr(sampler, "_splits", lambda rows: True)
         parent = os.getpid()
@@ -797,7 +830,7 @@ class TestMhs1Split:
             return helper_dies
 
         monkeypatch.setattr(sampler, "_mhs1_chunks", dying(sampler._mhs1_chunks))
-        monkeypatch.setattr(sampler, "_parse_rows", dying(sampler._parse_rows))
+        monkeypatch.setattr(sampler, "_rows", dying(sampler._rows))
         if death == "never forked":
             monkeypatch.setattr(os, "fork", mock.Mock(side_effect=BlockingIOError(11, "EAGAIN")))
         expected = mhs1_text_per_row(self.ss)  # before, as it writes its header by write_mhs1
@@ -806,7 +839,7 @@ class TestMhs1Split:
             assert not sampler._mhs1_split  # the second half written here
             with open(tmp_path / "s.mhs1") as fh:
                 back = read_mhs1(fh)
-            assert not sampler._mhs1_split  # read serially
+            assert not sampler._mhs1_split  # the second half parsed here
         assert_same_samples(back, self.ss)
         assert back.explicit_coords is None
 
@@ -937,8 +970,8 @@ class TestMhs1Split:
          ((1024, 1024), (2, 2), "10,01")],
     )
     def test_canonical_read_peak_memory(self, tmp_path, monkeypatch, T, k, coll):
-        # the real-file twin of TestMhs1Canonical's: each half's rows go to a
-        # file and from there straight into the result
+        # the real-file twin of TestMhs1Canonical's: the helper's rows go to a
+        # file and from there straight into the parent's grown rows
         monkeypatch.setattr(sampler, "_splits", lambda rows: True)  # 24^3 has 6k rows
         p = ManhattanParams(d=len(T), lam=(1,) * len(T), k=k, T=T)
         c = Collection.from_string(p, coll)
