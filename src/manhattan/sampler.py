@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import codecs
 import contextlib
+import io
 import os
 import signal
 import tempfile
@@ -210,8 +211,8 @@ def comb_from_samples(ss: SampleSet, b: BiStep) -> CombGrid:
 # allowed, and a malformed row raises FormatError. The writer formats each chunk
 # of rows with one `%`; a canonical set's axis i takes its coordinate text from a
 # table of T_i strings, built only where T_i <= rows, so no table outgrows the rows.
-# One loadtxt parses the rows, of a UTF-8 or ASCII file from its bytes. With two
-# CPUs a forked helper writes or parses the second half of a large body at once.
+# One loadtxt parses the rows, of a UTF-8 or ASCII file on disk from its bytes. With
+# two CPUs a forked helper writes or parses the second half of a large body at once.
 # ---------------------------------------------------------------------------
 
 _MHS1_PIECE_BYTES = 1 << 14  # text parsed or copied at a time: bounds it in memory
@@ -349,32 +350,29 @@ def _pieces(fd: int, start: int, stop: int, encoding: str) -> Iterator[list[str]
 
 def _body_rows(fh: TextIO, row: np.dtype, count: int) -> np.ndarray:
     """The body rows of fh, of which the header gives count, leaving fh at its end.
-    A UTF-8 or ASCII file at a byte offset is read from its bytes, in two halves at
-    once where _splits says so; any other handle from its lines."""
+    A UTF-8 or ASCII file on disk is read from its bytes, in two halves at once
+    where _splits says so; any other handle from its lines."""
     global _mhs1_split
     _mhs1_split = False
-    try:  # fh may be a StringIO, a pipe, a text file of another encoding
-        fd, start, stop = fh.fileno(), fh.tell(), os.fstat(fh.fileno()).st_size
-        codec = codecs.lookup(fh.encoding).name
-    except (AttributeError, LookupError, OSError, TypeError, ValueError):
-        codec = None
-    if codec not in ("utf-8", "ascii") or fh.errors != "strict" or start > stop:
-        return _rows([fh], row)  # start > stop: tell() holds decoder state, as after a bare \r
+    raw = getattr(getattr(fh, "buffer", None), "raw", None)  # a compressed file's is no FileIO
+    if not (isinstance(raw, io.FileIO) and raw.seekable() and fh.errors == "strict"
+            and codecs.lookup(fh.encoding).name in ("utf-8", "ascii")
+            and (start := fh.tell()) <= (stop := os.fstat(fd := raw.fileno()).st_size)):
+        return _rows([fh], row)  # tell() past the end holds decoder state, as after a bare \r
     fh.seek(0, 2)
 
     def parse(begin: int, end: int) -> np.ndarray:  # the rows of bytes [begin, end)
-        return _rows(_pieces(fd, begin, end, codec), row, codec)
+        return _rows(_pieces(fd, begin, end, fh.encoding), row, fh.encoding)
 
-    if not _splits(count):
-        return parse(start, stop)
     mid = (start + stop) // 2  # the helper's half starts at the first line start after it
-    cut = mid + i + 1 if (i := os.pread(fd, _MHS1_PIECE_BYTES, mid).find(b"\n")) >= 0 else stop
-    rows = []  # the parent's rows, grown in place to take the helper's: no second copy
+    i = os.pread(fd, _MHS1_PIECE_BYTES, mid).find(b"\n")
+    if not _splits(count) or i < 0:  # i < 0: no line end near the middle to cut at
+        return parse(start, stop)
+    cut, rows = mid + i + 1, []  # the parent's rows, grown in place to take the helper's
 
     def grow(size: int) -> np.ndarray:  # the parent's rows made size bytes longer: those bytes
-        n = rows[0].nbytes
         rows[0].resize(len(rows[0]) + size // row.itemsize, refcheck=False)
-        return rows[0].view(np.uint8)[n:]
+        return rows[0].view(np.uint8)[rows[0].nbytes - size :]
 
     if not (_mhs1_split := _forked(
             lambda: rows.append(parse(start, cut)),
@@ -404,8 +402,9 @@ def read_mhs1(fh: TextIO) -> SampleSet:
         bad = exc.object[exc.start : exc.end].hex()
         raise FormatError(f"MHS1 file is not {exc.encoding} text: {exc.reason} 0x{bad}") from exc
     except ValueError as exc:  # numpy's message misnumbers rows, suggests usecols
-        raise FormatError(f"malformed MHS1 body: each row must be {d} integer coordinates, "
-                          "one value" if body else f"malformed MHS1 header: {exc}") from exc
+        what = (f"body: each row must be {d} integer coordinates, one value" if body
+                else f"header: {exc}")
+        raise FormatError(f"malformed MHS1 {what}") from exc
     coords, values = rows["coords"], rows["value"]  # views: a SampleSet copies what it keeps
     if len(rows) == count:  # checked before anything of size T
         try:  # M(B) in lexicographic order needs no coordinates

@@ -1,5 +1,8 @@
+import bz2
 import errno
+import gzip
 import io
+import lzma
 import os
 import random
 import re
@@ -645,17 +648,23 @@ def write_file(path, ss, **open_args):
     return path.read_text()
 
 
-def read_outcome(path, split, newline=None):
+def read_outcome(path, split, newline=None, opener=open):
     """read_mhs1 on the file with the split path allowed or not: the sample set,
     whether the file was left at its end and whether the body was split, or the
     refusal's type and text."""
     with mock.patch.object(sampler, "_splits", lambda rows: split):
-        with open(path, encoding="utf-8", newline=newline) as fh:
+        with opener(path, encoding="utf-8", newline=newline) as fh:
             try:
                 ss = read_mhs1(fh)
             except ManhattanError as exc:
                 return type(exc), str(exc)
             return ss, fh.read() == "", sampler._mhs1_split
+
+
+def open_in_memory(path, **kwargs):
+    """A text handle on a copy of the file's bytes, with no file behind it:
+    read_mhs1 reads its body from its lines."""
+    return io.TextIOWrapper(io.BytesIO(Path(path).read_bytes()), **kwargs)
 
 
 def assert_same_outcome(split, serial):
@@ -732,9 +741,51 @@ class TestMhs1Split:
             path.write_bytes(raw)
             with leaves_nothing_behind():
                 split, serial = read_outcome(path, True, newline), read_outcome(path, False, newline)
+                lines = read_outcome(path, True, newline, open_in_memory)  # the handle's lines
         assert_same_outcome(split, serial)
         if clean and edit == "none" and newline in (None, "", "\n") and piece > 48:
             assert split[2] and not serial[2]  # every line fits a piece: the halves ran
+        if newline is None:  # the default mode reads the bytes as the handle reads its lines
+            if lines[0] is FormatError and lines[1].startswith("MHS1 file is not utf-8"):
+                # a text handle decodes ahead: its undecodable byte may be met before
+                # a bad row that comes first in the file, which the bytes report
+                assert serial[0] is FormatError and (serial == lines or not clean)
+            else:
+                assert_same_outcome(lines, serial)
+                assert not (isinstance(lines[0], SampleSet) and lines[2])  # lines: never split
+
+    @pytest.mark.parametrize("opener", [gzip.open, bz2.open, lzma.open])
+    @pytest.mark.parametrize("split", [True, False])
+    def test_compressed_file_reads_from_its_lines(self, tmp_path, opener, split):
+        # its descriptor is the compressed file's, its tell() the text's offset
+        path = tmp_path / "s.mhs1"
+        write_file(path, self.ss)
+        with opener(tmp_path / "s.mhs1.x", "wb") as fh:
+            fh.write(path.read_bytes())
+        with leaves_nothing_behind():
+            outcome = read_outcome(tmp_path / "s.mhs1.x", split, opener=(
+                lambda p, **kwargs: opener(p, "rt", **kwargs)))
+        assert outcome[1:] == (True, False)  # read to its end, not split
+        assert_same_outcome(outcome, read_outcome(path, split))
+
+    @pytest.mark.parametrize("body", ["bare cr", "long line"])
+    def test_no_line_end_to_cut_at_reads_whole(self, tmp_path, monkeypatch, body):
+        # no \n in the piece after the middle: no helper, the body is read here
+        monkeypatch.setattr(sampler, "_MHS1_PIECE_BYTES", 100)
+        text = "".join(self.lines[6:])
+        if body == "bare cr":
+            text = text.replace("\n", "\r")
+        else:  # the middle row ends in blanks longer than a piece, which loadtxt skips
+            end = text.index("\n", len(text) // 2 - 200)
+            text = text[:end] + " " * 2000 + text[end:]
+        path = tmp_path / "s.mhs1"
+        path.write_text("".join(self.lines[:6]) + text, newline="")
+        fork = mock.Mock(side_effect=AssertionError("forked"))
+        monkeypatch.setattr(os, "fork", fork)
+        with leaves_nothing_behind():
+            outcome = read_outcome(path, True)
+        assert outcome[1:] == (True, False) and not fork.called  # read to its end, not split
+        assert_same_samples(outcome[0], self.ss)
 
     def test_undecodable_byte_is_named_anywhere(self, tmp_path):
         # a text handle decodes the first 8 kB with the header: a byte the codec
