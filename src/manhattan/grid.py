@@ -8,13 +8,14 @@ forward, 1/prod(T) inverse.
 A real image has a Hermitian spectrum, X[-u] = conj(X[u]), so only the half
 with last-axis residues 0..m//2 is kept.  A block is a spectrum on per-axis
 kept indices, ascending and closed under negation, or lower-only: its last
-axis stops at T//2.  Modulo m they form a few runs per axis, so ``_slices``
-and ``_fold`` fold a block onto a half spectrum in a few slice copies and
-``_gather`` reads one back.  ``_raw_spectrum``, the only ``rfftn``, is the way
-in; ``synthesize``, the only way back to an image, checks every block is
-Hermitian, moves the blocks into one half spectrum and inverts it in place:
-an ``ifft`` per leading axis, then the one ``irfftn`` over the last axis, by
-slabs of rows, into the half spectrum's own memory, whose head is the image.
+axis stops at T//2.  Modulo m they form a few runs per axis: ``_slices``,
+``_fold_slices`` and ``_layout`` build a block's slice copies once, for a
+plan, and ``_fold``, ``_gather`` and ``synthesize`` replay them.
+``_raw_spectrum``, the only ``rfftn``, is the way in; ``synthesize``, the
+only way back to an image, checks every block is Hermitian, moves the blocks
+into one half spectrum and inverts it in place: an ``ifft`` per leading axis,
+then the one ``irfftn`` over the last axis, by slabs of rows, into the half
+spectrum's own memory, whose head is the image.
 """
 
 from __future__ import annotations
@@ -89,7 +90,7 @@ def idft(g: Grid) -> Grid:
     if not np.iscomplexobj(g.data):
         raise DomainError("idft expects a spectrum, got a real image")
     whole = tuple(np.arange(t) for t in g.extents)
-    return synthesize(g.extents, {"spectrum": (whole, g.data)})
+    return synthesize(g.extents, {"spectrum": (_layout(whole, g.extents), g.data)})
 
 
 def _raw_spectrum(y: np.ndarray, s: tuple[int, ...]) -> np.ndarray:
@@ -104,58 +105,76 @@ def _runs(u: np.ndarray, m: int, top: int) -> list[tuple[slice, slice]]:
     """(position, residue) slices over the runs of consecutive residues of
     the ascending kept indices u modulo m, clipped to residues 0..top."""
     r = (u % m).tolist()
-    edges = [0, *(np.flatnonzero(np.diff(r) != 1) + 1).tolist(), len(r)]
-    runs = [(a, min(z - a, top - r[a] + 1)) for a, z in zip(edges, edges[1:]) if a < z]
+    edges = [a for a in range(1, len(r)) if r[a] != r[a - 1] + 1]  # short: faster than numpy
+    starts, stops = [0, *edges], [*edges, len(r)]
+    runs = [(a, min(z - a, top - r[a] + 1)) for a, z in zip(starts, stops) if a < z]
     return [(slice(a, a + n), slice(r[a], r[a] + n)) for a, n in runs if n > 0]
 
 
-def _slices(axes: Axes, m: tuple[int, ...]) -> list[tuple]:
+def _slices(axes: Axes, m: tuple[int, ...]) -> tuple[tuple, ...]:
     """(block, half-spectrum) slice pairs folding a block over the kept indices
     modulo m onto last-axis residues 0..m//2; none if an axis keeps nothing."""
     tops = [*(mi - 1 for mi in m[:-1]), m[-1] // 2]
     per_axis = [_runs(u, mi, top) for u, mi, top in zip(axes, m, tops)]
-    return [tuple(zip(*pairs)) for pairs in itertools.product(*per_axis)]
+    return tuple(tuple(zip(*pairs)) for pairs in itertools.product(*per_axis))
 
 
-def _fold(half: np.ndarray, axes: Axes, block: np.ndarray, m: tuple[int, ...]) -> None:
-    """Subtract a lower-only Hermitian block, folded modulo m, from a half
-    spectrum: its bins, then their mirrors conj(X[u]) at -u for u_last > 0 (no
-    atom keeps T/2).  Those land at residues up to m//2 only when a dense last
-    axis folds onto a coarse m."""
-    for src, dst in _slices(axes, m):
+def _fold_slices(axes: Axes, m: tuple[int, ...]) -> tuple:
+    """``_fold``'s slices of a lower-only block modulo m: pairs for its bins,
+    the size z of its u_last = 0 plane (its own mirror), and pairs for the
+    mirrors -u of the rest (no atom keeps T/2), which reach residues up to m//2
+    only when a dense last axis folds onto a coarse m."""
+    z = np.count_nonzero(axes[-1] == 0)
+    mirrors = (*(-u[::-1] for u in axes[:-1]), -axes[-1][z:][::-1])  # -u ascending
+    return _slices(axes, m), z, _slices(mirrors, m)
+
+
+def _fold(half: np.ndarray, block: np.ndarray, folds: tuple) -> None:
+    """Subtract a lower-only Hermitian block, folded by its ``_fold_slices``,
+    from a half spectrum: its bins, then their mirrors conj(X[u]) at -u."""
+    direct, z, mirrored = folds
+    for src, dst in direct:
         half[dst] -= block[src]
-    z = np.count_nonzero(axes[-1] == 0)  # the u_last = 0 plane is its own mirror
     mirror = np.flip(block[..., z:])  # X[u] in the order of -u ascending
-    for src, dst in _slices((*(-u[::-1] for u in axes[:-1]), -axes[-1][z:][::-1]), m):
+    for src, dst in mirrored:
         half[dst] -= mirror[src].conj()
 
 
-def _gather(half: np.ndarray, axes: Axes, m: tuple[int, ...]) -> np.ndarray:
-    """Lower-only block over the kept indices u of a Hermitian spectrum with
-    extents m, read from its half: bin u mod m."""
-    block = np.empty([len(u) for u in axes], dtype=np.complex128)
-    for src, dst in _slices(axes, m):
+def _gather(half: np.ndarray, slices: tuple, shape: tuple[int, ...]) -> np.ndarray:
+    """Lower-only block of the given shape read from a half spectrum through
+    its ``_slices``: bin u mod m for each kept index u."""
+    block = np.empty(shape, dtype=np.complex128)
+    for src, dst in slices:
         block[src] = half[dst]
     return block
 
 
-def synthesize(T: tuple[int, ...], blocks: dict[str, tuple[Axes, np.ndarray]]) -> Grid:
+def _layout(axes: Axes, T: tuple[int, ...]) -> tuple:
+    """``synthesize``'s layout of a block over the kept indices on T: its slices,
+    the last-axis places of the kept u <= T//2 whose -u is kept (``rows``) and of
+    that -u (``last``), and per leading axis the place of each -v (``lead``)."""
+    u, t = axes[-1], T[-1]
+    rows = np.flatnonzero((u <= t // 2) & np.isin(-u % t, u))
+    last = np.searchsorted(u, -u[rows] % t)
+    lead = tuple(np.searchsorted(v, -v % tv) for v, tv in zip(axes[:-1], T))
+    return _slices(axes, T), rows, last, lead
+
+
+def synthesize(T: tuple[int, ...], blocks: dict[str, tuple[tuple, np.ndarray]]) -> Grid:
     """Real image with extents T whose spectrum is made of the named blocks,
-    each on its own kept indices, disjoint from the others.  Refuses unless
-    X[u] = conj(X[-u]) wherever a block holds both, to IMAG_RESIDUE_TOL times
-    the largest |X[u]| of all blocks; NaN or inf anywhere fails too.  Consumes
-    ``blocks`` in order, dropping each once it is in the half spectrum, which
-    is then inverted in place: the image is the head of its memory, which
-    holds at most 16 bytes more per last-axis row."""
+    each given with the ``_layout`` of its kept indices, disjoint from the
+    others.  Refuses unless X[u] = conj(X[-u]) wherever a block holds both, to
+    IMAG_RESIDUE_TOL times the largest |X[u]| of all blocks; NaN or inf
+    anywhere fails too.  Consumes ``blocks`` in order, dropping each once it is
+    in the half spectrum, which is then inverted in place: the image is the
+    head of its memory, which holds at most 16 bytes more per last-axis row."""
     peak = max(np.abs(block).max(initial=0.0) for _, block in blocks.values())
     half = np.zeros((*T[:-1], T[-1] // 2 + 1), dtype=np.complex128)
     for what in list(blocks):
-        axes, block = blocks.pop(what)
-        u, t = axes[-1], T[-1]
-        rows = np.flatnonzero((u <= t // 2) & np.isin(-u % t, u))
-        mirror = np.take(block, np.searchsorted(u, -u[rows] % t), axis=-1)  # X[-u]
-        for i, (v, tv) in enumerate(zip(axes[:-1], T)):
-            mirror = np.take(mirror, np.searchsorted(v, -v % tv), axis=i)
+        (slices, rows, last, lead), block = blocks.pop(what)
+        mirror = np.take(block, last, axis=-1)  # X[-u]
+        for i, v in enumerate(lead):
+            mirror = np.take(mirror, v, axis=i)
         np.conjugate(mirror, out=mirror)
         mirror -= np.take(block, rows, axis=-1)
         residue = np.abs(mirror).max(initial=0.0)
@@ -165,7 +184,7 @@ def synthesize(T: tuple[int, ...], blocks: dict[str, tuple[Axes, np.ndarray]]) -
                 f"{what} is not finite and Hermitian: residue {residue:.3e} exceeds "
                 f"{IMAG_RESIDUE_TOL:.0e} relative to peak {peak:.3e}"
             )
-        for src, dst in _slices(axes, T):
+        for src, dst in slices:
             half[dst] = block[src]
         del block  # the last one too is not held through the inverse
     for i in range(len(T) - 1):  # irfftn's own passes, in its order

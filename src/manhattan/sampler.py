@@ -146,27 +146,38 @@ def _canonical_values(ss: SampleSet) -> np.ndarray:
     return values
 
 
-def _lattice_values(c: Collection, values: np.ndarray, s: tuple[int, ...]) -> np.ndarray:
-    """The samples ``x[::s]`` of a closure member's lattice (steps s), read from
-    the canonical values of M(B), which repeats with the cell K = k*λ: on each
+def _lattice_reader(c: Collection, s: tuple[int, ...]) -> Callable[[np.ndarray], np.ndarray]:
+    """The reader of the samples ``x[::s]`` of a closure member's lattice (steps s)
+    from the canonical values of M(B), which repeats with the cell K = k*λ: on each
     leading axis i the values split into N_i = T_i/K_i equal chunks, residue r_i
-    is one slice of each, and each kept last-axis residue is one strided copy."""
+    is one slice of each, and the kept last-axis residues, the multiples of the
+    last step, are the first K/s points of each cell row (the whole row if that
+    step is λ), so each class is one strided copy.  The cuts depend on the
+    collection only and are found here once."""
     p = c.params
     K = tuple(k * lam for k, lam in zip(p.k, p.lam_int))
     N = [t // ki for t, ki in zip(p.T, K)]
     cell = manhattan_indicator(Collection(c.members, replace(p, T=K)))
-    out = np.empty([n for ni, ki, si in zip(N, K, s) for n in (ni, ki // si)])
-    by_residue = out.transpose(*range(1, 2 * p.d, 2), *range(0, 2 * p.d, 2))
+    copies = []  # (cuts of the leading axes, place in the output) per residue class r
     for r in product(*(range(0, ki, si) for ki, si in zip(K[:-1], s[:-1]))):
-        v = values
+        cuts = []
         for i, ri in enumerate(r):  # points per residue of axis i in one chunk
-            sizes = cell[r[:i]].reshape(K[i], -1).sum(1) * prod(N[i + 1 :])
-            v = v.reshape(*v.shape[:-1], N[i], -1)[..., sizes[:ri].sum() :][..., : sizes[ri]]
-        v = v.reshape(*v.shape[:-1], N[-1], -1)
-        pos = np.cumsum(cell[r]) - 1  # each last-axis residue's place in the cell row
-        for rl in range(0, K[-1], s[-1]):
-            by_residue[(*(ri // si for ri, si in zip(r, s)), rl // s[-1])] = v[..., pos[rl]]
-    return out.reshape([t // si for t, si in zip(p.T, s)])
+            sizes = (cell[r[:i]].reshape(K[i], -1).sum(1) * prod(N[i + 1 :])).tolist()
+            cuts.append(slice(sum(sizes[:ri]), sum(sizes[: ri + 1])))
+        copies.append((cuts, tuple(ri // si for ri, si in zip(r, s))))
+    kept = K[-1] // s[-1]
+
+    def read(values: np.ndarray) -> np.ndarray:
+        out = np.empty([n for ni, ki, si in zip(N, K, s) for n in (ni, ki // si)])
+        by_residue = out.transpose(*range(1, 2 * p.d, 2), *range(0, 2 * p.d, 2))
+        for cuts, at in copies:
+            v = values
+            for n, cut in zip(N, cuts):
+                v = v.reshape(*v.shape[:-1], n, -1)[..., cut]
+            by_residue[at] = np.moveaxis(v.reshape(*v.shape[:-1], N[-1], -1)[..., :kept], -1, 0)
+        return out.reshape([t // si for t, si in zip(p.T, s)])
+
+    return read
 
 
 def grid_from_samples(ss: SampleSet) -> Grid:

@@ -113,11 +113,13 @@ class TestPipeline:
             assert debug == []
             return
         names = [("sampler.mhs1_write_s", "sampler.mhs1_bytes", "sampler.mhs1_split"),
-                 ("sampler.mhs1_read_s", "sampler.mhs1_bytes", "sampler.mhs1_split")]
+                 ("sampler.mhs1_read_s", "sampler.mhs1_bytes", "sampler.mhs1_split"),
+                 ("core.alias_pairs", "reconstruct.reconstruct_s")]
         assert [tuple(words[::2]) for words in debug] == names
-        for words in debug:
+        for words in debug[:2]:
             assert float(words[1]) >= 0 and int(words[3]) == samples.stat().st_size
             assert words[5] == "0"  # 112 rows: under two chunks, so never split
+        assert debug[2][1] == "1" and float(debug[2][3]) > 0  # 00 folds 01 only: 10 is peeled
 
     def test_mhs1_split_logged(self, tmp_path, caplog, monkeypatch):
         # with the split forced, both halves of the 112-row body run at once
@@ -131,7 +133,8 @@ class TestPipeline:
         assert run("reconstruct", "--samples", str(samples),
                    "--output", str(tmp_path / "rec.mht1")) == 0
         debug = [r.getMessage().split() for r in caplog.records if r.levelno == logging.DEBUG]
-        assert [words[4:] for words in debug] == [["sampler.mhs1_split", "1"]] * 2
+        split = [words[4:] for words in debug if words[0].startswith("sampler.")]
+        assert split == [["sampler.mhs1_split", "1"]] * 2
 
     def test_round_trip_lambda2(self, tmp_path, capsys):
         raw = tmp_path / "raw.mht1"

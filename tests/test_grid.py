@@ -156,7 +156,7 @@ class TestInPlaceSynthesis:
                 kept |= {-c % T[j] for c in kept}
             axes = [np.arange(t) for t in (*T[:-1], lower)]
             axes[j] = np.array(sorted(kept), dtype=int)
-            blocks[f"group {g}"] = (tuple(axes), H[np.ix_(*axes)])
+            blocks[f"group {g}"] = (grid._layout(tuple(axes), T), H[np.ix_(*axes)])
             half[np.ix_(*axes)] = H[np.ix_(*axes)]
         slab = data.draw(st.sampled_from([8, 24, grid._SLAB_BYTES]), label="slab bytes")
         with mock.patch.object(grid, "_SLAB_BYTES", slab):  # one row per inverse, a few or all
@@ -171,7 +171,7 @@ class TestInPlaceSynthesis:
         # which holds at most 16 bytes more per last-axis row
         H = np.fft.rfftn(np.random.default_rng(8).normal(size=T))
         whole = (*(np.arange(t) for t in T[:-1]), np.arange(T[-1] // 2 + 1))
-        image = synthesize(T, {"spectrum": (whole, H)}).data
+        image = synthesize(T, {"spectrum": (grid._layout(whole, T), H)}).data
         base = image.base
         assert base is not None and base.flags.owndata and np.shares_memory(base, image)
         assert image.nbytes < base.nbytes <= image.nbytes + 16 * prod(T[:-1])

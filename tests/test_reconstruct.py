@@ -28,8 +28,9 @@ from manhattan import (
     reconstruct,
     spectrum_report,
 )
+from manhattan import grid
 from manhattan.freq import atom_mask, region_mask
-from manhattan.grid import _fold, _slices, synthesize
+from manhattan.grid import _fold, _fold_slices, _layout, _slices, synthesize
 from manhattan.reconstruct import ReconstructionPlan
 from manhattan.sampler import comb_from_grid, comb_from_samples
 
@@ -191,8 +192,11 @@ class TestHalfSpectrumEngine:
         X = np.fft.fftn(self.ref.data)
         self.blocks = {b: X[np.ix_(*self.plan.axes[b])] for b in self.plan.members}
 
+    def layout(self, b):
+        return _layout(self.plan.axes[b], self.p.T)
+
     def test_assembly_inverts_to_image(self):
-        blocks = {f"atom {b}": (self.plan.axes[b], x) for b, x in self.blocks.items()}
+        blocks = {f"atom {b}": (self.layout(b), x) for b, x in self.blocks.items()}
         image = synthesize(self.p.T, blocks).data
         assert np.abs(image - self.ref.data).max() <= 1e-12 * np.abs(self.ref.data).max()
 
@@ -202,14 +206,14 @@ class TestHalfSpectrumEngine:
         peak = max(np.abs(block).max() for block in self.blocks.values())
         b = B("10")
         self.blocks[b][1, 2] += bump * peak  # its mirror bin is left alone
-        blocks = {f"atom {b}": (self.plan.axes[b], x) for b, x in self.blocks.items()}
+        blocks = {f"atom {b}": (self.layout(b), x) for b, x in self.blocks.items()}
         with pytest.raises(NumericalFailureError, match="atom 10"):
             synthesize(self.p.T, blocks)
 
     def test_rounding_asymmetry_accepted(self):
         peak = max(np.abs(block).max() for block in self.blocks.values())
         self.blocks[B("00")][1, 2] += 1e-13j * peak
-        blocks = {f"atom {b}": (self.plan.axes[b], x) for b, x in self.blocks.items()}
+        blocks = {f"atom {b}": (self.layout(b), x) for b, x in self.blocks.items()}
         synthesize(self.p.T, blocks)
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
@@ -239,8 +243,8 @@ class TestHalfSpectrumEngine:
                 assert np.allclose(got, want[:, : m[1] // 2 + 1], atol=1e-12)
 
     def test_lower_block_fold_matches_scatter_add(self):
-        # _fold of the lower half of a Hermitian block equals the brute-force fold
-        # of the whole block, also where a dense last axis wraps a coarse one
+        # _fold, through _fold_slices, of the lower half of a Hermitian block equals the
+        # brute-force fold of the whole block, also where a dense last axis wraps a coarse one
         rng = np.random.default_rng(9)
         wrapped = 0
         for T, k, lam in [((16, 12), (4, 3), (1, 1)), ((18, 6), (3, 2), (1, 3)),
@@ -256,7 +260,7 @@ class TestHalfSpectrumEngine:
                 np.add.at(want, np.ix_(*(u % mi for u, mi in zip(axes, m))), block)
                 low = axes[-1] <= T[-1] // 2
                 got = np.zeros((*m[:-1], m[-1] // 2 + 1), dtype=complex)
-                _fold(got, (*axes[:-1], axes[-1][low]), block[..., low], m)
+                _fold(got, block[..., low], _fold_slices((*axes[:-1], axes[-1][low]), m))
                 assert np.abs(got + want[..., : m[-1] // 2 + 1]).max() <= 1e-12 * np.abs(X).max()
                 wrapped += block.size > 0 and not np.all(2 * axes[-1][low] < m[-1])
         assert wrapped >= 4
@@ -264,9 +268,9 @@ class TestHalfSpectrumEngine:
     def lower_blocks(self):
         """The setup's atom blocks cut at T//2 on the last axis."""
         blocks = {}
-        for b, axes in self.plan.axes.items():
-            low = axes[-1] <= self.p.T[-1] // 2
-            blocks[f"atom {b}"] = ((*axes[:-1], axes[-1][low]), self.blocks[b][..., low])
+        for b, axes in self.plan.lower.items():
+            low = self.plan.axes[b][-1] <= self.p.T[-1] // 2
+            blocks[f"atom {b}"] = (_layout(axes, self.p.T), self.blocks[b][..., low])
         return blocks
 
     def test_lower_only_blocks_invert_to_image(self):
@@ -277,8 +281,8 @@ class TestHalfSpectrumEngine:
     def test_lower_only_bump_on_zero_plane_refused(self, bump):
         # a lower-only block holds both u and -u only where u_last = 0
         blocks = self.lower_blocks()
-        axes, block = blocks["atom 00"]
-        assert axes[-1][0] == 0
+        block = blocks["atom 00"][1]
+        assert self.plan.lower[B("00")][-1][0] == 0
         block[1, 0] += bump * np.abs(block).max()  # its mirror [-1, 0] is left alone
         with pytest.raises(NumericalFailureError, match="atom 00"):
             synthesize(self.p.T, blocks)
@@ -289,7 +293,7 @@ class TestHalfSpectrumEngine:
         c = Collection.of(p, ["10", "01"])
         plan = ReconstructionPlan.for_collection(c)
         assert len(plan.axes[B("10")][0]) == 0
-        assert _slices(plan.axes[B("10")], p.T) == []
+        assert _slices(plan.axes[B("10")], p.T) == ()
         assert roundtrip_error(p, c, seed=5) <= 1e-9
 
 
@@ -312,13 +316,17 @@ class TestFinestLatticeTransforms:
         assert len(seen) == calls
         assert np.abs(result.data - ref.data).max() <= 1e-12 * np.abs(ref.data).max()
 
-    def test_replica_sums_equal_subsampled_transforms(self, monkeypatch):
-        # with the folds switched off, each member's half spectrum reaches the
-        # gather as it was made: it must be rfftn(x[::s]) * prod(s)
-        seen = []
-        monkeypatch.setattr(engine, "_fold", lambda *args: None)
-        monkeypatch.setattr(engine, "_gather", lambda half, axes, m: seen.append(half.copy()))
-        monkeypatch.setattr(engine, "synthesize", lambda T, blocks: None)
+    def test_gather_sees_subsampled_transform_less_superset_folds(self, monkeypatch):
+        # with the folds on, each member's half spectrum at its gather is
+        # rfftn(x[::s]) * prod(s) less every strict superset's recovered block
+        # folded modulo m, whether its source was an rfftn or a peeled residual
+        gather, seen = engine._gather, []
+
+        def spy(half, slices, shape):
+            seen.append((half.copy(), gather(half, slices, shape)))
+            return seen[-1][1]
+
+        monkeypatch.setattr(engine, "_gather", spy)
         rng = random.Random(12)
         configs = [ManhattanParams(d=3, lam=(3, 1, 2), k=(2, 3, 4), T=(12, 6, 16)),
                    ManhattanParams(d=4, lam=(1, 3, 1, 1), k=(2, 2, 3, 2), T=(4, 12, 6, 4))]
@@ -331,12 +339,80 @@ class TestFinestLatticeTransforms:
             x = np.random.default_rng(p.d).normal(size=p.T)
             seen.clear()
             reconstruct(extract_samples(Grid.from_array(x), c))
-            members = ReconstructionPlan.for_collection(c).members
-            assert len(seen) == len(members)
-            for b, half in zip(members, seen):
+            plan = ReconstructionPlan.for_collection(c)
+            assert len(seen) == len(plan.members)
+            spectra = {}  # each recovered atom, lower block and mirrors, on the full grid
+            for b, (half, block) in zip(plan.members, seen):
                 s = p.step_int(b)
+                m = tuple(t // si for t, si in zip(p.T, s))
                 want = np.fft.rfftn(x[tuple(slice(None, None, si) for si in s)]) * np.prod(s)
+                for b_prime, X in spectra.items():
+                    if b.issubset(b_prime):  # brute force: sum the replicas modulo m
+                        folded = X.reshape([n for si, mi in zip(s, m) for n in (si, mi)])
+                        want -= folded.sum(axis=tuple(range(0, 2 * p.d, 2)))[..., : m[-1] // 2 + 1]
                 assert np.abs(half - want).max() <= 1e-12 * np.abs(want).max()
+                axes, X = plan.lower[b], np.zeros(p.T, dtype=complex)
+                X[np.ix_(*axes)] = block
+                up = axes[-1] > 0  # the u_last = 0 plane holds its own mirrors
+                mirrors = (*(-u % t for u, t in zip(axes[:-1], p.T)), -axes[-1][up] % p.T[-1])
+                X[np.ix_(*mirrors)] = block[..., up].conj()
+                spectra[b] = X
+
+
+class TestCompiledSweep:
+    """The sweep is compiled once per collection; a call only replays it."""
+
+    def setup_method(self):
+        self.p = ManhattanParams(d=3, lam=(1, 1, 1), k=(3, 3, 3), T=(12, 12, 12))
+        self.c = Collection.from_string(self.p, "110,101,011")
+        self.image = bandlimited_image(self.p, self.c, seed=13)
+
+    def test_slices_built_only_while_compiling(self, monkeypatch):
+        ss = extract_samples(self.image, self.c)
+        engine._sweep.cache_clear()
+        runs, calls = grid._runs, []
+        monkeypatch.setattr(grid, "_runs", lambda *args: calls.append(1) or runs(*args))
+        first = reconstruct(ss)
+        compiled = len(calls)
+        second = reconstruct(ss)
+        p = ManhattanParams(d=3, lam=(1, 1, 1), k=(3, 3, 3), T=(12, 12, 12))
+        again = bandlimit(self.image, Collection.from_string(p, "011,101,110"))  # equal, not same
+        assert compiled > 0 and len(calls) == compiled
+        assert second.data.tobytes() == first.data.tobytes()
+        assert np.abs(again.data - self.image.data).max() <= 1e-12 * np.abs(self.image.data).max()
+
+    def test_holds_no_full_size_array(self):
+        # the cache keeps slices and per-axis index arrays, never a mask or a spectrum
+        T = (64, 48)
+        c = Collection.from_string(ManhattanParams(d=2, lam=(1, 1), k=(2, 4), T=T), "10,01")
+        sizes, todo, seen = [], [engine._sweep(c)], set()
+        while todo:
+            x = todo.pop()
+            if id(x) in seen:
+                continue
+            seen.add(id(x))
+            if isinstance(x, np.ndarray):
+                sizes.append(x.size)
+            elif isinstance(x, (tuple, list)):
+                todo.extend(x)
+            elif isinstance(x, dict):
+                todo.extend(x.values())
+            elif callable(x):  # a lattice reader and what it closes over
+                todo.extend(cell.cell_contents for cell in x.__closure__ or ())
+            elif hasattr(x, "__dict__"):
+                todo.extend(vars(x).values())
+        assert sizes and max(sizes) <= max(T)
+
+    @pytest.mark.parametrize("T,k,coll,folds,pairs", [
+        ((12, 12, 12), (3, 3, 3), "110,101,011", 6, 12), ((16, 16), (4, 4), "10,01", 1, 2)])
+    def test_fold_counts(self, T, k, coll, folds, pairs):
+        # a member sums its parent's peeled residual, which has already folded
+        # out every superset of that parent: only the others are folded
+        p = ManhattanParams(d=len(T), lam=(1,) * len(T), k=k, T=T)
+        c = Collection.from_string(p, coll)
+        members = ReconstructionPlan.for_collection(c).members
+        assert sum(b != b2 and b.issubset(b2) for b in members for b2 in members) == pairs
+        assert sum(len(step.folds) for step in engine._sweep(c)) == folds
 
 
 class TestSweepStructure:

@@ -554,7 +554,7 @@ class TestLatticeReader:
             for b in c.closure().members:
                 s = p.step_int(b)
                 want = x[tuple(slice(None, None, si) for si in s)]
-                got = sampler._lattice_values(c, ss.values, s)
+                got = sampler._lattice_reader(c, s)(ss.values)
                 assert got.shape == want.shape and got.tobytes() == want.tobytes(), (p, c, b)
         assert any(p.T[-1] % 2 for p in configs)
         assert any(p.T[-1] == p.k[-1] * p.lam_int[-1] for p in configs)
