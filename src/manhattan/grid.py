@@ -10,12 +10,11 @@ with last-axis residues 0..m//2 is kept.  A block is a spectrum on per-axis
 kept indices, ascending and closed under negation, or lower-only: its last
 axis stops at T//2.  Modulo m they form a few runs per axis: ``_slices``,
 ``_fold_slices`` and ``_layout`` build a block's slice copies once, for a
-plan, and ``_fold``, ``_gather`` and ``synthesize`` replay them.
-``_raw_spectrum``, the only ``rfftn``, is the way in; ``synthesize``, the
-only way back to an image, checks every block is Hermitian, moves the blocks
-into one half spectrum and inverts it in place: an ``ifft`` per leading axis,
-then the one ``irfftn`` over the last axis, by slabs of rows, into the half
-spectrum's own memory, whose head is the image.
+plan, and ``_fold``, ``_gather`` and ``synthesize`` replay them.  The way in,
+``_raw_spectrum``, transforms samples in the memory of their half spectrum;
+``synthesize``, the only way back, checks that every block is Hermitian,
+moves the blocks into one half spectrum, unless they are held there already,
+and inverts it in place, by slabs of rows: its memory's head is the image.
 """
 
 from __future__ import annotations
@@ -37,7 +36,7 @@ SPECTRUM_FLOOR = 1e-12  # times the peak |X|: keeps log10 finite, hides FFT nois
 Axes = tuple[np.ndarray, ...]  # per-axis kept DFT indices, ascending
 
 _MHT1_MAGIC = b"MHT1"
-_SLAB_BYTES = 1 << 18  # image bytes per last-axis inverse in synthesize
+_SLAB_BYTES = 1 << 18  # bytes per last-axis transform, forward or inverse
 
 
 @dataclass(frozen=True)
@@ -89,102 +88,130 @@ def idft(g: Grid) -> Grid:
     spectrum must be Hermitian (``synthesize`` of the one whole block)."""
     if not np.iscomplexobj(g.data):
         raise DomainError("idft expects a spectrum, got a real image")
-    whole = tuple(np.arange(t) for t in g.extents)
-    return synthesize(g.extents, {"spectrum": (_layout(whole, g.extents), g.data)})
+    layout = _layout(tuple(np.arange(t) for t in g.extents), g.extents)  # ranges not kept
+    return synthesize(g.extents, {"spectrum": (layout, g.data)})
 
 
-def _raw_spectrum(y: np.ndarray, s: tuple[int, ...]) -> np.ndarray:
-    """Raw half spectrum ``rfftn(y) * prod(s)`` of the samples y = x[::s] of an image x."""
-    H = np.empty((*y.shape[:-1], y.shape[-1] // 2 + 1), dtype=np.complex128)
-    np.fft.rfftn(y, out=H)  # leading-axis passes run in place
+def _raw_spectrum(T: tuple[int, ...], s: tuple[int, ...], fill, source) -> np.ndarray:
+    """Raw half spectrum ``rfftn(y) * prod(s)`` of the samples y = x[::s], extents
+    m = T/s, that ``fill(y, source)`` writes into the first m[-1] floats of each of
+    its rows: an ``rfft`` per slab of rows, then in-place passes in rfftn's order."""
+    m = tuple(t // si for t, si in zip(T, s))
+    H = np.empty((*m[:-1], m[-1] // 2 + 1), dtype=np.complex128)
+    lines = H.reshape(-1, H.shape[-1])
+    y = lines.view(np.float64)[:, : m[-1]]
+    fill(y.reshape(m), source)
+    slab = max(1, min(_SLAB_BYTES, H.nbytes // 8) // y[0].nbytes)  # an eighth at most
+    for a in range(0, len(lines), slab):  # row r's spectrum is row r's memory
+        lines[a : a + slab] = np.fft.rfft(y[a : a + slab])
+    for i in reversed(range(len(m) - 1)):
+        np.fft.fft(H, axis=i, out=H)
     H *= prod(s)
     return H
 
 
-def _runs(u: np.ndarray, m: int, top: int) -> list[tuple[slice, slice]]:
-    """(position, residue) slices over the runs of consecutive residues of
-    the ascending kept indices u modulo m, clipped to residues 0..top."""
-    r = (u % m).tolist()
-    edges = [a for a in range(1, len(r)) if r[a] != r[a - 1] + 1]  # short: faster than numpy
+def _runs(u: np.ndarray, m: int, top: int, at: np.ndarray) -> list[tuple[slice, slice]]:
+    """(place, residue) slices over the runs of the ascending kept indices u whose
+    places ``at`` and residues modulo m both go up by one, clipped to residues 0..top."""
+    r, p = (u % m).tolist(), at.tolist()
+    edges = [a for a in range(1, len(r)) if r[a] != r[a - 1] + 1 or p[a] != p[a - 1] + 1]
     starts, stops = [0, *edges], [*edges, len(r)]
     runs = [(a, min(z - a, top - r[a] + 1)) for a, z in zip(starts, stops) if a < z]
-    return [(slice(a, a + n), slice(r[a], r[a] + n)) for a, n in runs if n > 0]
+    return [(slice(p[a], p[a] + n), slice(r[a], r[a] + n)) for a, n in runs if n > 0]
 
 
-def _slices(axes: Axes, m: tuple[int, ...]) -> tuple[tuple, ...]:
-    """(block, half-spectrum) slice pairs folding a block over the kept indices
-    modulo m onto last-axis residues 0..m//2; none if an axis keeps nothing."""
-    tops = [*(mi - 1 for mi in m[:-1]), m[-1] // 2]
-    per_axis = [_runs(u, mi, top) for u, mi, top in zip(axes, m, tops)]
+def _slices(axes: Axes, m: tuple[int, ...], at: Axes | None = None) -> tuple[tuple, ...]:
+    """(place, half-spectrum) slice pairs folding a block over the kept indices modulo
+    m onto last-axis residues 0..m//2, a place in the block or, per axis, in ``at``."""
+    tops, places = [*(mi - 1 for mi in m[:-1]), m[-1] // 2], at or map(np.arange, map(len, axes))
+    per_axis = [_runs(u, mi, top, a) for u, mi, top, a in zip(axes, m, tops, places)]
     return tuple(tuple(zip(*pairs)) for pairs in itertools.product(*per_axis))
 
 
-def _fold_slices(axes: Axes, m: tuple[int, ...]) -> tuple:
-    """``_fold``'s slices of a lower-only block modulo m: pairs for its bins,
-    the size z of its u_last = 0 plane (its own mirror), and pairs for the
-    mirrors -u of the rest (no atom keeps T/2), which reach residues up to m//2
-    only when a dense last axis folds onto a coarse m."""
+def _fold_slices(axes: Axes, T: tuple[int, ...], m: tuple[int, ...]) -> tuple:
+    """``_fold``'s slices modulo m of a lower-only block in a half spectrum on T: its
+    bins, and the mirrors -u of those with u_last > 0 (no atom keeps T/2), from the
+    flipped half spectrum, whose place n - 1 - u holds X[u]."""
     z = np.count_nonzero(axes[-1] == 0)
     mirrors = (*(-u[::-1] for u in axes[:-1]), -axes[-1][z:][::-1])  # -u ascending
-    return _slices(axes, m), z, _slices(mirrors, m)
+    flipped = tuple(w + n - 1 for w, n in zip(mirrors, (*T[:-1], T[-1] // 2 + 1)))
+    return _slices(axes, m, axes), _slices(mirrors, m, flipped)
 
 
-def _fold(half: np.ndarray, block: np.ndarray, folds: tuple) -> None:
-    """Subtract a lower-only Hermitian block, folded by its ``_fold_slices``,
-    from a half spectrum: its bins, then their mirrors conj(X[u]) at -u."""
-    direct, z, mirrored = folds
+def _fold(H: np.ndarray, half: np.ndarray, folds: tuple) -> None:
+    """Subtract from H a lower-only Hermitian block in ``half``, folded by its
+    ``_fold_slices``: its bins, then their mirrors conj(X[u]) at -u."""
+    direct, mirrored = folds
     for src, dst in direct:
-        half[dst] -= block[src]
-    mirror = np.flip(block[..., z:])  # X[u] in the order of -u ascending
-    for src, dst in mirrored:
-        half[dst] -= mirror[src].conj()
+        H[dst] -= half[src]
+    flipped = np.flip(half)
+    for src, dst in mirrored:  # X[u] is conjugated in place and back: nothing is copied
+        np.conjugate(x := flipped[src], out=x)
+        H[dst] -= x
+        np.conjugate(x, out=x)
 
 
-def _gather(half: np.ndarray, slices: tuple, shape: tuple[int, ...]) -> np.ndarray:
-    """Lower-only block of the given shape read from a half spectrum through
-    its ``_slices``: bin u mod m for each kept index u."""
-    block = np.empty(shape, dtype=np.complex128)
+def _gather(half: np.ndarray, H: np.ndarray, slices: tuple) -> None:
+    """Copy a block from H to a half spectrum on T, bin u mod m to u, by its slices."""
     for src, dst in slices:
-        block[src] = half[dst]
-    return block
+        half[src] = H[dst]
 
 
-def _layout(axes: Axes, T: tuple[int, ...]) -> tuple:
-    """``synthesize``'s layout of a block over the kept indices on T: its slices,
-    the last-axis places of the kept u <= T//2 whose -u is kept (``rows``) and of
-    that -u (``last``), and per leading axis the place of each -v (``lead``)."""
-    u, t = axes[-1], T[-1]
+def _layout(axes: Axes, T: tuple[int, ...], held: bool = False) -> tuple:
+    """``synthesize``'s layout of a block over the kept indices on T: its slices, and
+    per axis, last first, (axis, places of the u whose -u it holds, None for all,
+    places of -u), in the block or, if it is ``held`` in a half spectrum, there."""
+    u, t, d = axes[-1], T[-1], len(T)
     rows = np.flatnonzero((u <= t // 2) & np.isin(-u % t, u))
-    last = np.searchsorted(u, -u[rows] % t)
-    lead = tuple(np.searchsorted(v, -v % tv) for v, tv in zip(axes[:-1], T))
-    return _slices(axes, T), rows, last, lead
+    picks = [(d - 1, rows, np.searchsorted(u, -u[rows] % t))]
+    picks += [(i, None, np.searchsorted(axes[i], -axes[i] % T[i])) for i in range(d - 1)]
+    if held:  # a place in the block is a kept index
+        picks = [(i, axes[i] if at is None else axes[i][at], axes[i][neg]) for i, at, neg in picks]
+    return _slices(axes, T, axes if held else None), tuple(picks)
 
 
-def synthesize(T: tuple[int, ...], blocks: dict[str, tuple[tuple, np.ndarray]]) -> Grid:
-    """Real image with extents T whose spectrum is made of the named blocks,
-    each given with the ``_layout`` of its kept indices, disjoint from the
-    others.  Refuses unless X[u] = conj(X[-u]) wherever a block holds both, to
-    IMAG_RESIDUE_TOL times the largest |X[u]| of all blocks; NaN or inf
-    anywhere fails too.  Consumes ``blocks`` in order, dropping each once it is
-    in the half spectrum, which is then inverted in place: the image is the
-    head of its memory, which holds at most 16 bytes more per last-axis row."""
-    peak = max(np.abs(block).max(initial=0.0) for _, block in blocks.values())
-    half = np.zeros((*T[:-1], T[-1] // 2 + 1), dtype=np.complex128)
-    for what in list(blocks):
-        (slices, rows, last, lead), block = blocks.pop(what)
-        mirror = np.take(block, last, axis=-1)  # X[-u]
-        for i, v in enumerate(lead):
-            mirror = np.take(mirror, v, axis=i)
-        np.conjugate(mirror, out=mirror)
-        mirror -= np.take(block, rows, axis=-1)
-        residue = np.abs(mirror).max(initial=0.0)
-        del mirror  # not held through the copy or the inverse
-        if not residue <= IMAG_RESIDUE_TOL * peak < np.inf:
+def _residue(X: np.ndarray, picks: tuple) -> float:
+    """The largest |conj(X[-u]) - X[u]| over the bins u of a layout's picks."""
+    mirror = X
+    for i, _, neg in picks:
+        mirror = np.take(mirror, neg, axis=i)
+    np.conjugate(mirror, out=mirror)
+    for i, at, _ in picks:
+        X = X if at is None else np.take(X, at, axis=i)
+    mirror -= X
+    del X  # not held through the abs
+    return np.abs(mirror).max(initial=0.0)
+
+
+def _largest(X: np.ndarray, slices: tuple) -> float:
+    """The largest |X| over the places of a layout's slices in X; NaN if any is NaN."""
+    return float(np.max([np.abs(X[src]).max(initial=0.0) for src, _ in slices], initial=0.0))
+
+
+def synthesize(T: tuple[int, ...], blocks: dict[str, tuple[tuple, np.ndarray | None]],
+               half: np.ndarray | None = None) -> Grid:
+    """Real image with extents T whose spectrum is made of the named blocks, each
+    given with the ``_layout`` of its kept indices, disjoint from the others, or is
+    ``half``, which holds them all, each given as None with its ``_layout`` there.
+    Refuses unless X[u] = conj(X[-u]) wherever a block holds both, to
+    IMAG_RESIDUE_TOL times the largest |X[u]| of all blocks; NaN or inf fails
+    too, named by the first block that holds it.  Consumes ``blocks`` in order,
+    dropping each once it is in the half spectrum, which is then inverted in
+    place: the image is the head of its memory, at most 16 bytes shorter a row."""
+    maxima = [_largest(half if block is None else block, s) for (s, _), block in blocks.values()]
+    peak = max(maxima, default=0.0)  # a NaN after the first is caught by its own block
+    if half is None:  # made after the blocks are measured
+        half = np.zeros((*T[:-1], T[-1] // 2 + 1), dtype=np.complex128)
+    for what, own in zip(list(blocks), maxima):
+        (slices, picks), block = blocks.pop(what)
+        residue = _residue(half if block is None else block, picks)
+        top = peak if own == own else own  # its own NaN
+        if not residue <= IMAG_RESIDUE_TOL * top < np.inf:
             raise NumericalFailureError(
                 f"{what} is not finite and Hermitian: residue {residue:.3e} exceeds "
-                f"{IMAG_RESIDUE_TOL:.0e} relative to peak {peak:.3e}"
+                f"{IMAG_RESIDUE_TOL:.0e} relative to peak {top:.3e}"
             )
-        for src, dst in slices:
+        for src, dst in () if block is None else slices:
             half[dst] = block[src]
         del block  # the last one too is not held through the inverse
     for i in range(len(T) - 1):  # irfftn's own passes, in its order

@@ -8,18 +8,16 @@ atom and the summed spectrum inverts to the original image.
 
 By the replica identity, the half spectrum (``grid``) of the samples on
 lattice b (steps s, reduced extents m = T/s) is ``rfftn(x[::s]) * prod(s)``
-less every recovered superset block folded modulo m; atom b lies inside the
-Nyquist cell of lattice b, so what is left on its kept indices is its block,
-and zeroing them, peeling it, is its own fold.  Lattice b - e_i (i not the
-last axis) is lattice b subsampled by k_i on axis i, and a fold modulo m
-summed over the k_i replicas on axis i is a fold modulo its m: that member
-sums b's residual and folds only the supersets not above b (6 folds instead
-of 12 on 3D facets, 1 instead of 2 on 2D ``10,01``; outputs move by rounding
-only, within 1e-12, not bit for bit).  Any other member reads its ``x[::s]``
-straight from the canonical sample values (``sampler._lattice_reader``).
-``_sweep`` compiles all this once per ``Collection`` into slices and small
-index arrays, keeping the last ``_SWEEPS``; ``reconstruct`` and ``bandlimit``,
-its s = 1 gathers alone, replay it.
+less every recovered superset atom folded modulo m; atom b lies inside the
+Nyquist cell of lattice b, so what is left on its kept indices is atom b,
+gathered straight into the output half spectrum, where later folds read it;
+zeroing them, peeling it, is its own fold.  Lattice b - e_i (i not the last
+axis) is lattice b subsampled by k_i on axis i: that member sums b's residual
+over the k_i replicas on axis i, in b's memory if it is b's last child and is
+ready once b is done, and folds only the supersets not above b.  Any other
+member reads its ``x[::s]`` into its own spectrum's memory from the canonical
+values (``sampler._lattice_reader``).  ``_sweep`` compiles this once per
+``Collection``, for ``reconstruct`` and for ``bandlimit``, which keeps its atoms.
 """
 
 from __future__ import annotations
@@ -67,63 +65,89 @@ class ReconstructionPlan:
         return {b: (*u[:-1], u[-1][u[-1] <= t // 2]) for b, u in self.axes.items()}
 
 
-# One member b of a compiled sweep: its name "atom b"; ``read``, its x[::s], or None;
-# its steps s; its folds, (superset, ``_fold_slices`` modulo m), one for each superset
-# its source still holds (Lemma 1: other replicas miss atom b); the ``_slices`` modulo
-# m and shape of its lower block; its children, (member, axis i, k_i), which sum its
-# residual; and that block's ``_layout`` on T.
-_Step = namedtuple("_Step", "name read s folds gather shape children layout")
+# A member b of a compiled sweep: "atom b"; its turn; the reader of its x[::s], or None;
+# its steps s; the ``_fold_slices`` modulo m of each superset its source holds (Lemma 1);
+# the slices of its lower block modulo m onto T; its children (member, axis i, k_i, in
+# b's memory), which sum its residual; and the block's ``_layout`` in a half spectrum.
+_Step = namedtuple("_Step", "name turn read s folds gather children held")
 
 
 @lru_cache(maxsize=_SWEEPS)
 def _sweep(c: Collection) -> tuple[_Step, ...]:
-    """The sweep of a collection, compiled.  A member b's parent, whose residual
-    it sums, is the first member b | e_i in sweep order, i not the last axis."""
+    """A collection's sweep, compiled, in plan order.  A member b's parent, whose residual
+    it sums, is the first b | e_i, i not the last axis.  A member's turn comes after its
+    supersets': first one whose sum is held, else the read leaving fewest children waiting."""
     plan = ReconstructionPlan.for_collection(c)
     p, T, lower = plan.params, plan.params.T, plan.lower
     parent: dict[BiStep, tuple[BiStep, int]] = {}
     for b in plan.members:
         for i in np.flatnonzero(b.bits[:-1]).tolist():
             parent.setdefault(BiStep((*b.bits[:i], 0, *b.bits[i + 1 :])), (b, i))
+    kids = {b: [a for a, (q, _) in parent.items() if q == b] for b in plan.members}
+    above = {b: {a for a in plan.members if a != b and b.issubset(a)} for b in plan.members}
+    order: list[BiStep] = []
+    while len(order) < len(plan.members):
+        ready = [b for b in plan.members if b not in order and above[b].issubset(order)]
+        order.append(min(ready, key=lambda b: (b not in parent, sum(
+            not above[a] <= {b, *order} for a in kids[b]))))
     steps = []
-    for j, b in enumerate(plan.members):
+    for b in plan.members:
         s = p.step_int(b)
         m = tuple(t // si for t, si in zip(T, s))
         up = parent.get(b, (None,))[0]  # whose residual has every b' ⊇ up folded out
-        folds = tuple((f"atom {bp}", _fold_slices(lower[bp], m)) for bp in plan.members[:j]
-                      if b.issubset(bp) and not (up is not None and up.issubset(bp)))
-        children = tuple((f"atom {sub}", i, p.k[i]) for sub, (q, i) in parent.items() if q == b)
+        folds = tuple(_fold_slices(lower[bp], T, m) for bp in plan.members
+                      if bp in above[b] and not (up is not None and up.issubset(bp)))
+        children = tuple((f"atom {a}", parent[a][1], p.k[parent[a][1]], a == kids[b][-1]
+                          and above[a].issubset(order[: order.index(b) + 1])) for a in kids[b])
         read = _lattice_reader(c, s) if up is None else None  # else a replica sum
-        steps.append(_Step(f"atom {b}", read, s, folds, _slices(lower[b], m),
-                           tuple(map(len, lower[b])), children, _layout(lower[b], T)))
+        steps.append(_Step(f"atom {b}", order.index(b), read, s, folds,
+                           _slices(lower[b], m, lower[b]), children, _layout(lower[b], T, True)))
     return tuple(steps)
+
+
+def _replica_sum(H: np.ndarray, i: int, k: int, in_place: bool) -> np.ndarray:
+    """H summed over its k replicas on axis i, in H's memory if ``in_place``: there
+    by one index before axis i at a time, as numpy copies what may overlap."""
+    parts = H.reshape(*H.shape[:i], k, -1, *H.shape[i + 1 :])
+    if not in_place:
+        return parts.sum(i)
+    for at in np.ndindex(H.shape[:i]):
+        total, *rest = parts[at]
+        for part in rest:
+            total += part
+    return parts[(slice(None),) * i + (0,)]
 
 
 def reconstruct(ss: SampleSet) -> Grid:
     """Recover a Manhattan-bandlimited image from its samples (any d)."""
     values = _canonical_values(ss)  # refuses a bad sample set before the plan
+    T, sweep = ss.collection.params.T, _sweep(ss.collection)
+    half = np.zeros((*T[:-1], T[-1] // 2 + 1), dtype=np.complex128)  # every atom's bins
     sums: dict[str, np.ndarray] = {}  # half spectra of members yet to come
-    blocks: dict[str, tuple] = {}  # layout and spectrum of x^b on its atom's lower block
-    for step in _sweep(ss.collection):
-        if (H := sums.pop(step.name, None)) is None:  # x[::s] is dropped once transformed
-            H = _raw_spectrum(step.read(values), step.s)
-        for name, folds in step.folds:
-            _fold(H, blocks[name][1], folds)
-        blocks[step.name] = step.layout, _gather(H, step.gather, step.shape)
-        if step.children:  # peel atom b: the residual has it folded out too
-            for _, dst in step.gather:
-                H[dst] = 0
-        for name, i, k in step.children:
-            sums[name] = H.reshape(*H.shape[:i], k, -1, *H.shape[i + 1 :]).sum(i)
-        del H  # before the next member's spectrum is built
-    return synthesize(ss.collection.params.T, blocks)
+    with np.errstate():  # which restores numpy's ufunc buffer size on the way out
+        np.setbufsize(256)  # elements per strided operand, not 8192: 4 KB, not 128 KB
+        for step in sorted(sweep, key=lambda st: st.turn):
+            if (H := sums.pop(step.name, None)) is None:  # x[::s] is transformed in place
+                H = _raw_spectrum(T, step.s, step.read, values)
+            for folds in step.folds:
+                _fold(H, half, folds)
+            _gather(half, H, step.gather)
+            if step.children:  # peel atom b: the residual has it folded out too
+                for _, dst in step.gather:
+                    H[dst] = 0
+            for name, i, k, in_place in step.children:  # in place: it keeps H's memory
+                sums[name] = _replica_sum(H, i, k, in_place)
+            del H  # before the next member's spectrum is built
+        return synthesize(T, {step.name: (step.held, None) for step in sweep}, half)
 
 
 def bandlimit(image: Grid, c: Collection) -> Grid:
     """Zero the image's spectrum outside the Manhattan region, its atoms; idempotent."""
-    x, T = image.image(c.params.extents), c.params.T
-    H = _raw_spectrum(x, (1,) * len(T))
-    blocks = {st.name: (st.layout, _gather(H, st.layout[0], st.shape))  # s = 1: slices onto T
-              for st in _sweep(c)}
-    del H  # not held through synthesis
-    return synthesize(T, blocks)
+    x, T, sweep = image.image(c.params.extents), c.params.T, _sweep(c)
+    half = _raw_spectrum(T, (1,) * len(T), np.copyto, x)
+    outside = np.ones(half.shape, dtype=bool)
+    for src, _ in (pair for step in sweep for pair in step.held[0]):
+        outside[src] = False
+    half[outside] = 0
+    del outside  # not held through synthesis
+    return synthesize(T, {step.name: (step.held, None) for step in sweep}, half)

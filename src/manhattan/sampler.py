@@ -146,14 +146,14 @@ def _canonical_values(ss: SampleSet) -> np.ndarray:
     return values
 
 
-def _lattice_reader(c: Collection, s: tuple[int, ...]) -> Callable[[np.ndarray], np.ndarray]:
-    """The reader of the samples ``x[::s]`` of a closure member's lattice (steps s)
-    from the canonical values of M(B), which repeats with the cell K = k*λ: on each
-    leading axis i the values split into N_i = T_i/K_i equal chunks, residue r_i
-    is one slice of each, and the kept last-axis residues, the multiples of the
-    last step, are the first K/s points of each cell row (the whole row if that
-    step is λ), so each class is one strided copy.  The cuts depend on the
-    collection only and are found here once."""
+def _lattice_reader(c: Collection, s: tuple[int, ...]) -> Callable[[np.ndarray, np.ndarray], None]:
+    """``read(out, values)``, which writes the samples ``x[::s]`` of a closure
+    member's lattice (steps s) into ``out``, of any strides, from the canonical
+    values of M(B), which repeats with the cell K = k*λ: on each leading axis i
+    the values split into N_i = T_i/K_i equal chunks, residue r_i is one slice
+    of each, and the kept last-axis residues, the multiples of the last step,
+    are the first K/s points of each cell row (the whole row if that step is λ),
+    so each class is one strided copy.  The cuts are found here once."""
     p = c.params
     K = tuple(k * lam for k, lam in zip(p.k, p.lam_int))
     N = [t // ki for t, ki in zip(p.T, K)]
@@ -167,15 +167,14 @@ def _lattice_reader(c: Collection, s: tuple[int, ...]) -> Callable[[np.ndarray],
         copies.append((cuts, tuple(ri // si for ri, si in zip(r, s))))
     kept = K[-1] // s[-1]
 
-    def read(values: np.ndarray) -> np.ndarray:
-        out = np.empty([n for ni, ki, si in zip(N, K, s) for n in (ni, ki // si)])
-        by_residue = out.transpose(*range(1, 2 * p.d, 2), *range(0, 2 * p.d, 2))
+    def read(out: np.ndarray, values: np.ndarray) -> None:
+        cells = out.reshape([n for ni, ki, si in zip(N, K, s) for n in (ni, ki // si)])
+        by_residue = cells.transpose(*range(1, 2 * p.d, 2), *range(0, 2 * p.d, 2))
         for cuts, at in copies:
             v = values
             for n, cut in zip(N, cuts):
                 v = v.reshape(*v.shape[:-1], n, -1)[..., cut]
             by_residue[at] = np.moveaxis(v.reshape(*v.shape[:-1], N[-1], -1)[..., :kept], -1, 0)
-        return out.reshape([t // si for t, si in zip(p.T, s)])
 
     return read
 

@@ -5,7 +5,12 @@ for d = 1..4, each checked with (k, lambda) = (2, 1) and (2, 2) and, for d = 4,
 one mixed setting.  At T = 2*k*lambda, the smallest grid on which every atom
 keeps a bin, a k = 2 axis folds the highpass band onto the coarse Nyquist
 residue, which no atom keeps, so no fold reaches a gathered bin: T is
-3*k*lambda per axis for d <= 3, and the mixed setting's k = 3 axes fold for d = 4.
+3*k*lambda per axis for d <= 3, the mixed setting's k = 3 axes fold for d = 4,
+and d = 4 at k = 2, lambda = 1 is checked at T = 3*k*lambda too, 1,296 points,
+against the bandlimited input alone, as the dense oracle's least squares would
+be 1,296 x 1,296 per collection.  Every collection also meets the Landau
+identity and the cell count, and at k = 2 its samples have full column rank on
+its region; Lemma 1's sufficient condition is checked on every triple.
 """
 
 import itertools
@@ -14,8 +19,13 @@ import numpy as np
 import pytest
 
 from conftest import bandlimited_image
-from manhattan import BiStep, Collection, ManhattanParams, extract_samples, reconstruct
-from manhattan.oracle import SIZE_GUARD, solve_reconstruct
+from manhattan import (
+    BiStep, Collection, ManhattanParams, density, extract_samples, fundamental_cell_count,
+    manhattan_region_volume, reconstruct,
+)
+from manhattan.freq import guaranteed_disjoint, replica_overlap_oracle
+from manhattan.oracle import SIZE_GUARD, rank_report, solve_reconstruct
+from manhattan.sampler import manhattan_indicator
 
 
 def m_collections(d):
@@ -37,17 +47,18 @@ def test_m_collection_counts():
     assert [len(m_collections(d)) for d in range(1, 5)] == [2, 5, 19, 167]
 
 
-SETTINGS = [(d, (2,) * d, (lam,) * d) for lam in (1, 2) for d in range(1, 5)]
-SETTINGS.append((4, (2, 3, 2, 3), (1, 2, 1, 1)))
+SETTINGS = [(d, (2,) * d, (lam,) * d, 3 if d <= 3 else 2) for lam in (1, 2) for d in range(1, 5)]
+SETTINGS.append((4, (2, 3, 2, 3), (1, 2, 1, 1), 2))
+SETTINGS.append((4, (2, 2, 2, 2), (1, 1, 1, 1), 3))  # no oracle: its k = 2 folds bite
+IDS = [f"d{d}-k{''.join(map(str, k))}-lam{''.join(map(str, lam))}" + ("-T3" if d == 4 and r == 3 else "")
+       for d, k, lam, r in SETTINGS]
 
 
-@pytest.mark.parametrize("d,k,lam", SETTINGS,
-                         ids=[f"d{d}-k{''.join(map(str, k))}-lam{''.join(map(str, lam))}"
-                              for d, k, lam in SETTINGS])
-def test_every_collection_reconstructs(d, k, lam):
+@pytest.mark.parametrize("d,k,lam,r", SETTINGS, ids=IDS)
+def test_every_collection_reconstructs(d, k, lam, r):
     # reconstruct returns the bandlimited input, and the dense least-squares
     # oracle, which shares no code with the sweep, agrees with it
-    T = tuple((3 if d <= 3 else 2) * ki * li for ki, li in zip(k, lam))
+    T = tuple(r * ki * li for ki, li in zip(k, lam))
     p = ManhattanParams(d=d, lam=lam, k=k, T=T)
     for seed, members in enumerate(m_collections(d)):
         c = Collection.of(p, members)
@@ -56,6 +67,36 @@ def test_every_collection_reconstructs(d, k, lam):
         scale = np.abs(ref.data).max()
         got = reconstruct(ss).data
         assert np.abs(got - ref.data).max() <= 1e-12 * scale, str(c)
-        if np.prod(T) <= SIZE_GUARD:
+        if np.prod(T) <= SIZE_GUARD and (d, r) != (4, 3):
             direct = solve_reconstruct(ss).data.real
             assert np.abs(got - direct).max() <= 1e-9 * scale, str(c)
+
+
+@pytest.mark.parametrize("d,k,lam,r", SETTINGS, ids=IDS)
+def test_every_collection_counts(d, k, lam, r):
+    # the Landau identity, region volume = sampling density, and M(B) on T is
+    # the fundamental cell's points once per cell
+    T = tuple(r * ki * li for ki, li in zip(k, lam))
+    p = ManhattanParams(d=d, lam=lam, k=k, T=T)
+    cells = np.prod([t // (ki * li) for t, ki, li in zip(T, k, lam)])
+    for members in m_collections(d):
+        c = Collection.of(p, members)
+        assert manhattan_region_volume(c) == density(c), str(c)
+        assert fundamental_cell_count(c) * cells == np.count_nonzero(manhattan_indicator(c)), str(c)
+
+
+@pytest.mark.parametrize("d", range(1, 5))
+def test_every_collection_determines_its_region(d):
+    # at k = 2, lambda = 1 the samples of every collection have full column rank
+    # on its region, and Lemma 1 holds over every triple of bi-steps: where
+    # guaranteed_disjoint promises that no replica of atom b' under lattice s
+    # reaches atom b, the brute-force oracle finds none
+    T = ((3 if d <= 3 else 2) * 2,) * d
+    p = ManhattanParams(d=d, lam=(1,) * d, k=(2,) * d, T=T)
+    for seed, members in enumerate(m_collections(d)):
+        c = Collection.of(p, members)
+        report = rank_report(extract_samples(bandlimited_image(p, c, seed=seed), c))
+        assert report.rank == report.cols <= report.rows, str(c)
+    points = [BiStep(bits) for bits in itertools.product((0, 1), repeat=d)]
+    promised = [t for t in itertools.product(points, repeat=3) if guaranteed_disjoint(*t)]
+    assert promised and not any(replica_overlap_oracle(*t, p) for t in promised)

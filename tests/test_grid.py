@@ -177,6 +177,35 @@ class TestInPlaceSynthesis:
         assert image.nbytes < base.nbytes <= image.nbytes + 16 * prod(T[:-1])
 
 
+class TestInPlaceTransform:
+    """The raw half spectrum is made in its own memory, exactly as rfftn would."""
+
+    @given(st.data())
+    def test_matches_rfftn(self, data):
+        # the samples are written into the first m[-1] floats of each row, then
+        # transformed there by slabs of rows and by in-place leading-axis passes
+        d = data.draw(st.integers(1, 4), label="d")
+        m = tuple(data.draw(st.lists(st.integers(1, 9), min_size=d, max_size=d), label="m"))
+        s = tuple(data.draw(st.lists(st.integers(1, 3), min_size=d, max_size=d), label="s"))
+        y = np.random.default_rng(sum(m)).normal(size=m)
+        slab = data.draw(st.sampled_from([8, 200, grid._SLAB_BYTES]), label="slab bytes")
+        with mock.patch.object(grid, "_SLAB_BYTES", slab):  # one row per rfft, a few or all
+            got = grid._raw_spectrum(tuple(mi * si for mi, si in zip(m, s)), s, np.copyto, y)
+        assert got.tobytes() == (np.fft.rfftn(y) * prod(s)).tobytes()
+
+    @pytest.mark.parametrize("T", [(512, 512), (64, 64, 64)])
+    def test_holds_one_spectrum(self, T):
+        # beside the spectrum, one rfft slab of at most an eighth of it
+        y = np.random.default_rng(9).normal(size=T)
+        tracemalloc.start()
+        try:
+            H = grid._raw_spectrum(T, (1,) * len(T), np.copyto, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.15 * H.nbytes
+
+
 class TestDataModel:
     """Images are float64 grids, spectra are complex128 grids."""
 

@@ -1,7 +1,8 @@
 """Structure of the package sources: runtime checks raise typed errors, as it
 holds no ``assert``, which ``python -O`` would strip, one module calls
 ``numpy.fft``, one function owns the way from a half spectrum back to an
-image and every inverse transform pass on it, one method decides whether a
+image and every inverse transform pass on it, one the way in and every
+forward pass, one method decides whether a
 grid is a real image, one property builds the (n, d) coordinate array of a
 sample set, ``reconstruct`` scatters no samples onto a full-size image, one
 function forks (its helper leaving only by ``os._exit``) and makes the only temp
@@ -66,13 +67,15 @@ def test_inverse_passes_in_synthesis():
 
 
 def test_one_forward_half_transform():
-    # every raw spectrum of the sweep comes from one rfftn site or a replica sum
+    # every raw spectrum of the sweep comes from one forward site or a replica
+    # sum: its rfft by slabs of rows and its leading-axis fft passes, in place
     calls = set()
     for path in SOURCES:
         for owner, node in _owned_nodes(ast.parse(path.read_text(), filename=str(path))):
-            if isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == "rfftn":
+            name = ast.unparse(node.func).split(".")[-1] if isinstance(node, ast.Call) else ""
+            if name in ("rfft", "rfftn", "fft"):
                 calls.add((path.name, owner))
-    assert calls == {("grid.py", "_raw_spectrum")}, f"rfftn is called in {sorted(calls)}"
+    assert calls == {("grid.py", "_raw_spectrum")}, f"forward passes in {sorted(calls, key=str)}"
 
 
 def test_one_transform_module():

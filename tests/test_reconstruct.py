@@ -243,8 +243,9 @@ class TestHalfSpectrumEngine:
                 assert np.allclose(got, want[:, : m[1] // 2 + 1], atol=1e-12)
 
     def test_lower_block_fold_matches_scatter_add(self):
-        # _fold, through _fold_slices, of the lower half of a Hermitian block equals the
-        # brute-force fold of the whole block, also where a dense last axis wraps a coarse one
+        # _fold, through _fold_slices, of the lower half of a Hermitian block held in a
+        # half spectrum on T equals the brute-force fold of the whole block, also where
+        # a dense last axis wraps a coarse one; the half spectrum is left as it was
         rng = np.random.default_rng(9)
         wrapped = 0
         for T, k, lam in [((16, 12), (4, 3), (1, 1)), ((18, 6), (3, 2), (1, 3)),
@@ -259,9 +260,14 @@ class TestHalfSpectrumEngine:
                 want = np.zeros(m, dtype=complex)
                 np.add.at(want, np.ix_(*(u % mi for u, mi in zip(axes, m))), block)
                 low = axes[-1] <= T[-1] // 2
+                lower = (*axes[:-1], axes[-1][low])
+                half = np.zeros((*T[:-1], T[-1] // 2 + 1), dtype=complex)
+                half[np.ix_(*lower)] = block[..., low]
+                held = half.copy()
                 got = np.zeros((*m[:-1], m[-1] // 2 + 1), dtype=complex)
-                _fold(got, block[..., low], _fold_slices((*axes[:-1], axes[-1][low]), m))
+                _fold(got, half, _fold_slices(lower, T, m))
                 assert np.abs(got + want[..., : m[-1] // 2 + 1]).max() <= 1e-12 * np.abs(X).max()
+                assert half.tobytes() == held.tobytes()
                 wrapped += block.size > 0 and not np.all(2 * axes[-1][low] < m[-1])
         assert wrapped >= 4
 
@@ -287,6 +293,43 @@ class TestHalfSpectrumEngine:
         with pytest.raises(NumericalFailureError, match="atom 00"):
             synthesize(self.p.T, blocks)
 
+    def held_blocks(self):
+        """The setup's lower blocks moved into one half spectrum, with their layouts there."""
+        half = np.zeros((*self.p.T[:-1], self.p.T[-1] // 2 + 1), dtype=complex)
+        for (_, block), axes in zip(self.lower_blocks().values(), self.plan.lower.values()):
+            half[np.ix_(*axes)] = block
+        held = {f"atom {b}": (_layout(axes, self.p.T, held=True), None)
+                for b, axes in self.plan.lower.items()}
+        return half, held
+
+    def test_held_blocks_invert_as_placed_ones(self):
+        half, held = self.held_blocks()
+        image = synthesize(self.p.T, held, half).data
+        assert image.tobytes() == synthesize(self.p.T, self.lower_blocks()).data.tobytes()
+        assert held == {}
+
+    @pytest.mark.parametrize("bump", [1e-3j, 1e-3, np.nan])
+    def test_held_bump_on_zero_plane_refused(self, bump):
+        half, held = self.held_blocks()
+        half[1, 0] += bump * np.abs(half).max()  # atom 00's; its mirror [-1, 0] is left alone
+        with pytest.raises(NumericalFailureError, match="atom 00"):
+            synthesize(self.p.T, held, half)
+
+    @pytest.mark.parametrize("in_half", [False, True])
+    def test_nan_in_a_later_block_refused(self, in_half):
+        # a NaN that no mirror check reaches, in a block after the first, is
+        # refused by that block's own largest |X|, as a NaN in the first one is
+        b = B("01")
+        u, v = (axes[p] for axes, p in zip(self.plan.lower[b], (2, 3)))  # u_last > 0
+        half, blocks = self.held_blocks() if in_half else (None, self.lower_blocks())
+        if in_half:
+            half[u, v] = np.nan
+        else:
+            blocks[f"atom {b}"][1][2, 3] = np.nan
+        assert v > 0 and list(blocks)[1] == f"atom {b}"
+        with pytest.raises(NumericalFailureError, match="atom 01 .* peak nan"):
+            synthesize(self.p.T, blocks, half)
+
     def test_empty_axis_has_no_slices(self):
         # T=6, k=2, lambda=3: the highpass band of atom 1 keeps no DFT index
         p = ManhattanParams(d=2, lam=(3, 1), k=(2, 2), T=(6, 4))
@@ -298,8 +341,8 @@ class TestHalfSpectrumEngine:
 
 
 class TestFinestLatticeTransforms:
-    """Only members with no superset b | e_i (i not the last axis) run an rfftn;
-    each other member sums the replicas of such a superset's raw spectrum."""
+    """Only members with no superset b | e_i (i not the last axis) run a forward
+    transform; each other member sums the replicas of such a superset's raw spectrum."""
 
     @pytest.mark.parametrize(
         "T,k,coll,calls",
@@ -310,8 +353,8 @@ class TestFinestLatticeTransforms:
         c = Collection.from_string(p, coll)
         ref = bandlimited_image(p, c, seed=10)
         ss = extract_samples(ref, c)
-        rfftn, seen = np.fft.rfftn, []
-        monkeypatch.setattr(np.fft, "rfftn", lambda *a, **kw: seen.append(1) or rfftn(*a, **kw))
+        forward, seen = engine._raw_spectrum, []
+        monkeypatch.setattr(engine, "_raw_spectrum", lambda *a: seen.append(1) or forward(*a))
         result = reconstruct(ss)
         assert len(seen) == calls
         assert np.abs(result.data - ref.data).max() <= 1e-12 * np.abs(ref.data).max()
@@ -319,12 +362,12 @@ class TestFinestLatticeTransforms:
     def test_gather_sees_subsampled_transform_less_superset_folds(self, monkeypatch):
         # with the folds on, each member's half spectrum at its gather is
         # rfftn(x[::s]) * prod(s) less every strict superset's recovered block
-        # folded modulo m, whether its source was an rfftn or a peeled residual
+        # folded modulo m, whether its source was a transform or a peeled residual
         gather, seen = engine._gather, []
 
-        def spy(half, slices, shape):
-            seen.append((half.copy(), gather(half, slices, shape)))
-            return seen[-1][1]
+        def spy(half, H, slices):
+            gather(half, H, slices)
+            seen.append((H.copy(), half.copy()))
 
         monkeypatch.setattr(engine, "_gather", spy)
         rng = random.Random(12)
@@ -340,9 +383,11 @@ class TestFinestLatticeTransforms:
             seen.clear()
             reconstruct(extract_samples(Grid.from_array(x), c))
             plan = ReconstructionPlan.for_collection(c)
+            turns = sorted(zip(engine._sweep(c), plan.members), key=lambda sb: sb[0].turn)
             assert len(seen) == len(plan.members)
             spectra = {}  # each recovered atom, lower block and mirrors, on the full grid
-            for b, (half, block) in zip(plan.members, seen):
+            for (_, b), (H, out) in zip(turns, seen):
+                assert {bp for bp in plan.members if bp != b and b.issubset(bp)} <= set(spectra)
                 s = p.step_int(b)
                 m = tuple(t // si for t, si in zip(p.T, s))
                 want = np.fft.rfftn(x[tuple(slice(None, None, si) for si in s)]) * np.prod(s)
@@ -350,8 +395,9 @@ class TestFinestLatticeTransforms:
                     if b.issubset(b_prime):  # brute force: sum the replicas modulo m
                         folded = X.reshape([n for si, mi in zip(s, m) for n in (si, mi)])
                         want -= folded.sum(axis=tuple(range(0, 2 * p.d, 2)))[..., : m[-1] // 2 + 1]
-                assert np.abs(half - want).max() <= 1e-12 * np.abs(want).max()
+                assert np.abs(H - want).max() <= 1e-12 * np.abs(want).max()
                 axes, X = plan.lower[b], np.zeros(p.T, dtype=complex)
+                block = out[np.ix_(*axes)]  # the atom as gathered into the output
                 X[np.ix_(*axes)] = block
                 up = axes[-1] > 0  # the u_last = 0 plane holds its own mirrors
                 mirrors = (*(-u % t for u, t in zip(axes[:-1], p.T)), -axes[-1][up] % p.T[-1])
@@ -402,6 +448,24 @@ class TestCompiledSweep:
             elif hasattr(x, "__dict__"):
                 todo.extend(vars(x).values())
         assert sizes and max(sizes) <= max(T)
+
+    @pytest.mark.parametrize("T,k,coll,turns", [
+        ((16, 16), (4, 4), "10,01", "01 10 00"),
+        ((12, 12, 12), (3, 3, 3), "110,101,011", "011 101 001 110 010 100 000"),
+        ((8, 8, 8, 8), (2, 2, 2, 2), "1100,0011,1010", "0011 0001 1010 0010 1100 0100 1000 0000")])
+    def test_turns(self, T, k, coll, turns):
+        # a member's turn comes once its supersets are done: a member whose sum
+        # is held first, else the read that leaves the fewest children waiting; a
+        # child summed in its parent's memory runs before any further read
+        p = ManhattanParams(d=len(T), lam=(1,) * len(T), k=k, T=T)
+        steps = sorted(engine._sweep(Collection.from_string(p, coll)), key=lambda st: st.turn)
+        names = [st.name for st in steps]
+        assert " ".join(name.removeprefix("atom ") for name in names) == turns
+        for j, step in enumerate(steps):
+            for name, _, _, in_place in step.children:
+                between = steps[j + 1 : names.index(name)]
+                assert not in_place or all(st.read is None for st in between), (step.name, name)
+        assert any(in_place for st in steps for *_, in_place in st.children)
 
     @pytest.mark.parametrize("T,k,coll,folds,pairs", [
         ((12, 12, 12), (3, 3, 3), "110,101,011", 6, 12), ((16, 16), (4, 4), "10,01", 1, 2)])
@@ -588,12 +652,14 @@ class TestRegionSynthesis:
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     @pytest.mark.parametrize(
-        "T,k,coll", [((256, 256), (2, 2), "10,01"), ((48, 48, 48), (3, 3, 3), "110,101,011")]
+        "T,k,coll", [((256, 256), (2, 2), "10,01"), ((48, 48, 48), (3, 3, 3), "110,101,011"),
+                     ((24, 24, 24, 24), (2, 2, 2, 2), "1100,0011,1010")]
     )
     @pytest.mark.parametrize("call", ["bandlimit", "reconstruct"])
     def test_peak_memory(self, T, k, coll, call):
         # no full-size spectrum, mask or scattered image is built, and the image
-        # is inverted into the half spectrum's own memory
+        # is inverted into the half spectrum's own memory; reconstruct gathers
+        # each atom into that half spectrum and holds one member spectrum beside it
         p = ManhattanParams(d=len(T), lam=(1,) * len(T), k=k, T=T)
         c = Collection.from_string(p, coll)
         image = bandlimited_image(p, c, seed=11)
@@ -604,7 +670,7 @@ class TestRegionSynthesis:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2.0 * nbytes
+        assert peak <= (2.0 if call == "bandlimit" else 1.6) * nbytes
 
 
 class TestSpectrumReport:
