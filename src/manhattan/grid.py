@@ -140,15 +140,15 @@ def _fold_slices(axes: Axes, T: tuple[int, ...], m: tuple[int, ...]) -> tuple:
 
 def _fold(H: np.ndarray, half: np.ndarray, folds: tuple) -> None:
     """Subtract from H a lower-only Hermitian block in ``half``, folded by its
-    ``_fold_slices``: its bins, then their mirrors conj(X[u]) at -u."""
+    ``_fold_slices``: its bins, then their mirrors conj(X[u]) at -u; half is not written."""
     direct, mirrored = folds
     for src, dst in direct:
         H[dst] -= half[src]
     flipped = np.flip(half)
-    for src, dst in mirrored:  # X[u] is conjugated in place and back: nothing is copied
-        np.conjugate(x := flipped[src], out=x)
-        H[dst] -= x
-        np.conjugate(x, out=x)
+    for src, dst in mirrored:  # through float views: nothing is copied, half only read
+        h, x = H[dst], flipped[src]
+        h.real -= x.real
+        h.imag += x.imag
 
 
 def _gather(half: np.ndarray, H: np.ndarray, slices: tuple) -> None:
@@ -159,28 +159,28 @@ def _gather(half: np.ndarray, H: np.ndarray, slices: tuple) -> None:
 
 def _layout(axes: Axes, T: tuple[int, ...], held: bool = False) -> tuple:
     """``synthesize``'s layout of a block over the kept indices on T: its slices, and
-    per axis, last first, (axis, places of the u whose -u it holds, None for all,
-    places of -u), in the block or, if it is ``held`` in a half spectrum, there."""
-    u, t, d = axes[-1], T[-1], len(T)
-    rows = np.flatnonzero((u <= t // 2) & np.isin(-u % t, u))
-    picks = [(d - 1, rows, np.searchsorted(u, -u[rows] % t))]
-    picks += [(i, None, np.searchsorted(axes[i], -axes[i] % T[i])) for i in range(d - 1)]
+    per axis the places of the u whose -u it holds and the places of those -u, in
+    the block or, if it is ``held`` in a half spectrum, there."""
+    u, t = axes[-1], T[-1]
+    at = [*map(np.arange, map(len, axes[:-1])), np.flatnonzero((u <= t // 2) & np.isin(-u % t, u))]
+    neg = [np.searchsorted(a, -a[p] % n) for a, p, n in zip(axes, at, T)]
     if held:  # a place in the block is a kept index
-        picks = [(i, axes[i] if at is None else axes[i][at], axes[i][neg]) for i, at, neg in picks]
-    return _slices(axes, T, axes if held else None), tuple(picks)
+        at, neg = [a[p] for a, p in zip(axes, at)], [a[p] for a, p in zip(axes, neg)]
+    return _slices(axes, T, axes if held else None), (at, neg)
 
 
 def _residue(X: np.ndarray, picks: tuple) -> float:
-    """The largest |conj(X[-u]) - X[u]| over the bins u of a layout's picks."""
-    mirror = X
-    for i, _, neg in picks:
-        mirror = np.take(mirror, neg, axis=i)
-    np.conjugate(mirror, out=mirror)
-    for i, at, _ in picks:
-        X = X if at is None else np.take(X, at, axis=i)
-    mirror -= X
-    del X  # not held through the abs
-    return np.abs(mirror).max(initial=0.0)
+    """The largest |conj(X[-u]) - X[u]| over the bins u of a layout's picks, NaN if
+    any is NaN, by slabs of first-axis places that each copy _SLAB_BYTES at most."""
+    at, neg = picks
+    slab = max(1, _SLAB_BYTES // max(1, X.itemsize * prod(map(len, at[1:]))))
+    worst = 0.0
+    for a in range(0, len(at[0]), slab):
+        mirror = X[np.ix_(neg[0][a : a + slab], *neg[1:])]
+        np.conjugate(mirror, out=mirror)
+        mirror -= X[np.ix_(at[0][a : a + slab], *at[1:])]
+        worst = np.maximum(worst, np.abs(mirror).max(initial=0.0))  # keeps a NaN
+    return float(worst)
 
 
 def _largest(X: np.ndarray, slices: tuple) -> float:
@@ -248,7 +248,7 @@ def write_mht1(fh: BinaryIO, g: Grid) -> None:
     fh.write(struct.pack("<I", len(g.extents)))
     fh.write(struct.pack(f"<{len(g.extents)}Q", *g.extents))
     fh.write(struct.pack("<B", dtype_code))
-    fh.write(g.data.astype("<c16" if dtype_code else "<f8", copy=False).tobytes())
+    fh.write(g.data.astype("<c16" if dtype_code else "<f8", copy=False))  # its own buffer
 
 
 def read_mht1(fh: BinaryIO) -> Grid:

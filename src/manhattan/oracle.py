@@ -40,11 +40,7 @@ def solve_reconstruct(ss: SampleSet) -> Grid:
     params = ss.params
     if not np.isfinite(ss.values).all():
         raise DomainError("sample values must be finite")
-    A, bins = _synthesis_matrix(ss)
-    if A.shape[0] < A.shape[1]:
-        raise DomainError(
-            f"underdetermined system: {A.shape[0]} samples, {A.shape[1]} bins"
-        )
+    A, bins = _synthesis_matrix(ss)  # M(B) has as many points as its region bins at least
     coeffs, *_ = np.linalg.lstsq(A, ss.values, rcond=None)
     norm = np.linalg.norm(ss.values)
     residual = np.linalg.norm(A @ coeffs - ss.values)

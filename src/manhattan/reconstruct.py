@@ -29,11 +29,12 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .core import BiStep, Collection, ManhattanParams
+from .errors import DomainError
 from .freq import FreqMask, atom_axes, atom_mask
 from .grid import (
     Axes, Grid, _fold, _fold_slices, _gather, _layout, _raw_spectrum, _slices, synthesize,
 )
-from .sampler import SampleSet, _canonical_values, _lattice_reader
+from .sampler import SampleSet, _lattice_reader
 
 _SWEEPS = 16  # compiled sweeps kept, least recently used dropped first
 
@@ -120,7 +121,8 @@ def _replica_sum(H: np.ndarray, i: int, k: int, in_place: bool) -> np.ndarray:
 
 def reconstruct(ss: SampleSet) -> Grid:
     """Recover a Manhattan-bandlimited image from its samples (any d)."""
-    values = _canonical_values(ss)  # refuses a bad sample set before the plan
+    if not np.isfinite(ss.values).all():  # a view the caller shares may have changed since
+        raise DomainError("sample values must be finite")
     T, sweep = ss.collection.params.T, _sweep(ss.collection)
     half = np.zeros((*T[:-1], T[-1] // 2 + 1), dtype=np.complex128)  # every atom's bins
     sums: dict[str, np.ndarray] = {}  # half spectra of members yet to come
@@ -128,7 +130,7 @@ def reconstruct(ss: SampleSet) -> Grid:
         np.setbufsize(256)  # elements per strided operand, not 8192: 4 KB, not 128 KB
         for step in sorted(sweep, key=lambda st: st.turn):
             if (H := sums.pop(step.name, None)) is None:  # x[::s] is transformed in place
-                H = _raw_spectrum(T, step.s, step.read, values)
+                H = _raw_spectrum(T, step.s, step.read, ss.values)
             for folds in step.folds:
                 _fold(H, half, folds)
             _gather(half, H, step.gather)

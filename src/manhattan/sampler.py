@@ -1,8 +1,8 @@
 """Extracting Manhattan samples and building scaled comb grids.
 
-A sample set in canonical form holds only the values of M(B), which (T, k, λ, B)
-fix, in lexicographic order: ``extract_samples`` gives it, ``read_mhs1`` for rows
-in that order, and the gate ``_canonical_values`` the values of any valid set.
+A sample set holds the values of one image on M(B), which (T, k, λ, B) fix point
+by point, in M(B)'s lexicographic order and nothing else; it is refused where it
+is built unless it has a finite value for every point of M(B), once.
 
 A comb grid for bi-step lattice b is zero off the lattice and carries the
 image values scaled by the product of the lattice step sizes, so that the
@@ -19,7 +19,7 @@ import signal
 import tempfile
 import threading
 from collections.abc import Callable, Iterable, Iterator
-from dataclasses import dataclass, replace
+from dataclasses import InitVar, dataclass, replace
 from functools import cached_property
 from itertools import chain, product
 from math import prod
@@ -56,41 +56,65 @@ def _point_count(c: Collection) -> int:
     return fundamental_cell_count(c) * prod(t // (k * li) for t, k, li in zip(p.T, p.k, p.lam_int))
 
 
+def _order(points: np.ndarray, c: Collection) -> slice | np.ndarray:
+    """Where M(B)'s points, in its lexicographic order, are among as many ``points``;
+    refuses points outside [0, T) or that do not hit every point of M(B) once."""
+    T = c.params.T
+    try:  # a view of the points, not a copy: read_mhs1's are its parsed rows
+        where = np.ravel_multi_index(tuple(points.T), T)
+    except ValueError:  # numpy refuses a coordinate outside [0, T)
+        raise MissingSamplesError(f"sample coordinates outside [0, T) for T={T}")
+    if np.array_equal(where, np.flatnonzero(manhattan_indicator(c))):
+        return slice(None)
+    expected, hit = manhattan_indicator(c), np.zeros(T, dtype=bool)
+    hit.flat[where] = True
+    if not np.array_equal(hit, expected):  # with the count equal, no point is hit twice
+        raise MissingSamplesError(
+            f"{np.count_nonzero(expected & ~hit)} points of M({c}) "
+            f"missing, {np.count_nonzero(hit & ~expected)} samples off it"
+        )
+    return np.argsort(where)
+
+
 @dataclass(frozen=True)
 class SampleSet:
-    """Manhattan samples of one image: raw values at lexicographic coordinates."""
+    """Manhattan samples of one image: the value at every point of M(B), once, in
+    M(B)'s lexicographic order.  ``points`` (int, shape (n, d)) give the values'
+    coordinates in any order, or are None for values in that order.  A set is checked
+    where it is built: its count first, before anything of size prod(T)."""
 
     params: ManhattanParams
     collection: Collection
-    explicit_coords: np.ndarray | None  # int, shape (n, d); None: canonical form
-    values: np.ndarray  # float64, shape (n,)
+    points: InitVar[np.ndarray | None]
+    values: np.ndarray  # float64, shape (|M(B)|,)
 
-    def __post_init__(self) -> None:
-        values = np.ascontiguousarray(self.values, dtype=np.float64)
-        if (coords := self.explicit_coords) is not None:
-            coords = np.ascontiguousarray(coords, dtype=np.int64)
-            if coords.ndim != 2 or coords.shape[1] != self.params.d:
+    def __post_init__(self, points: np.ndarray | None) -> None:
+        values = np.asarray(self.values)  # copied once it is in M(B)'s order
+        if points is not None:
+            points = np.asarray(points, dtype=np.int64)
+            if points.ndim != 2 or points.shape[1] != self.params.d:
                 raise DimensionError("coords must have shape (n, d)")
-            coords.setflags(write=False)
-        if values.shape != (values.size if coords is None else coords.shape[0],):
+        if values.shape != (values.size if points is None else len(points),):
             raise DimensionError("values length must match coords")
         self.params.extents  # raises DomainError without T
         if self.params != self.collection.params:  # the plan reads the collection's
             raise DomainError("sample params differ from the collection's params")
-        if coords is None and len(values) != self.expected_count:
+        if len(values) != self.expected_count:
             raise MissingSamplesError(
-                f"{len(values)} values given, M({self.collection}) has "
-                f"{self.expected_count} points"
+                f"{len(values)} {'values' if points is None else 'samples'} given, "
+                f"M({self.collection}) has {self.expected_count} points"
             )
-        object.__setattr__(self, "explicit_coords", coords)
+        if points is not None:
+            values = values[_order(points, self.collection)]
+        values = np.ascontiguousarray(values, dtype=np.float64)
+        if not np.isfinite(values).all():
+            raise DomainError("sample values must be finite")
         object.__setattr__(self, "values", values)
         values.setflags(write=False)
 
     @cached_property
     def coords(self) -> np.ndarray:
-        """Int coordinates, shape (n, d); the canonical form's are derived here."""
-        if self.explicit_coords is not None:
-            return self.explicit_coords
+        """Int coordinates of the values, shape (n, d): M(B)'s, derived on first use."""
         coords = np.argwhere(manhattan_indicator(self.collection))  # C order
         coords.setflags(write=False)
         return coords
@@ -104,46 +128,8 @@ class SampleSet:
 
 
 def extract_samples(image: Grid, c: Collection) -> SampleSet:
-    """The image's values on M(B), canonical: a mask reads them in C order."""
-    ss = SampleSet(c.params, c, None, image.image(c.params.extents)[manhattan_indicator(c)])
-    if not np.isfinite(ss.values).all():  # reconstruct would refuse them
-        raise DomainError("sample values must be finite")
-    return ss
-
-
-def _canonical_values(ss: SampleSet) -> np.ndarray:
-    """The sample values in M(B)'s lexicographic order, as a canonical set holds them.
-
-    Refuses a sample set that does not hit every point of M(B) exactly once
-    with a finite value: any such set would reconstruct to a wrong image.
-    The count comes first, before anything of size prod(T); with it equal,
-    samples that cover M(B) hit no point twice.  A canonical set has no
-    coordinates to check; explicit ones in M(B)'s order pass in one
-    comparison, and any other order is sorted once it is known to cover M(B).
-    """
-    T, values = ss.params.T, ss.values
-    if len(ss) != ss.expected_count:
-        raise MissingSamplesError(
-            f"{len(ss)} samples given, M({ss.collection}) has {ss.expected_count} points"
-        )
-    if ss.explicit_coords is not None:
-        try:
-            where = np.ravel_multi_index(tuple(ss.coords.T), T)
-        except ValueError:  # numpy refuses a coordinate outside [0, T)
-            raise MissingSamplesError(f"sample coordinates outside [0, T) for T={T}")
-        expected = manhattan_indicator(ss.collection)
-        if not np.array_equal(where, np.flatnonzero(expected)):  # not lexicographic
-            hit = np.zeros(T, dtype=bool)
-            hit.flat[where] = True
-            if not np.array_equal(hit, expected):
-                raise MissingSamplesError(
-                    f"{np.count_nonzero(expected & ~hit)} points of M({ss.collection}) "
-                    f"missing, {np.count_nonzero(hit & ~expected)} samples off it"
-                )
-            values = values[np.argsort(where)]
-    if not np.isfinite(values).all():
-        raise DomainError("sample values must be finite")
-    return values
+    """The image's values on M(B): a mask reads them in its lexicographic order."""
+    return SampleSet(c.params, c, None, image.image(c.params.extents)[manhattan_indicator(c)])
 
 
 def _lattice_reader(c: Collection, s: tuple[int, ...]) -> Callable[[np.ndarray, np.ndarray], None]:
@@ -180,11 +166,9 @@ def _lattice_reader(c: Collection, s: tuple[int, ...]) -> Callable[[np.ndarray, 
 
 
 def grid_from_samples(ss: SampleSet) -> Grid:
-    """Image holding the raw sample values, zero elsewhere; refuses the
-    sample sets that ``_canonical_values`` refuses."""
-    values = _canonical_values(ss)  # before anything of size prod(T)
+    """Image holding the raw sample values, zero elsewhere."""
     x = np.zeros(ss.params.T)
-    x[manhattan_indicator(ss.collection)] = values
+    x[manhattan_indicator(ss.collection)] = ss.values
     return Grid(ss.params.T, x)
 
 
@@ -218,11 +202,12 @@ def comb_from_samples(ss: SampleSet, b: BiStep) -> CombGrid:
 # MHS1 text format: magic line, header lines dims/T/k/lambda/collection, then
 # one row per sample: d integer coordinates and the value to 17 significant
 # digits (exact for float64). Blank lines are ignored, comment lines are not
-# allowed, and a malformed row raises FormatError. The writer formats each chunk
-# of rows with one `%`; a canonical set's axis i takes its coordinate text from a
-# table of T_i strings, built only where T_i <= rows, so no table outgrows the rows.
-# One loadtxt parses the rows, of a UTF-8 or ASCII file on disk from its bytes. With
-# two CPUs a forked helper writes or parses the second half of a large body at once.
+# allowed, and a malformed row raises FormatError. The writer formats each chunk of
+# rows with one `%`; axis i takes its coordinate text from a table of T_i strings,
+# built only where T_i <= rows, so no table outgrows the rows. One loadtxt parses
+# the rows, in any order, of a UTF-8 or ASCII file on disk from its bytes; a body
+# that is not M(B) once is refused as a SampleSet is. With two CPUs a forked helper
+# writes or parses the second half of a large body at once.
 # ---------------------------------------------------------------------------
 
 _MHS1_PIECE_BYTES = 1 << 14  # text parsed or copied at a time: bounds it in memory
@@ -276,15 +261,13 @@ def _forked(work: Callable[[], object], helper: Callable[[BinaryIO], object],
 def _mhs1_chunks(ss: SampleSet, starts: range) -> Iterator[str]:
     """The body text of the chunks of rows that begin at starts, one string each."""
     p = ss.params
-    coords = ss.explicit_coords  # None: each chunk's rows from the flat positions
-    flat = np.flatnonzero(manhattan_indicator(ss.collection)) if coords is None else None
+    flat = np.flatnonzero(manhattan_indicator(ss.collection))
     tables = {i: np.array([f"{j} " for j in range(t)], object)  # axis i's "j " texts
-              for i, t in enumerate(p.T) if flat is not None and t <= len(ss)}
+              for i, t in enumerate(p.T) if t <= len(ss)}
     row = "".join("%s" if i in tables else "%d " for i in range(p.d)) + "%.17g\n"
     for start in starts:
         chunk = slice(start, start + _MHS1_CHUNK_ROWS)
-        axes = coords[chunk].T if flat is None else np.unravel_index(flat[chunk], p.T)
-        cols = [*axes, ss.values[chunk]]
+        cols = [*np.unravel_index(flat[chunk], p.T), ss.values[chunk]]
         fields = [None] * (len(cols) * len(cols[-1]))  # the chunk's fields in row order
         for i, col in enumerate(cols):
             fields[i :: len(cols)] = (tables[i][col] if i in tables else col).tolist()
@@ -415,12 +398,4 @@ def read_mhs1(fh: TextIO) -> SampleSet:
         what = (f"body: each row must be {d} integer coordinates, one value" if body
                 else f"header: {exc}")
         raise FormatError(f"malformed MHS1 {what}") from exc
-    coords, values = rows["coords"], rows["value"]  # views: a SampleSet copies what it keeps
-    if len(rows) == count:  # checked before anything of size T
-        try:  # M(B) in lexicographic order needs no coordinates
-            flat = np.ravel_multi_index(tuple(coords.T), T)
-        except ValueError:  # outside [0, T): grid_from_samples refuses it
-            return SampleSet(params, collection, coords, values)
-        if np.array_equal(flat, np.flatnonzero(manhattan_indicator(collection))):
-            return SampleSet(params, collection, None, values)
-    return SampleSet(params, collection, coords, values)
+    return SampleSet(params, collection, rows["coords"], rows["value"])  # views of the rows

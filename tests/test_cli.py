@@ -383,6 +383,23 @@ class TestErrorPaths:
             "--output", str(tmp_path / "out.mht1"),
         ) == 2
 
+    @pytest.mark.parametrize("damage", ["missing", "repeated", "outside", "nan"])
+    def test_damaged_mhs1_body_is_usage_error(self, tmp_path, damage):
+        # the rows parse, but they are not M(B) once with finite values: read_mhs1
+        # refuses them as SampleSet does, and nothing is written
+        samples = self._sample_16(tmp_path)
+        lines = samples.read_text().splitlines(keepends=True)
+        lines[7:8] = {
+            "missing": [],
+            "repeated": [lines[8]],
+            "outside": ["0 16 1.0\n"],
+            "nan": [lines[7].rsplit(" ", 1)[0] + " nan\n"],
+        }[damage]
+        samples.write_text("".join(lines))
+        out = tmp_path / "out.mht1"
+        assert run("reconstruct", "--samples", str(samples), "--output", str(out)) == 2
+        assert not out.exists()
+
     def test_malformed_mhs1_row_is_format_error(self, tmp_path):
         samples = self._sample_16(tmp_path)
         lines = samples.read_text().splitlines(keepends=True)
@@ -423,7 +440,7 @@ class TestErrorPaths:
         ) == 2
 
     def test_out_of_range_mhs1_row_is_usage_error(self, tmp_path):
-        # the file reads with explicit coordinates; reconstruct refuses the row
+        # the rows parse; the sample set they make is refused
         samples = self._sample_16(tmp_path)
         lines = samples.read_text().splitlines(keepends=True)
         lines[6] = "16 0 1.0\n"  # the first sample row, one past the last row of T

@@ -21,7 +21,7 @@ import pytest
 from conftest import bandlimited_image
 from manhattan import (
     BiStep, Collection, ManhattanParams, density, extract_samples, fundamental_cell_count,
-    manhattan_region_volume, reconstruct,
+    manhattan_region_volume, reconstruct, region_mask,
 )
 from manhattan.freq import guaranteed_disjoint, replica_overlap_oracle
 from manhattan.oracle import SIZE_GUARD, rank_report, solve_reconstruct
@@ -83,6 +83,7 @@ def test_every_collection_counts(d, k, lam, r):
         c = Collection.of(p, members)
         assert manhattan_region_volume(c) == density(c), str(c)
         assert fundamental_cell_count(c) * cells == np.count_nonzero(manhattan_indicator(c)), str(c)
+        assert region_mask(c).count <= fundamental_cell_count(c) * cells, str(c)  # never too few
 
 
 @pytest.mark.parametrize("d", range(1, 5))

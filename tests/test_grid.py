@@ -126,6 +126,19 @@ class TestTransforms:
             tracemalloc.stop()
         assert peak <= 1.8 * X.data.nbytes
 
+    @pytest.mark.parametrize("T", [(64, 64, 64), (512, 512)])
+    def test_idft_peak_memory_in_slabs(self, T):
+        # the Hermitian check copies its picked bins a slab of first-axis places
+        # at a time; a whole mirror copy and a whole picked copy peaked at 3x
+        X = dft(Grid.from_array(np.random.default_rng(7).normal(size=T)))
+        tracemalloc.start()
+        try:
+            image = idft(X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * image.data.nbytes
+
     def test_domain_tags(self):
         x = Grid.from_array(np.ones((4, 4)))
         with pytest.raises(DomainError):
@@ -351,6 +364,25 @@ class TestMht1:
         buf = io.BytesIO()
         write_mht1(buf, Grid.from_array(np.arange(6.0).reshape(2, 3) / 4 - 0.5))
         assert buf.getvalue() == GOLDEN_MHT1
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_writes_the_arrays_own_buffer(self, tmp_path, dtype):
+        # the payload is written from the grid's memory, not from a bytes copy
+        rng = np.random.default_rng(8)
+        g = Grid.from_array(rng.normal(size=(512, 256)).astype(dtype))
+        buf = io.BytesIO()
+        write_mht1(buf, g)
+        header = b"MHT1" + struct.pack("<I2QB", 2, 512, 256, dtype is complex)
+        assert buf.getvalue() == header + g.data.tobytes()
+        with open(tmp_path / "g.mht1", "wb") as fh:
+            tracemalloc.start()
+            try:
+                write_mht1(fh, g)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < 0.01 * g.data.nbytes
+        assert (tmp_path / "g.mht1").read_bytes() == buf.getvalue()
 
     def test_spectrum_round_trip(self):
         # a spectrum is written with dtype code 1 even if its imaginary part is 0

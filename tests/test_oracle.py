@@ -91,15 +91,6 @@ class TestRank:
         assert rep.rows == 4
         assert rep.rank == region_mask(c).count
 
-    def test_duplicate_rows_keep_rank(self):
-        _, _, _, ss = make_case(2, (1, 1), (2, 2), (8, 8), "10,01")
-        doubled = SampleSet(
-            ss.params,
-            ss.collection,
-            np.vstack([ss.coords, ss.coords]),
-            np.concatenate([ss.values, ss.values]),
-        )
-        assert rank_report(doubled).rank == rank_report(ss).rank
 
 
 @st.composite

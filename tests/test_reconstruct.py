@@ -103,10 +103,12 @@ ENTRY_POINTS = {  # id prefix -> entry point; reconstruct keeps its original ids
 
 
 class TestMalformedSamples:
-    """Sample sets that cannot give an exact reconstruction are refused."""
+    """Sample sets that cannot give an exact reconstruction are refused where
+    they are built, so that no entry point ever sees one."""
 
     @staticmethod
     def corrupt(ss, kind):
+        """The points and values of ss with one fault of the given kind."""
         coords, values = ss.coords.copy(), ss.values.copy()
         if kind == "missing":
             coords, values = coords[1:], values[1:]
@@ -119,7 +121,7 @@ class TestMalformedSamples:
             values[3] = np.nan
         elif kind == "out-of-range":
             coords[0, 0] = -ss.params.T[0]  # numpy indexing would wrap it to 0
-        return SampleSet(ss.params, ss.collection, coords, values)
+        return coords, values
 
     @pytest.mark.parametrize(
         "entry,kind,error",
@@ -133,8 +135,8 @@ class TestMalformedSamples:
         p = ManhattanParams(d=2, lam=(1, 1), k=(4, 4), T=(16, 16))
         c = Collection.of(p, ["10", "01"])
         ss = extract_samples(bandlimited_image(p, c, seed=3), c)
-        with pytest.raises(error):
-            entry(self.corrupt(ss, kind))
+        with pytest.raises(error):  # by SampleSet: the entry is not reached
+            entry(SampleSet(p, c, *self.corrupt(ss, kind)))
 
     @pytest.mark.parametrize(
         "entry,kind,error",
@@ -145,13 +147,23 @@ class TestMalformedSamples:
         ],
     )
     def test_refused_in_any_order(self, entry, kind, error):
-        # a shuffled set always takes the full check, never the fast path
         p = ManhattanParams(d=2, lam=(1, 1), k=(4, 4), T=(16, 16))
         c = Collection.of(p, ["10", "01"])
-        ss = self.corrupt(extract_samples(bandlimited_image(p, c, seed=3), c), kind)
-        perm = np.random.default_rng(4).permutation(len(ss))
+        coords, values = self.corrupt(extract_samples(bandlimited_image(p, c, seed=3), c), kind)
+        perm = np.random.default_rng(4).permutation(len(values))
         with pytest.raises(error):
-            entry(SampleSet(p, c, ss.coords[perm], ss.values[perm]))
+            entry(SampleSet(p, c, coords[perm], values[perm]))
+
+    def test_values_written_after_building_refused(self):
+        # a set adopts a float64 array in order without a copy; a view of it
+        # that the caller keeps can still write a NaN, which reconstruct refuses
+        p = ManhattanParams(d=2, lam=(1, 1), k=(4, 4), T=(16, 16))
+        c = Collection.of(p, ["10", "01"])
+        shared = extract_samples(bandlimited_image(p, c, seed=3), c).values.copy()
+        ss = SampleSet(p, c, None, shared[:])
+        shared[3] = np.nan
+        with pytest.raises(DomainError, match="sample values must be finite"):
+            reconstruct(ss)
 
     @pytest.mark.parametrize("T,k", [((32, 32), (4, 4)), ((16, 16), (2, 2))],
                              ids=["other-T", "other-k"])
@@ -168,16 +180,15 @@ class TestMalformedSamples:
         # 2 samples on T = 4096^2: refused before a 16 MB indicator of M(B) is built
         p = ManhattanParams(d=2, lam=(1, 1), k=(4, 4), T=(4096, 4096))
         c = Collection.of(p, ["10", "01"])
-        ss = SampleSet(p, c, np.array([[0, 0], [0, 1]]), np.array([1.0, 2.0]))
         tracemalloc.start()
         try:
             with pytest.raises(MissingSamplesError) as exc:
-                reconstruct(ss)
+                SampleSet(p, c, np.array([[0, 0], [0, 1]]), np.array([1.0, 2.0]))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert f"{len(ss)} samples" in str(exc.value)
-        assert f"{ss.expected_count} points" in str(exc.value)
+        assert "2 samples given" in str(exc.value)
+        assert f"{7 * 4096 ** 2 // 16} points" in str(exc.value)
         assert peak < 1 << 20
 
 
@@ -264,6 +275,7 @@ class TestHalfSpectrumEngine:
                 half = np.zeros((*T[:-1], T[-1] // 2 + 1), dtype=complex)
                 half[np.ix_(*lower)] = block[..., low]
                 held = half.copy()
+                half.setflags(write=False)  # a fold only reads the blocks it subtracts
                 got = np.zeros((*m[:-1], m[-1] // 2 + 1), dtype=complex)
                 _fold(got, half, _fold_slices(lower, T, m))
                 assert np.abs(got + want[..., : m[-1] // 2 + 1]).max() <= 1e-12 * np.abs(X).max()

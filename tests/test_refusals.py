@@ -21,7 +21,6 @@ from manhattan import (
     lattice_contains,
     nyquist_mask,
     replica_overlap_oracle,
-    solve_reconstruct,
     v_class,
 )
 from manhattan.cli import build_parser, main
@@ -73,8 +72,8 @@ REFUSALS = [
                  DomainError, "oracle requires", id="overlap-oracle-small-T"),
     pytest.param(lambda: Grid((2, 3), np.zeros((3, 2))),
                  DimensionError, "does not match extents", id="grid-shape"),
-    pytest.param(lambda: solve_reconstruct(_few_samples()),
-                 DomainError, "underdetermined", id="oracle-underdetermined"),
+    pytest.param(_few_samples, MissingSamplesError,
+                 r"3 samples given, M\(10,01\) has 48 points", id="samples-count"),
     pytest.param(lambda: SampleSet(P, C, np.zeros((3, 3)), np.zeros(3)),
                  DimensionError, r"coords must have shape \(n, d\)", id="samples-coords"),
     pytest.param(lambda: SampleSet(P, C, np.zeros((3, 2)), np.zeros(2)),

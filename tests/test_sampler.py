@@ -139,7 +139,7 @@ class TestCombs:
             assert np.array_equal(from_grid, from_samples)
 
     def test_scatter_ignores_sample_order(self):
-        # lexicographic order takes the fast path, any other order the full check
+        # a shuffled set's values are sorted into M(B)'s order where it is built
         perm = np.random.default_rng(3).permutation(len(self.ss))
         shuffled = SampleSet(
             self.p, self.c, self.ss.coords[perm], self.ss.values[perm]
@@ -242,9 +242,12 @@ def mhs1_text(ss):
 
 
 def mhs1_text_per_row(ss):
-    """Reference writer: one formatted line per sample."""
-    buf = io.StringIO()
-    write_mhs1(buf, SampleSet(ss.params, ss.collection, ss.coords[:0], ss.values[:0]))
+    """Reference writer: the header, then one formatted line per sample."""
+    p, buf = ss.params, io.StringIO()
+    buf.write(f"MHS1\ndims {p.d}\n")
+    for key, field in (("T", p.T), ("k", p.k), ("lambda", p.lam_int)):
+        buf.write(f"{key} {' '.join(map(str, field))}\n")
+    buf.write(f"collection {ss.collection}\n")
     for coord, value in zip(ss.coords, ss.values):
         buf.write(" ".join(map(str, coord)) + f" {value:.17g}\n")
     return buf.getvalue()
@@ -356,15 +359,14 @@ class TestMhs1Body:
 
     @given(st.data())
     def test_round_trip_bit_exact(self, data):
-        d = data.draw(st.integers(1, 3))
-        n = data.draw(st.integers(0, 40))
-        p = ManhattanParams(d=d, lam=(1,) * d, k=(2,) * d, T=(2,) * d)
-        c = Collection.of(p, ["1" * d])
-        coords = data.draw(arrays(np.int64, (n, d)))
+        # M(0) on T = 2n with k = 2 is every other point: any number n of rows
+        n = data.draw(st.integers(1, 40))
+        p = ManhattanParams(d=1, lam=(1,), k=(2,), T=(2 * n,))
+        c = Collection.of(p, ["0"])
         values = data.draw(
             arrays(np.float64, n, elements=st.floats(allow_nan=False, allow_infinity=False))
         )
-        ss = SampleSet(p, c, coords, values)
+        ss = SampleSet(p, c, None, values)
         text = mhs1_text(ss)
         assert text == mhs1_text_per_row(ss)
         assert_same_samples(read_mhs1(io.StringIO(text)), ss)
@@ -380,16 +382,18 @@ class TestMhs1Body:
         monkeypatch.setattr(sampler, "_MHS1_CHUNK_ROWS", chunk_rows)
         assert mhs1_text(ss) == expected
 
-    def test_header_only_is_empty_sample_set(self):
+    def test_header_only_is_refused(self):
+        # M(B) always has the origin: no body is a set with every point missing
         for body in ("", "\n  \n\t\n"):
-            ss = read_mhs1(io.StringIO(HEADER_2D + body))
-            assert len(ss) == 0
-            assert ss.coords.shape == (0, 2)
+            with pytest.raises(MissingSamplesError, match=re.escape(
+                    "0 samples given, M(10,01) has 28 points")):
+                read_mhs1(io.StringIO(HEADER_2D + body))
 
     def test_blank_lines_are_skipped(self):
-        ss = read_mhs1(io.StringIO(HEADER_2D + "\n0 0 1.5\n\n  \n0 1 -2\n\n"))
-        assert ss.coords.tolist() == [[0, 0], [0, 1]]
-        assert ss.values.tolist() == [1.5, -2.0]
+        head, body = GOLDEN_MHS1.split("collection 100,010\n")
+        rows = body.splitlines(keepends=True)
+        text = head + "collection 100,010\n\n" + rows[0] + "\n  \n" + "".join(rows[1:]) + "\n"
+        assert_same_samples(read_mhs1(io.StringIO(text)), golden_samples())
 
     @pytest.mark.parametrize(
         "row",
@@ -470,66 +474,71 @@ def canonical_sets(draw):
 
 
 class TestCanonicalForm:
-    """The values-only form of M(B) and its explicit copy behave alike."""
+    """A set built from values in M(B)'s order and one built from its points in
+    any order are the same set; any other points or values are refused where
+    the set is built, the count first."""
 
     @given(canonical_sets())
     def test_agrees_with_explicit_copy(self, ss):
         grid, result, text = grid_from_samples(ss).data, reconstruct(ss).data, mhs1_text(ss)
-        assert ss.explicit_coords is None and "coords" not in vars(ss)  # none derived
+        assert "coords" not in vars(ss)  # none derived
         assert np.array_equal(ss.coords, np.argwhere(manhattan_indicator(ss.collection)))
         explicit = SampleSet(ss.params, ss.collection, ss.coords, ss.values)
-        assert explicit.explicit_coords is not None
+        assert "coords" not in vars(explicit)  # none kept
+        assert np.array_equal(explicit.values.view(np.uint64), ss.values.view(np.uint64))
         assert np.array_equal(grid_from_samples(explicit).data, grid)
         assert np.array_equal(reconstruct(explicit).data.view(np.uint64), result.view(np.uint64))
         assert mhs1_text(explicit) == text
 
     @given(canonical_sets(), st.data())
     def test_damaged_explicit_sets_refused(self, ss, data):
-        # the same error and wording for a damaged explicit set as ever
+        # each damage is refused where the set is built, in any order, with the
+        # error and wording reconstruct gave it; a wrong count before all else
         p, c, coords, values = ss.params, ss.collection, ss.coords, ss.values
         n, on = len(ss), manhattan_indicator(ss.collection)
         i = data.draw(st.integers(0, n - 1))
         axis = data.draw(st.integers(0, p.d - 1))
         outside = coords.copy()
         outside[i, axis] = data.draw(st.sampled_from([-1, p.T[axis]]))
-        cases = [  # (coords, values, message fragment)
-            (np.delete(coords, i, 0), np.delete(values, i),
+        nan = values.copy()
+        nan[i] = np.nan
+        cases = [  # (coords, values, error, message fragment)
+            (np.delete(coords, i, 0), np.delete(values, i), MissingSamplesError,
              f"{n - 1} samples given, M({c}) has {n} points"),
-            (np.vstack([coords, coords[i:i + 1]]), np.append(values, 0.0),
+            (np.vstack([coords, coords[i:i + 1]]), np.append(values, 0.0), MissingSamplesError,
              f"{n + 1} samples given"),
-            (outside, values, "outside [0, T)"),
+            (outside, values, MissingSamplesError, "outside [0, T)"),
+            (np.delete(outside, (i + 1) % n, 0), np.delete(nan, (i + 1) % n),
+             MissingSamplesError, f"{n - 1} samples given"),  # the count comes first
+            (coords, nan, DomainError, "sample values must be finite"),
+            (outside, nan, MissingSamplesError, "outside [0, T)"),  # then the points
         ]
         if n > 1:  # one row repeated in place of another: 1 point missing
             repeated = coords.copy()
             repeated[i] = coords[(i + 1) % n]
-            cases.append((repeated, values, f"1 points of M({c}) missing, 0 samples off"))
+            cases.append((repeated, values, MissingSamplesError,
+                          f"1 points of M({c}) missing, 0 samples off"))
         if not on.all():  # a point of T off M(B) to land on
             off = coords.copy()
             off[i] = np.argwhere(~on)[0]
-            cases.append((off, values, "missing, 1 samples off it"))
+            cases.append((off, values, MissingSamplesError, "missing, 1 samples off it"))
         order = data.draw(st.permutations(range(n + 1)), label="row order")
-        for bad_coords, bad_values, fragment in cases:
+        for bad_coords, bad_values, error, fragment in cases:
             rows = [j for j in order if j < len(bad_values)]  # any order refuses alike
-            for bad in (SampleSet(p, c, bad_coords, bad_values),
-                        SampleSet(p, c, bad_coords[rows], bad_values[rows])):
-                for entry in (sampler._canonical_values, grid_from_samples, reconstruct):
-                    with pytest.raises(MissingSamplesError, match=re.escape(fragment)):
-                        entry(bad)
+            for bad_rows in (slice(None), rows):
+                with pytest.raises(error, match=re.escape(fragment)):
+                    SampleSet(p, c, bad_coords[bad_rows], bad_values[bad_rows])
 
     @given(canonical_sets(), st.data())
     def test_permuted_set_reconstructs_as_canonical(self, ss, data):
-        # the gate sorts the values of a shuffled set into M(B)'s order
+        # any order of M(B)'s points builds the canonical twin, bit for bit
         order = np.array(data.draw(st.permutations(range(len(ss))), label="row order"))
         permuted = SampleSet(ss.params, ss.collection, ss.coords[order], ss.values[order])
-        assert np.array_equal(sampler._canonical_values(permuted), ss.values)
+        assert np.array_equal(permuted.values.view(np.uint64), ss.values.view(np.uint64))
         assert np.array_equal(grid_from_samples(permuted).data, grid_from_samples(ss).data)
         want = reconstruct(ss).data.view(np.uint64)
         assert np.array_equal(reconstruct(permuted).data.view(np.uint64), want)
-        values = ss.values[order]
-        values[data.draw(st.integers(0, len(ss) - 1), label="bad row")] = np.nan
-        for entry in (sampler._canonical_values, grid_from_samples, reconstruct):
-            with pytest.raises(DomainError, match="sample values must be finite"):
-                entry(SampleSet(ss.params, ss.collection, ss.coords[order], values))
+        assert mhs1_text(permuted) == mhs1_text(ss)
 
 
 class TestLatticeReader:
@@ -566,7 +575,8 @@ class TestLatticeReader:
 
 
 class TestMhs1Canonical:
-    """read_mhs1 gives the canonical form for M(B) in lexicographic order only."""
+    """read_mhs1 reads M(B)'s rows in any order into the canonical form, and
+    refuses any other body as a SampleSet does."""
 
     def setup_method(self):
         self.p = ManhattanParams(d=2, lam=(1, 1), k=(4, 4), T=(16, 16))
@@ -582,7 +592,7 @@ class TestMhs1Canonical:
 
     def test_canonical_text_reads_values_only(self):
         back = self.read(self.lines)
-        assert back.explicit_coords is None and "coords" not in vars(back)
+        assert "coords" not in vars(back)
         assert np.array_equal(reconstruct(back).data, reconstruct(self.ss).data)
         assert "coords" not in vars(back)  # reconstruct derives none
         assert_same_samples(back, self.ss)
@@ -590,28 +600,23 @@ class TestMhs1Canonical:
     def test_shuffled_text_reads_explicit(self):
         body = self.lines[6:]
         random.Random(7).shuffle(body)
-        back = self.read(self.lines[:6] + body)
-        assert back.explicit_coords is not None
-        assert sorted(map(tuple, back.coords.tolist())) == list(map(tuple, self.ss.coords))
+        back = self.read(self.lines[:6] + body)  # sorted by its explicit coordinates
+        assert "coords" not in vars(back)
+        assert_same_samples(back, self.ss)
         assert np.array_equal(reconstruct(back).data, reconstruct(self.ss).data)
 
     @pytest.mark.parametrize("coord", ["16 0", "-16 0", "0 16"])
     def test_out_of_range_row_reads_then_refused(self, coord):
         lines = list(self.lines)
         lines[6] = f"{coord} 1.0\n"  # first sample row, (0, 0) in the canonical order
-        back = self.read(lines)
-        assert back.explicit_coords is not None
         with pytest.raises(MissingSamplesError, match=re.escape("outside [0, T)")):
-            reconstruct(back)
+            self.read(lines)  # the rows parse; the set they make is refused
 
     def test_non_finite_value_reads_canonical_then_refused(self):
         lines = list(self.lines)
         lines[7] = lines[7].rsplit(" ", 1)[0] + " nan\n"  # the coordinates stay
-        back = self.read(lines)
-        assert back.explicit_coords is None
-        for entry in (grid_from_samples, reconstruct):
-            with pytest.raises(DomainError, match="finite"):
-                entry(back)
+        with pytest.raises(DomainError, match="finite"):
+            self.read(lines)  # the rows parse, in M(B)'s order; their set is refused
 
     @pytest.mark.parametrize(
         "T,k,coll", [((256, 256), (2, 2), "10,01"), ((24, 24, 24), (3, 3, 3), "110,101,011")]
@@ -629,7 +634,7 @@ class TestMhs1Canonical:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert back.explicit_coords is None and back.values.flags.owndata
+        assert back.values.flags.owndata
         assert peak <= 1.85 * rows
 
     def test_few_rows_counted_before_anything_of_size_T(self):
@@ -638,11 +643,12 @@ class TestMhs1Canonical:
                 "0 0 1.0\n0 1 2.0\n")
         tracemalloc.start()
         try:
-            back = self.read([text])
+            with pytest.raises(MissingSamplesError, match=re.escape(
+                    "2 samples given, M(10,01) has 7340032 points")):
+                self.read([text])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert back.explicit_coords is not None and len(back) == 2
         assert peak < 1 << 20
 
 
@@ -674,7 +680,6 @@ def open_in_memory(path, **kwargs):
 def assert_same_outcome(split, serial):
     if isinstance(serial[0], SampleSet):
         assert_same_samples(split[0], serial[0])
-        assert (split[0].explicit_coords is None) == (serial[0].explicit_coords is None)
         assert split[1] and serial[1]  # both at the end of the file
     else:
         assert split == serial
@@ -896,7 +901,6 @@ class TestMhs1Split:
                 back = read_mhs1(fh)
             assert not sampler._mhs1_split  # the second half parsed here
         assert_same_samples(back, self.ss)
-        assert back.explicit_coords is None
 
     @pytest.mark.parametrize("temp", ["no temp dir", "full temp dir"])
     def test_no_temp_file_is_done_here(self, tmp_path, monkeypatch, temp):
@@ -943,7 +947,6 @@ class TestMhs1Split:
                 assert fh.read() == ""
             assert not sampler._mhs1_split
         assert_same_samples(back, self.ss)
-        assert back.explicit_coords is None
 
     def test_split_rule(self, tmp_path, monkeypatch):
         # two full chunks of rows at least, by the header's count when reading;
@@ -990,7 +993,8 @@ class TestMhs1Split:
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         ss = extract_samples(Grid.from_array(rng.normal(size=T) * 10.0 ** rng.integers(-300, 300, T)), c)
         if data.draw(st.booleans(), label="explicit"):
-            ss = SampleSet(p, c, ss.coords, ss.values)
+            perm = rng.permutation(len(ss))
+            ss = SampleSet(p, c, ss.coords[perm], ss.values[perm])
         chunk_rows = data.draw(st.sampled_from([1, 5, 7]))
         with mock.patch.object(sampler, "_MHS1_CHUNK_ROWS", chunk_rows), \
                 mock.patch.object(os, "sched_getaffinity", lambda pid: {0, 1}, create=True):
@@ -1041,7 +1045,7 @@ class TestMhs1Split:
             finally:
                 tracemalloc.stop()
         assert sampler._mhs1_split
-        assert back.explicit_coords is None and back.values.flags.owndata
+        assert back.values.flags.owndata
         assert_same_samples(back, ss)
         assert peak <= 1.85 * rows
 
