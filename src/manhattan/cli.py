@@ -21,7 +21,7 @@ from .core import Collection, ManhattanParams, density, fundamental_cell_count
 from .errors import DomainError, FormatError, ManhattanError, NumericalFailureError
 from .freq import atom_volume, manhattan_region_volume
 from .grid import Grid, read_mht1, read_pgm, spectrum_report, write_mht1, write_pgm
-from .reconstruct import _sweep, bandlimit, reconstruct
+from .reconstruct import ReconstructionPlan, bandlimit, reconstruct
 from .sampler import extract_samples, read_mhs1, write_mhs1
 
 log = logging.getLogger("manhattan")
@@ -122,8 +122,8 @@ def cmd_reconstruct(args) -> int:
               time.perf_counter() - start, os.path.getsize(args.samples), sampler._mhs1_split)
     start = time.perf_counter()
     result = reconstruct(ss)
-    log.debug("core.alias_pairs %d reconstruct.reconstruct_s %.6f",
-              sum(len(step.folds) for step in _sweep(ss.collection)), time.perf_counter() - start)
+    log.debug("core.alias_pairs %d reconstruct.reconstruct_s %.6f", sum(len(step.folds) for step in
+              ReconstructionPlan.for_collection(ss.collection).steps), time.perf_counter() - start)
     _write_grid(args.output, result)
     log.info("reconstructed %s -> %s", args.samples, args.output)
     if args.reference:

@@ -12,9 +12,9 @@ axis stops at T//2.  Modulo m they form a few runs per axis: ``_slices``,
 ``_fold_slices`` and ``_layout`` build a block's slice copies once, for a
 plan, and ``_fold``, ``_gather`` and ``synthesize`` replay them.  The way in,
 ``_raw_spectrum``, transforms samples in the memory of their half spectrum;
-``synthesize``, the only way back, checks that every block is Hermitian,
-moves the blocks into one half spectrum, unless they are held there already,
-and inverts it in place, by slabs of rows: its memory's head is the image.
+``synthesize``, the only way back, checks every block where its spectrum holds
+it, at its kept indices, and inverts that spectrum in place, by slabs of rows:
+its memory's head is the image.
 """
 
 from __future__ import annotations
@@ -39,13 +39,13 @@ _MHT1_MAGIC = b"MHT1"
 _SLAB_BYTES = 1 << 18  # bytes per last-axis transform, forward or inverse
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Grid:
     """Read-only tensor with extents T: a real image or a complex spectrum.
 
     Real, integer and bool data are stored as float64, complex data as
-    complex128.  An array already in that dtype and C order is adopted
-    without a copy and made read-only.
+    complex128.  An array already in that dtype and C order is adopted through
+    a read-only view, not a copy.  Grids compare and hash by identity.
     """
 
     extents: tuple[int, ...]
@@ -57,7 +57,7 @@ class Grid:
         if any(t <= 0 for t in self.extents):
             raise DomainError(f"grid extents must be positive, got {tuple(self.extents)}")
         dtype = np.complex128 if np.iscomplexobj(self.data) else np.float64
-        arr = np.ascontiguousarray(self.data, dtype=dtype)
+        arr = np.ascontiguousarray(self.data, dtype=dtype).view()
         if tuple(arr.shape) != tuple(self.extents):
             raise DimensionError(
                 f"data shape {arr.shape} does not match extents {self.extents}"
@@ -88,8 +88,8 @@ def idft(g: Grid) -> Grid:
     spectrum must be Hermitian (``synthesize`` of the one whole block)."""
     if not np.iscomplexobj(g.data):
         raise DomainError("idft expects a spectrum, got a real image")
-    layout = _layout(tuple(np.arange(t) for t in g.extents), g.extents)  # ranges not kept
-    return synthesize(g.extents, {"spectrum": (layout, g.data)})
+    layout = _layout(tuple(np.arange(t) for t in g.extents), g.extents)
+    return synthesize(g.extents, g.data, {"spectrum": layout})  # read-only: its half is copied
 
 
 def _raw_spectrum(T: tuple[int, ...], s: tuple[int, ...], fill, source) -> np.ndarray:
@@ -157,16 +157,12 @@ def _gather(half: np.ndarray, H: np.ndarray, slices: tuple) -> None:
         half[src] = H[dst]
 
 
-def _layout(axes: Axes, T: tuple[int, ...], held: bool = False) -> tuple:
-    """``synthesize``'s layout of a block over the kept indices on T: its slices, and
-    per axis the places of the u whose -u it holds and the places of those -u, in
-    the block or, if it is ``held`` in a half spectrum, there."""
+def _layout(axes: Axes, T: tuple[int, ...]) -> tuple:
+    """``synthesize``'s layout of a block held at its kept indices on T: its slices
+    there, and per axis the kept u whose -u it holds and those -u."""
     u, t = axes[-1], T[-1]
-    at = [*map(np.arange, map(len, axes[:-1])), np.flatnonzero((u <= t // 2) & np.isin(-u % t, u))]
-    neg = [np.searchsorted(a, -a[p] % n) for a, p, n in zip(axes, at, T)]
-    if held:  # a place in the block is a kept index
-        at, neg = [a[p] for a, p in zip(axes, at)], [a[p] for a, p in zip(axes, neg)]
-    return _slices(axes, T, axes if held else None), (at, neg)
+    at = [*axes[:-1], u[(u <= t // 2) & np.isin(-u % t, u)]]
+    return _slices(axes, T, axes), (at, [-a % n for a, n in zip(at, T)])
 
 
 def _residue(X: np.ndarray, picks: tuple) -> float:
@@ -188,32 +184,24 @@ def _largest(X: np.ndarray, slices: tuple) -> float:
     return float(np.max([np.abs(X[src]).max(initial=0.0) for src, _ in slices], initial=0.0))
 
 
-def synthesize(T: tuple[int, ...], blocks: dict[str, tuple[tuple, np.ndarray | None]],
-               half: np.ndarray | None = None) -> Grid:
-    """Real image with extents T whose spectrum is made of the named blocks, each
-    given with the ``_layout`` of its kept indices, disjoint from the others, or is
-    ``half``, which holds them all, each given as None with its ``_layout`` there.
-    Refuses unless X[u] = conj(X[-u]) wherever a block holds both, to
-    IMAG_RESIDUE_TOL times the largest |X[u]| of all blocks; NaN or inf fails
-    too, named by the first block that holds it.  Consumes ``blocks`` in order,
-    dropping each once it is in the half spectrum, which is then inverted in
-    place: the image is the head of its memory, at most 16 bytes shorter a row."""
-    maxima = [_largest(half if block is None else block, s) for (s, _), block in blocks.values()]
+def synthesize(T: tuple[int, ...], X: np.ndarray, layouts: dict[str, tuple]) -> Grid:
+    """Real image with extents T whose spectrum X, a half spectrum or, read-only, a whole
+    one, holds the named blocks at their kept indices, disjoint, each given by its ``_layout``.
+    Refuses unless X[u] = conj(X[-u]) wherever a block holds both, to IMAG_RESIDUE_TOL
+    times the largest |X[u]| of all blocks; NaN or inf fails too, named by the first block
+    that holds it.  Then X, or a copy of its half if X is read-only, is inverted in place:
+    the image is the head of that memory, at most 16 bytes shorter a row."""
+    maxima = [_largest(X, slices) for slices, _ in layouts.values()]
     peak = max(maxima, default=0.0)  # a NaN after the first is caught by its own block
-    if half is None:  # made after the blocks are measured
-        half = np.zeros((*T[:-1], T[-1] // 2 + 1), dtype=np.complex128)
-    for what, own in zip(list(blocks), maxima):
-        (slices, picks), block = blocks.pop(what)
-        residue = _residue(half if block is None else block, picks)
+    for (what, (_, picks)), own in zip(layouts.items(), maxima):
+        residue = _residue(X, picks)
         top = peak if own == own else own  # its own NaN
         if not residue <= IMAG_RESIDUE_TOL * top < np.inf:
             raise NumericalFailureError(
                 f"{what} is not finite and Hermitian: residue {residue:.3e} exceeds "
                 f"{IMAG_RESIDUE_TOL:.0e} relative to peak {top:.3e}"
             )
-        for src, dst in () if block is None else slices:
-            half[dst] = block[src]
-        del block  # the last one too is not held through the inverse
+    half = X if X.flags.writeable else X[..., : T[-1] // 2 + 1].copy()  # once all are checked
     for i in range(len(T) - 1):  # irfftn's own passes, in its order
         np.fft.ifft(half, axis=i, out=half)
     lines = half.reshape(-1, half.shape[-1])

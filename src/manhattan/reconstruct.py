@@ -16,15 +16,17 @@ axis) is lattice b subsampled by k_i on axis i: that member sums b's residual
 over the k_i replicas on axis i, in b's memory if it is b's last child and is
 ready once b is done, and folds only the supersets not above b.  Any other
 member reads its ``x[::s]`` into its own spectrum's memory from the canonical
-values (``sampler._lattice_reader``).  ``_sweep`` compiles this once per
-``Collection``, for ``reconstruct`` and for ``bandlimit``, which keeps its atoms.
+values (``sampler._lattice_reader``).  ``ReconstructionPlan.for_collection``
+compiles this once per ``Collection`` into one cached plan, which ``reconstruct``
+replays and ``bandlimit`` reads for the atoms it keeps; both hand ``synthesize``
+the half spectrum that holds the atoms, with the plan's layouts.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -36,74 +38,65 @@ from .grid import (
 )
 from .sampler import SampleSet, _lattice_reader
 
-_SWEEPS = 16  # compiled sweeps kept, least recently used dropped first
+# A plan's member b: "atom b"; the reader of its x[::s], or None; its steps s; the
+# ``_fold_slices`` modulo m of each superset its source holds (Lemma 1); its lower block's
+# slices modulo m onto T; its children (member, axis i, k_i, in b's memory), summing b's residual.
+_Step = namedtuple("_Step", "name read s folds gather children")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReconstructionPlan:
-    """Closure members in sweep order (weight descending, bitmask ascending)
-    with the per-axis kept DFT indices of their atoms."""
+    """A collection's sweep, compiled: closure members in plan order (weight descending,
+    bitmask ascending) with the per-axis kept DFT indices of their atoms, the ``_layout`` of
+    each atom's lower-only block in a half spectrum (its last axis stops at T//2), in plan
+    order, and the steps, in turn order.  Plans compare and hash by identity."""
 
     members: tuple[BiStep, ...]
     axes: dict[BiStep, Axes]
     params: ManhattanParams
+    layouts: dict[str, tuple]
+    steps: tuple[_Step, ...]
 
     @classmethod
+    @lru_cache(maxsize=16)  # compiled plans kept, least recently used dropped first
     def for_collection(cls, c: Collection) -> "ReconstructionPlan":
+        """The plan, compiled once per collection.  Member b's parent, whose residual it
+        sums, is the first b | e_i, i not the last axis.  b's turn comes after its supersets':
+        first one whose sum is held, else the read leaving fewest children waiting."""
+        p, T = c.params, c.params.T
         members = tuple(c.closure().sorted_members())
-        axes = {b: tuple(map(np.flatnonzero, atom_axes(b, c.params))) for b in members}
-        return cls(members, axes, c.params)
+        axes = {b: tuple(map(np.flatnonzero, atom_axes(b, p))) for b in members}
+        lower = {b: (*u[:-1], u[-1][u[-1] <= T[-1] // 2]) for b, u in axes.items()}
+        parent: dict[BiStep, tuple[BiStep, int]] = {}
+        for b in members:
+            for i in np.flatnonzero(b.bits[:-1]).tolist():
+                parent.setdefault(BiStep((*b.bits[:i], 0, *b.bits[i + 1 :])), (b, i))
+        kids = {b: [a for a, (q, _) in parent.items() if q == b] for b in members}
+        above = {b: {a for a in members if a != b and b.issubset(a)} for b in members}
+        order: list[BiStep] = []
+        while len(order) < len(members):
+            ready = [b for b in members if b not in order and above[b].issubset(order)]
+            order.append(min(ready, key=lambda b: (b not in parent, sum(
+                not above[a] <= {b, *order} for a in kids[b]))))
+        steps = []
+        for turn, b in enumerate(order):
+            s = p.step_int(b)
+            m = tuple(t // si for t, si in zip(T, s))
+            up = parent.get(b, (None,))[0]  # whose residual has every b' ⊇ up folded out
+            folds = tuple(_fold_slices(lower[bp], T, m) for bp in members
+                          if bp in above[b] and not (up is not None and up.issubset(bp)))
+            children = tuple((f"atom {a}", parent[a][1], p.k[parent[a][1]], a == kids[b][-1]
+                              and above[a].issubset(order[: turn + 1])) for a in kids[b])
+            read = _lattice_reader(c, s) if up is None else None  # else a replica sum
+            steps.append(_Step(f"atom {b}", read, s, folds, _slices(lower[b], m, lower[b]),
+                               children))
+        layouts = {f"atom {b}": _layout(lower[b], T) for b in members}
+        return cls(members, axes, p, layouts, tuple(steps))
 
-    @cached_property
+    @property
     def masks(self) -> dict[BiStep, FreqMask]:
-        """Full-size atom masks, for callers that work on the whole grid."""
+        """Full-size atom masks, for callers that work on the whole grid; not kept."""
         return {b: atom_mask(b, self.params) for b in self.members}
-
-    @cached_property
-    def lower(self) -> dict[BiStep, Axes]:
-        """Kept indices of the lower-only atom blocks: the last axis stops at T//2."""
-        t = self.params.T[-1]
-        return {b: (*u[:-1], u[-1][u[-1] <= t // 2]) for b, u in self.axes.items()}
-
-
-# A member b of a compiled sweep: "atom b"; its turn; the reader of its x[::s], or None;
-# its steps s; the ``_fold_slices`` modulo m of each superset its source holds (Lemma 1);
-# the slices of its lower block modulo m onto T; its children (member, axis i, k_i, in
-# b's memory), which sum its residual; and the block's ``_layout`` in a half spectrum.
-_Step = namedtuple("_Step", "name turn read s folds gather children held")
-
-
-@lru_cache(maxsize=_SWEEPS)
-def _sweep(c: Collection) -> tuple[_Step, ...]:
-    """A collection's sweep, compiled, in plan order.  A member b's parent, whose residual
-    it sums, is the first b | e_i, i not the last axis.  A member's turn comes after its
-    supersets': first one whose sum is held, else the read leaving fewest children waiting."""
-    plan = ReconstructionPlan.for_collection(c)
-    p, T, lower = plan.params, plan.params.T, plan.lower
-    parent: dict[BiStep, tuple[BiStep, int]] = {}
-    for b in plan.members:
-        for i in np.flatnonzero(b.bits[:-1]).tolist():
-            parent.setdefault(BiStep((*b.bits[:i], 0, *b.bits[i + 1 :])), (b, i))
-    kids = {b: [a for a, (q, _) in parent.items() if q == b] for b in plan.members}
-    above = {b: {a for a in plan.members if a != b and b.issubset(a)} for b in plan.members}
-    order: list[BiStep] = []
-    while len(order) < len(plan.members):
-        ready = [b for b in plan.members if b not in order and above[b].issubset(order)]
-        order.append(min(ready, key=lambda b: (b not in parent, sum(
-            not above[a] <= {b, *order} for a in kids[b]))))
-    steps = []
-    for b in plan.members:
-        s = p.step_int(b)
-        m = tuple(t // si for t, si in zip(T, s))
-        up = parent.get(b, (None,))[0]  # whose residual has every b' ⊇ up folded out
-        folds = tuple(_fold_slices(lower[bp], T, m) for bp in plan.members
-                      if bp in above[b] and not (up is not None and up.issubset(bp)))
-        children = tuple((f"atom {a}", parent[a][1], p.k[parent[a][1]], a == kids[b][-1]
-                          and above[a].issubset(order[: order.index(b) + 1])) for a in kids[b])
-        read = _lattice_reader(c, s) if up is None else None  # else a replica sum
-        steps.append(_Step(f"atom {b}", order.index(b), read, s, folds,
-                           _slices(lower[b], m, lower[b]), children, _layout(lower[b], T, True)))
-    return tuple(steps)
 
 
 def _replica_sum(H: np.ndarray, i: int, k: int, in_place: bool) -> np.ndarray:
@@ -123,12 +116,12 @@ def reconstruct(ss: SampleSet) -> Grid:
     """Recover a Manhattan-bandlimited image from its samples (any d)."""
     if not np.isfinite(ss.values).all():  # a view the caller shares may have changed since
         raise DomainError("sample values must be finite")
-    T, sweep = ss.collection.params.T, _sweep(ss.collection)
+    T, plan = ss.collection.params.T, ReconstructionPlan.for_collection(ss.collection)
     half = np.zeros((*T[:-1], T[-1] // 2 + 1), dtype=np.complex128)  # every atom's bins
     sums: dict[str, np.ndarray] = {}  # half spectra of members yet to come
     with np.errstate():  # which restores numpy's ufunc buffer size on the way out
         np.setbufsize(256)  # elements per strided operand, not 8192: 4 KB, not 128 KB
-        for step in sorted(sweep, key=lambda st: st.turn):
+        for step in plan.steps:
             if (H := sums.pop(step.name, None)) is None:  # x[::s] is transformed in place
                 H = _raw_spectrum(T, step.s, step.read, ss.values)
             for folds in step.folds:
@@ -140,16 +133,16 @@ def reconstruct(ss: SampleSet) -> Grid:
             for name, i, k, in_place in step.children:  # in place: it keeps H's memory
                 sums[name] = _replica_sum(H, i, k, in_place)
             del H  # before the next member's spectrum is built
-        return synthesize(T, {step.name: (step.held, None) for step in sweep}, half)
+        return synthesize(T, half, plan.layouts)
 
 
 def bandlimit(image: Grid, c: Collection) -> Grid:
     """Zero the image's spectrum outside the Manhattan region, its atoms; idempotent."""
-    x, T, sweep = image.image(c.params.extents), c.params.T, _sweep(c)
+    x, T, plan = image.image(c.params.extents), c.params.T, ReconstructionPlan.for_collection(c)
     half = _raw_spectrum(T, (1,) * len(T), np.copyto, x)
     outside = np.ones(half.shape, dtype=bool)
-    for src, _ in (pair for step in sweep for pair in step.held[0]):
+    for src, _ in (pair for slices, _ in plan.layouts.values() for pair in slices):
         outside[src] = False
     half[outside] = 0
     del outside  # not held through synthesis
-    return synthesize(T, {step.name: (step.held, None) for step in sweep}, half)
+    return synthesize(T, half, plan.layouts)

@@ -64,9 +64,10 @@ def _order(points: np.ndarray, c: Collection) -> slice | np.ndarray:
         where = np.ravel_multi_index(tuple(points.T), T)
     except ValueError:  # numpy refuses a coordinate outside [0, T)
         raise MissingSamplesError(f"sample coordinates outside [0, T) for T={T}")
-    if np.array_equal(where, np.flatnonzero(manhattan_indicator(c))):
+    expected = manhattan_indicator(c)
+    if np.array_equal(where, np.flatnonzero(expected)):
         return slice(None)
-    expected, hit = manhattan_indicator(c), np.zeros(T, dtype=bool)
+    hit = np.zeros(T, dtype=bool)
     hit.flat[where] = True
     if not np.array_equal(hit, expected):  # with the count equal, no point is hit twice
         raise MissingSamplesError(
@@ -76,12 +77,13 @@ def _order(points: np.ndarray, c: Collection) -> slice | np.ndarray:
     return np.argsort(where)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SampleSet:
     """Manhattan samples of one image: the value at every point of M(B), once, in
     M(B)'s lexicographic order.  ``points`` (int, shape (n, d)) give the values'
     coordinates in any order, or are None for values in that order.  A set is checked
-    where it is built: its count first, before anything of size prod(T)."""
+    where it is built: its count first, before anything of size prod(T).  Float64 values
+    in that order are adopted through a read-only view.  Sets compare and hash by identity."""
 
     params: ManhattanParams
     collection: Collection
@@ -109,6 +111,7 @@ class SampleSet:
         values = np.ascontiguousarray(values, dtype=np.float64)
         if not np.isfinite(values).all():
             raise DomainError("sample values must be finite")
+        values = values.view() if values is self.values else values  # the caller's stays writable
         object.__setattr__(self, "values", values)
         values.setflags(write=False)
 

@@ -151,9 +151,10 @@ class TestInPlaceSynthesis:
     """synthesize inverts its half spectrum in place, exactly as irfftn would."""
 
     @given(st.data())
-    def test_matches_irfftn_and_consumes_blocks(self, data):
+    def test_matches_irfftn_in_place(self, data):
         # blocks split one axis into negation-closed groups, lower-only on the
-        # last axis; group 2 is left out, so its bins stay zero
+        # last axis, held in one half spectrum; group 2 is left out, so its bins
+        # stay zero; the layouts are only read
         d = data.draw(st.integers(1, 4), label="d")
         T = tuple(data.draw(st.lists(st.integers(1, 7), min_size=d, max_size=d), label="T"))
         j = data.draw(st.integers(0, d - 1), label="split axis")
@@ -162,21 +163,21 @@ class TestInPlaceSynthesis:
         groups = data.draw(st.lists(st.integers(0, 2), min_size=len(classes),
                                     max_size=len(classes)), label="groups")
         H = np.fft.rfftn(np.random.default_rng(len(classes)).normal(size=T))
-        half, blocks = np.zeros_like(H), {}
+        half, layouts = np.zeros_like(H), {}
         for g in (0, 1):
             kept = {c for c, gc in zip(classes, groups) if gc == g}
             if j < d - 1:
                 kept |= {-c % T[j] for c in kept}
             axes = [np.arange(t) for t in (*T[:-1], lower)]
             axes[j] = np.array(sorted(kept), dtype=int)
-            blocks[f"group {g}"] = (grid._layout(tuple(axes), T), H[np.ix_(*axes)])
+            layouts[f"group {g}"] = grid._layout(tuple(axes), T)
             half[np.ix_(*axes)] = H[np.ix_(*axes)]
+        want = np.fft.irfftn(half, s=T, axes=tuple(range(d)))
         slab = data.draw(st.sampled_from([8, 24, grid._SLAB_BYTES]), label="slab bytes")
         with mock.patch.object(grid, "_SLAB_BYTES", slab):  # one row per inverse, a few or all
-            got = synthesize(T, blocks).data
-        want = np.fft.irfftn(half, s=T, axes=tuple(range(d)))
+            got = synthesize(T, half, layouts).data
         assert got.tobytes() == want.tobytes()
-        assert blocks == {}
+        assert np.shares_memory(got, half) and list(layouts) == ["group 0", "group 1"]
 
     @pytest.mark.parametrize("T", [(1,), (2,), (7,), (6, 8), (5, 7), (4, 3, 9), (96, 96, 96)])
     def test_image_in_half_spectrum_memory(self, T):
@@ -184,7 +185,7 @@ class TestInPlaceSynthesis:
         # which holds at most 16 bytes more per last-axis row
         H = np.fft.rfftn(np.random.default_rng(8).normal(size=T))
         whole = (*(np.arange(t) for t in T[:-1]), np.arange(T[-1] // 2 + 1))
-        image = synthesize(T, {"spectrum": (grid._layout(whole, T), H)}).data
+        image = synthesize(T, H, {"spectrum": grid._layout(whole, T)}).data
         base = image.base
         assert base is not None and base.flags.owndata and np.shares_memory(base, image)
         assert image.nbytes < base.nbytes <= image.nbytes + 16 * prod(T[:-1])
@@ -241,6 +242,18 @@ class TestDataModel:
         # MHT1 holds 1 to 16 axes, so no grid has more or fewer
         with pytest.raises(DimensionError, match="1 to 16 axes"):
             Grid.from_array(np.zeros((1,) * d))
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_caller_array_stays_writable(self, dtype):
+        # data in its dtype and C order is adopted through a read-only view
+        arr = np.ones((3, 4), dtype=dtype)
+        g = Grid.from_array(arr)
+        assert arr.flags.writeable and not g.data.flags.writeable
+        assert np.shares_memory(g.data, arr)
+
+    def test_identity_equality_and_hash(self):
+        g, g2 = Grid.from_array(np.ones((2, 3))), Grid.from_array(np.ones((2, 3)))
+        assert g == g and g != g2 and hash(g) == hash(g) and len({g, g2}) == 2
 
     def test_complex_input_is_complex128(self):
         g = Grid.from_array(np.ones((2, 3), dtype=np.complex64))

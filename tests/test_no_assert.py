@@ -1,12 +1,12 @@
 """Structure of the package sources: runtime checks raise typed errors, as it
 holds no ``assert``, which ``python -O`` would strip, one module calls
-``numpy.fft``, one function owns the way from a half spectrum back to an
-image and every inverse transform pass on it, one the way in and every
-forward pass, one method decides whether a
-grid is a real image, one property builds the (n, d) coordinate array of a
-sample set, ``reconstruct`` scatters no samples onto a full-size image, one
-function forks (its helper leaving only by ``os._exit``) and makes the only temp
-file, and one function parses MHS1 rows."""
+``numpy.fft``, one function owns the way from a spectrum that holds its
+blocks back to an image and every inverse transform pass on it, one the way in
+and every forward pass, one cache holds the compiled reconstruction plans, one
+method decides whether a grid is a real image, one property builds the (n, d)
+coordinate array of a sample set, ``reconstruct`` scatters no samples onto a
+full-size image, one function forks (its helper leaving only by ``os._exit``)
+and makes the only temp file, and one function parses MHS1 rows."""
 
 import ast
 from pathlib import Path
@@ -100,6 +100,18 @@ def test_bandlimit_builds_no_full_spectrum():
         if owner == "bandlimit" and isinstance(node, ast.Call)
     }
     assert not called & {"fftn", "dft", "region_mask", "apply_mask", "idft"}, sorted(called)
+
+
+def test_one_plan_cache():
+    # the compiled sweep is the plan: one lru_cache, on ReconstructionPlan.for_collection
+    cached = set()
+    for path in SOURCES:
+        for owner, node in _owned_nodes(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                names = {ast.unparse(d).split("(")[0] for d in node.decorator_list}
+                if names & {"lru_cache", "functools.lru_cache", "cache", "functools.cache"}:
+                    cached.add((path.name, node.name))
+    assert cached == {("reconstruct.py", "for_collection")}, sorted(cached)
 
 
 def test_one_image_gate():

@@ -155,12 +155,13 @@ class TestMalformedSamples:
             entry(SampleSet(p, c, coords[perm], values[perm]))
 
     def test_values_written_after_building_refused(self):
-        # a set adopts a float64 array in order without a copy; a view of it
-        # that the caller keeps can still write a NaN, which reconstruct refuses
+        # a set adopts a float64 array in order through a read-only view; the
+        # caller's array stays writable and can still write a NaN, which
+        # reconstruct refuses
         p = ManhattanParams(d=2, lam=(1, 1), k=(4, 4), T=(16, 16))
         c = Collection.of(p, ["10", "01"])
         shared = extract_samples(bandlimited_image(p, c, seed=3), c).values.copy()
-        ss = SampleSet(p, c, None, shared[:])
+        ss = SampleSet(p, c, None, shared)
         shared[3] = np.nan
         with pytest.raises(DomainError, match="sample values must be finite"):
             reconstruct(ss)
@@ -200,32 +201,42 @@ class TestHalfSpectrumEngine:
         self.c = Collection.of(self.p, ["10", "01"])
         self.ref = bandlimited_image(self.p, self.c, seed=6)
         self.plan = ReconstructionPlan.for_collection(self.c)
-        X = np.fft.fftn(self.ref.data)
-        self.blocks = {b: X[np.ix_(*self.plan.axes[b])] for b in self.plan.members}
+        self.X = np.fft.fftn(self.ref.data)
+        t = self.p.T[-1]
+        self.lower = {b: (*u[:-1], u[-1][u[-1] <= t // 2]) for b, u in self.plan.axes.items()}
 
-    def layout(self, b):
-        return _layout(self.plan.axes[b], self.p.T)
+    def held(self, axes, shape):
+        """The setup's atom blocks on the given kept indices, held there in a spectrum
+        of the given shape, with their layouts."""
+        X = np.zeros(shape, dtype=complex)
+        for u in axes.values():
+            X[np.ix_(*u)] = self.X[np.ix_(*u)]
+        return X, {f"atom {b}": _layout(u, self.p.T) for b, u in axes.items()}
+
+    def whole(self, b=B("00"), bump=0.0):
+        """The setup's whole atom blocks in a read-only whole spectrum, the bin at place
+        (1, 2) of atom b's block bumped by ``bump`` times the peak |X|, its mirror not."""
+        X, layouts = self.held(self.plan.axes, self.p.T)
+        u, v = (axes[p] for axes, p in zip(self.plan.axes[b], (1, 2)))
+        X[u, v] += bump * np.abs(X).max()
+        X.setflags(write=False)
+        return X, layouts
 
     def test_assembly_inverts_to_image(self):
-        blocks = {f"atom {b}": (self.layout(b), x) for b, x in self.blocks.items()}
-        image = synthesize(self.p.T, blocks).data
+        X, layouts = self.whole()
+        image = synthesize(self.p.T, X, layouts).data
         assert np.abs(image - self.ref.data).max() <= 1e-12 * np.abs(self.ref.data).max()
 
     @pytest.mark.parametrize("bump", [1e-3j, 1e-3, np.nan])
     def test_non_hermitian_block_refused(self, bump):
         # the job of the old imaginary-residue scan, which irfftn cannot do
-        peak = max(np.abs(block).max() for block in self.blocks.values())
-        b = B("10")
-        self.blocks[b][1, 2] += bump * peak  # its mirror bin is left alone
-        blocks = {f"atom {b}": (self.layout(b), x) for b, x in self.blocks.items()}
+        X, layouts = self.whole(B("10"), bump)
         with pytest.raises(NumericalFailureError, match="atom 10"):
-            synthesize(self.p.T, blocks)
+            synthesize(self.p.T, X, layouts)
 
     def test_rounding_asymmetry_accepted(self):
-        peak = max(np.abs(block).max() for block in self.blocks.values())
-        self.blocks[B("00")][1, 2] += 1e-13j * peak
-        blocks = {f"atom {b}": (self.layout(b), x) for b, x in self.blocks.items()}
-        synthesize(self.p.T, blocks)
+        X, layouts = self.whole(B("00"), 1e-13j)
+        synthesize(self.p.T, X, layouts)
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
@@ -283,64 +294,48 @@ class TestHalfSpectrumEngine:
                 wrapped += block.size > 0 and not np.all(2 * axes[-1][low] < m[-1])
         assert wrapped >= 4
 
-    def lower_blocks(self):
-        """The setup's atom blocks cut at T//2 on the last axis."""
-        blocks = {}
-        for b, axes in self.plan.lower.items():
-            low = self.plan.axes[b][-1] <= self.p.T[-1] // 2
-            blocks[f"atom {b}"] = (_layout(axes, self.p.T), self.blocks[b][..., low])
-        return blocks
+    def half(self):
+        """The setup's lower blocks in one half spectrum, with their layouts there."""
+        return self.held(self.lower, (*self.p.T[:-1], self.p.T[-1] // 2 + 1))
 
     def test_lower_only_blocks_invert_to_image(self):
-        image = synthesize(self.p.T, self.lower_blocks()).data
+        half, layouts = self.half()
+        image = synthesize(self.p.T, half, layouts).data
         assert np.abs(image - self.ref.data).max() <= 1e-12 * np.abs(self.ref.data).max()
+        assert np.shares_memory(image, half)  # inverted in place
 
     @pytest.mark.parametrize("bump", [1e-3j, 1e-3, np.nan])
     def test_lower_only_bump_on_zero_plane_refused(self, bump):
-        # a lower-only block holds both u and -u only where u_last = 0
-        blocks = self.lower_blocks()
-        block = blocks["atom 00"][1]
-        assert self.plan.lower[B("00")][-1][0] == 0
-        block[1, 0] += bump * np.abs(block).max()  # its mirror [-1, 0] is left alone
+        # a lower-only block holds both u and -u only where u_last = 0, also when
+        # it is held in a read-only whole spectrum
+        X, layouts = self.held(self.lower, self.p.T)
+        axes = self.lower[B("00")]
+        assert axes[-1][0] == 0
+        X[axes[0][1], 0] += bump * np.abs(X).max()  # its mirror is left alone
+        X.setflags(write=False)
         with pytest.raises(NumericalFailureError, match="atom 00"):
-            synthesize(self.p.T, blocks)
-
-    def held_blocks(self):
-        """The setup's lower blocks moved into one half spectrum, with their layouts there."""
-        half = np.zeros((*self.p.T[:-1], self.p.T[-1] // 2 + 1), dtype=complex)
-        for (_, block), axes in zip(self.lower_blocks().values(), self.plan.lower.values()):
-            half[np.ix_(*axes)] = block
-        held = {f"atom {b}": (_layout(axes, self.p.T, held=True), None)
-                for b, axes in self.plan.lower.items()}
-        return half, held
-
-    def test_held_blocks_invert_as_placed_ones(self):
-        half, held = self.held_blocks()
-        image = synthesize(self.p.T, held, half).data
-        assert image.tobytes() == synthesize(self.p.T, self.lower_blocks()).data.tobytes()
-        assert held == {}
+            synthesize(self.p.T, X, layouts)
 
     @pytest.mark.parametrize("bump", [1e-3j, 1e-3, np.nan])
     def test_held_bump_on_zero_plane_refused(self, bump):
-        half, held = self.held_blocks()
+        half, layouts = self.half()
         half[1, 0] += bump * np.abs(half).max()  # atom 00's; its mirror [-1, 0] is left alone
         with pytest.raises(NumericalFailureError, match="atom 00"):
-            synthesize(self.p.T, held, half)
+            synthesize(self.p.T, half, layouts)
 
     @pytest.mark.parametrize("in_half", [False, True])
     def test_nan_in_a_later_block_refused(self, in_half):
         # a NaN that no mirror check reaches, in a block after the first, is
-        # refused by that block's own largest |X|, as a NaN in the first one is
+        # refused by that block's own largest |X|, as a NaN in the first one is,
+        # whether the block is held in a half spectrum or in a read-only whole one
         b = B("01")
-        u, v = (axes[p] for axes, p in zip(self.plan.lower[b], (2, 3)))  # u_last > 0
-        half, blocks = self.held_blocks() if in_half else (None, self.lower_blocks())
-        if in_half:
-            half[u, v] = np.nan
-        else:
-            blocks[f"atom {b}"][1][2, 3] = np.nan
-        assert v > 0 and list(blocks)[1] == f"atom {b}"
+        u, v = (axes[p] for axes, p in zip(self.lower[b], (2, 3)))  # u_last > 0
+        X, layouts = self.half() if in_half else self.held(self.lower, self.p.T)
+        X[u, v] = np.nan
+        X.setflags(write=in_half)
+        assert v > 0 and list(layouts)[1] == f"atom {b}"
         with pytest.raises(NumericalFailureError, match="atom 01 .* peak nan"):
-            synthesize(self.p.T, blocks, half)
+            synthesize(self.p.T, X, layouts)
 
     def test_empty_axis_has_no_slices(self):
         # T=6, k=2, lambda=3: the highpass band of atom 1 keeps no DFT index
@@ -395,10 +390,10 @@ class TestFinestLatticeTransforms:
             seen.clear()
             reconstruct(extract_samples(Grid.from_array(x), c))
             plan = ReconstructionPlan.for_collection(c)
-            turns = sorted(zip(engine._sweep(c), plan.members), key=lambda sb: sb[0].turn)
-            assert len(seen) == len(plan.members)
+            assert len(seen) == len(plan.steps) == len(plan.members)
             spectra = {}  # each recovered atom, lower block and mirrors, on the full grid
-            for (_, b), (H, out) in zip(turns, seen):
+            for step, (H, out) in zip(plan.steps, seen):
+                b = B(step.name.removeprefix("atom "))
                 assert {bp for bp in plan.members if bp != b and b.issubset(bp)} <= set(spectra)
                 s = p.step_int(b)
                 m = tuple(t // si for t, si in zip(p.T, s))
@@ -408,7 +403,8 @@ class TestFinestLatticeTransforms:
                         folded = X.reshape([n for si, mi in zip(s, m) for n in (si, mi)])
                         want -= folded.sum(axis=tuple(range(0, 2 * p.d, 2)))[..., : m[-1] // 2 + 1]
                 assert np.abs(H - want).max() <= 1e-12 * np.abs(want).max()
-                axes, X = plan.lower[b], np.zeros(p.T, dtype=complex)
+                u = plan.axes[b]
+                axes, X = (*u[:-1], u[-1][u[-1] <= p.T[-1] // 2]), np.zeros(p.T, dtype=complex)
                 block = out[np.ix_(*axes)]  # the atom as gathered into the output
                 X[np.ix_(*axes)] = block
                 up = axes[-1] > 0  # the u_last = 0 plane holds its own mirrors
@@ -418,7 +414,7 @@ class TestFinestLatticeTransforms:
 
 
 class TestCompiledSweep:
-    """The sweep is compiled once per collection; a call only replays it."""
+    """The plan is compiled once per collection; a call only replays its steps."""
 
     def setup_method(self):
         self.p = ManhattanParams(d=3, lam=(1, 1, 1), k=(3, 3, 3), T=(12, 12, 12))
@@ -427,7 +423,7 @@ class TestCompiledSweep:
 
     def test_slices_built_only_while_compiling(self, monkeypatch):
         ss = extract_samples(self.image, self.c)
-        engine._sweep.cache_clear()
+        ReconstructionPlan.for_collection.cache_clear()
         runs, calls = grid._runs, []
         monkeypatch.setattr(grid, "_runs", lambda *args: calls.append(1) or runs(*args))
         first = reconstruct(ss)
@@ -437,13 +433,19 @@ class TestCompiledSweep:
         again = bandlimit(self.image, Collection.from_string(p, "011,101,110"))  # equal, not same
         assert compiled > 0 and len(calls) == compiled
         assert second.data.tobytes() == first.data.tobytes()
+        plan = ReconstructionPlan.for_collection(self.c)  # cached; equal to itself, hashable
+        assert plan is ReconstructionPlan.for_collection(self.c) and plan == plan
+        assert len({plan, plan}) == 1
         assert np.abs(again.data - self.image.data).max() <= 1e-12 * np.abs(self.image.data).max()
 
     def test_holds_no_full_size_array(self):
-        # the cache keeps slices and per-axis index arrays, never a mask or a spectrum
+        # the cache keeps slices and per-axis index arrays, never a mask or a spectrum,
+        # even once a caller has read the plan's full-size masks
         T = (64, 48)
         c = Collection.from_string(ManhattanParams(d=2, lam=(1, 1), k=(2, 4), T=T), "10,01")
-        sizes, todo, seen = [], [engine._sweep(c)], set()
+        plan = ReconstructionPlan.for_collection(c)
+        assert max(mask.kept.size for mask in plan.masks.values()) == np.prod(T)
+        sizes, todo, seen = [], [plan], set()
         while todo:
             x = todo.pop()
             if id(x) in seen:
@@ -470,7 +472,7 @@ class TestCompiledSweep:
         # is held first, else the read that leaves the fewest children waiting; a
         # child summed in its parent's memory runs before any further read
         p = ManhattanParams(d=len(T), lam=(1,) * len(T), k=k, T=T)
-        steps = sorted(engine._sweep(Collection.from_string(p, coll)), key=lambda st: st.turn)
+        steps = ReconstructionPlan.for_collection(Collection.from_string(p, coll)).steps
         names = [st.name for st in steps]
         assert " ".join(name.removeprefix("atom ") for name in names) == turns
         for j, step in enumerate(steps):
@@ -486,9 +488,10 @@ class TestCompiledSweep:
         # out every superset of that parent: only the others are folded
         p = ManhattanParams(d=len(T), lam=(1,) * len(T), k=k, T=T)
         c = Collection.from_string(p, coll)
-        members = ReconstructionPlan.for_collection(c).members
+        plan = ReconstructionPlan.for_collection(c)
+        members = plan.members
         assert sum(b != b2 and b.issubset(b2) for b in members for b2 in members) == pairs
-        assert sum(len(step.folds) for step in engine._sweep(c)) == folds
+        assert sum(len(step.folds) for step in plan.steps) == folds
 
 
 class TestSweepStructure:

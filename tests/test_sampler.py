@@ -541,6 +541,38 @@ class TestCanonicalForm:
         assert mhs1_text(permuted) == mhs1_text(ss)
 
 
+    def test_caller_array_stays_writable(self):
+        # values in order are adopted through a read-only view of the caller's array
+        p = ManhattanParams(d=2, lam=(1, 1), k=(4, 4), T=(16, 16))
+        c = Collection.of(p, ["10", "01"])
+        v = np.ones(sampler._point_count(c))
+        ss = SampleSet(p, c, None, v)
+        assert v.flags.writeable and not ss.values.flags.writeable
+        assert np.shares_memory(ss.values, v)
+
+    def test_identity_equality_and_hash(self):
+        # two sets of one image are two sets: == and hash answer instead of raising
+        p = ManhattanParams(d=2, lam=(1, 1), k=(4, 4), T=(16, 16))
+        c = Collection.of(p, ["10", "01"])
+        image = Grid.from_array(np.ones(p.T))
+        ss, ss2 = extract_samples(image, c), extract_samples(image, c)
+        assert ss == ss and ss != ss2 and hash(ss) == hash(ss) and len({ss, ss2}) == 2
+
+    @pytest.mark.parametrize("shuffle", [False, True])
+    def test_indicator_built_once(self, monkeypatch, shuffle):
+        # points in order or shuffled: one indicator of M(B) per set built
+        p = ManhattanParams(d=2, lam=(1, 1), k=(4, 4), T=(16, 16))
+        c = Collection.of(p, ["10", "01"])
+        ss = extract_samples(Grid.from_array(np.arange(256.0).reshape(p.T)), c)
+        order = np.random.default_rng(4).permutation(len(ss)) if shuffle else slice(None)
+        points, values = ss.coords[order], ss.values[order]
+        built, calls = sampler.manhattan_indicator, []
+        monkeypatch.setattr(sampler, "manhattan_indicator",
+                            lambda *a: calls.append(1) or built(*a))
+        again = SampleSet(p, c, points, values)
+        assert len(calls) == 1 and np.array_equal(again.values, ss.values)
+
+
 class TestLatticeReader:
     """The samples x[::s] of every closure member, read from the canonical
     values of M(B) alone into the padded rows of a half spectrum's memory, equal
