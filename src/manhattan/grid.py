@@ -8,13 +8,12 @@ forward, 1/prod(T) inverse.
 A real image has a Hermitian spectrum, X[-u] = conj(X[u]), so only the half
 with last-axis residues 0..m//2 is kept.  A block is a spectrum on per-axis
 kept indices, ascending and closed under negation, or lower-only: its last
-axis stops at T//2.  Modulo m they form a few runs per axis: ``_slices``,
-``_fold_slices`` and ``_layout`` build a block's slice copies once, for a
-plan, and ``_fold``, ``_gather`` and ``synthesize`` replay them.  The way in,
-``_raw_spectrum``, transforms samples in the memory of their half spectrum;
-``synthesize``, the only way back, checks every block where its spectrum holds
-it, at its kept indices, and inverts that spectrum in place, by slabs of rows:
-its memory's head is the image.
+axis stops at T//2.  Modulo m they form a few runs per axis: ``_slices`` and
+``_fold_slices`` build a block's slice copies once, for a plan, and ``_fold``
+and ``_gather`` replay them.  The way in, ``_raw_spectrum``, transforms samples
+in the memory of their half spectrum; ``synthesize``, the only way back, checks
+the spectrum itself, X[-u] = conj(X[u]) wherever it holds both, and inverts it
+in place, by slabs of rows: its memory's head is the image.
 """
 
 from __future__ import annotations
@@ -85,11 +84,10 @@ def dft(g: Grid) -> Grid:
 
 def idft(g: Grid) -> Grid:
     """Inverse DFT with 1/prod(T) normalization, back to a real image; the
-    spectrum must be Hermitian (``synthesize`` of the one whole block)."""
+    spectrum must be Hermitian (``synthesize`` checks it whole)."""
     if not np.iscomplexobj(g.data):
         raise DomainError("idft expects a spectrum, got a real image")
-    layout = _layout(tuple(np.arange(t) for t in g.extents), g.extents)
-    return synthesize(g.extents, g.data, {"spectrum": layout})  # read-only: its half is copied
+    return synthesize(g.extents, g.data)  # read-only: its half is copied
 
 
 def _raw_spectrum(T: tuple[int, ...], s: tuple[int, ...], fill, source) -> np.ndarray:
@@ -157,51 +155,42 @@ def _gather(half: np.ndarray, H: np.ndarray, slices: tuple) -> None:
         half[src] = H[dst]
 
 
-def _layout(axes: Axes, T: tuple[int, ...]) -> tuple:
-    """``synthesize``'s layout of a block held at its kept indices on T: its slices
-    there, and per axis the kept u whose -u it holds and those -u."""
-    u, t = axes[-1], T[-1]
-    at = [*axes[:-1], u[(u <= t // 2) & np.isin(-u % t, u)]]
-    return _slices(axes, T, axes), (at, [-a % n for a, n in zip(at, T)])
-
-
-def _residue(X: np.ndarray, picks: tuple) -> float:
-    """The largest |conj(X[-u]) - X[u]| over the bins u of a layout's picks, NaN if
-    any is NaN, by slabs of first-axis places that each copy _SLAB_BYTES at most."""
-    at, neg = picks
-    slab = max(1, _SLAB_BYTES // max(1, X.itemsize * prod(map(len, at[1:]))))
-    worst = 0.0
+def _asymmetry(T: tuple[int, ...], X: np.ndarray) -> tuple[float, float]:
+    """The largest |conj(X[-u]) - X[u]| over the bins u whose mirror -u X holds and the
+    largest |X[u]| with u_last <= T//2, NaN if any is NaN, by slabs of first-axis places
+    near _SLAB_BYTES (the residue's two gathers with numpy's buffer), the few picked
+    last-axis planes second, so that the gathers' inner loops run along a long axis."""
+    half = X[..., : T[-1] // 2 + 1]
+    u = np.arange(half.shape[-1])
+    order = [0, len(T) - 1, *range(1, len(T) - 1)][: len(T)]
+    at = [*map(np.arange, T[:-1]), u[-u % T[-1] < X.shape[-1]]]  # a half's: u_last 0, T/2
+    at, neg, Xt = [at[i] for i in order], [-at[i] % T[i] for i in order], X.transpose(order)
+    sizes = (half[0].size, 4 * prod(map(len, at[1:])))  # bins per first-axis place
+    rows, slab = (max(1, _SLAB_BYTES // (X.itemsize * n)) for n in sizes)
+    peak = worst = 0.0
+    for a in range(0, len(half), rows):
+        peak = np.maximum(peak, np.abs(half[a : a + rows]).max())  # keeps a NaN
     for a in range(0, len(at[0]), slab):
-        mirror = X[np.ix_(neg[0][a : a + slab], *neg[1:])]
+        mirror = Xt[np.ix_(neg[0][a : a + slab], *neg[1:])]
         np.conjugate(mirror, out=mirror)
-        mirror -= X[np.ix_(at[0][a : a + slab], *at[1:])]
-        worst = np.maximum(worst, np.abs(mirror).max(initial=0.0))  # keeps a NaN
-    return float(worst)
+        mirror -= Xt[np.ix_(at[0][a : a + slab], *at[1:])]
+        worst = np.maximum(worst, np.abs(mirror).max())
+    return float(worst), float(peak)
 
 
-def _largest(X: np.ndarray, slices: tuple) -> float:
-    """The largest |X| over the places of a layout's slices in X; NaN if any is NaN."""
-    return float(np.max([np.abs(X[src]).max(initial=0.0) for src, _ in slices], initial=0.0))
-
-
-def synthesize(T: tuple[int, ...], X: np.ndarray, layouts: dict[str, tuple]) -> Grid:
-    """Real image with extents T whose spectrum X, a half spectrum or, read-only, a whole
-    one, holds the named blocks at their kept indices, disjoint, each given by its ``_layout``.
-    Refuses unless X[u] = conj(X[-u]) wherever a block holds both, to IMAG_RESIDUE_TOL
-    times the largest |X[u]| of all blocks; NaN or inf fails too, named by the first block
-    that holds it.  Then X, or a copy of its half if X is read-only, is inverted in place:
-    the image is the head of that memory, at most 16 bytes shorter a row."""
-    maxima = [_largest(X, slices) for slices, _ in layouts.values()]
-    peak = max(maxima, default=0.0)  # a NaN after the first is caught by its own block
-    for (what, (_, picks)), own in zip(layouts.items(), maxima):
-        residue = _residue(X, picks)
-        top = peak if own == own else own  # its own NaN
-        if not residue <= IMAG_RESIDUE_TOL * top < np.inf:
-            raise NumericalFailureError(
-                f"{what} is not finite and Hermitian: residue {residue:.3e} exceeds "
-                f"{IMAG_RESIDUE_TOL:.0e} relative to peak {top:.3e}"
-            )
-    half = X if X.flags.writeable else X[..., : T[-1] // 2 + 1].copy()  # once all are checked
+def synthesize(T: tuple[int, ...], X: np.ndarray) -> Grid:
+    """Real image with extents T whose spectrum is X, a half spectrum or, read-only, a whole
+    one.  Refuses unless X[u] = conj(X[-u]) at every bin u whose mirror X holds, to
+    IMAG_RESIDUE_TOL times the largest |X[u]| with u_last <= T//2; NaN or inf fails too.
+    Then X, or a copy of its half if X is read-only, is inverted in place: the image is
+    the head of that memory, at most 16 bytes shorter a row."""
+    residue, peak = _asymmetry(T, X)
+    if not residue <= IMAG_RESIDUE_TOL * peak < np.inf:
+        raise NumericalFailureError(
+            f"spectrum is not finite and Hermitian: residue {residue:.3e} exceeds "
+            f"{IMAG_RESIDUE_TOL:.0e} relative to peak {peak:.3e}"
+        )
+    half = X if X.flags.writeable else X[..., : T[-1] // 2 + 1].copy()  # once it is checked
     for i in range(len(T) - 1):  # irfftn's own passes, in its order
         np.fft.ifft(half, axis=i, out=half)
     lines = half.reshape(-1, half.shape[-1])

@@ -18,8 +18,8 @@ ready once b is done, and folds only the supersets not above b.  Any other
 member reads its ``x[::s]`` into its own spectrum's memory from the canonical
 values (``sampler._lattice_reader``).  ``ReconstructionPlan.for_collection``
 compiles this once per ``Collection`` into one cached plan, which ``reconstruct``
-replays and ``bandlimit`` reads for the atoms it keeps; both hand ``synthesize``
-the half spectrum that holds the atoms, with the plan's layouts.
+replays and ``bandlimit`` reads for the bins its gathers place; both hand
+``synthesize`` the half spectrum that holds the atoms and nothing else.
 """
 
 from __future__ import annotations
@@ -33,9 +33,7 @@ import numpy as np
 from .core import BiStep, Collection, ManhattanParams
 from .errors import DomainError
 from .freq import FreqMask, atom_axes, atom_mask
-from .grid import (
-    Axes, Grid, _fold, _fold_slices, _gather, _layout, _raw_spectrum, _slices, synthesize,
-)
+from .grid import Axes, Grid, _fold, _fold_slices, _gather, _raw_spectrum, _slices, synthesize
 from .sampler import SampleSet, _lattice_reader
 
 # A plan's member b: "atom b"; the reader of its x[::s], or None; its steps s; the
@@ -47,14 +45,13 @@ _Step = namedtuple("_Step", "name read s folds gather children")
 @dataclass(frozen=True, eq=False)
 class ReconstructionPlan:
     """A collection's sweep, compiled: closure members in plan order (weight descending,
-    bitmask ascending) with the per-axis kept DFT indices of their atoms, the ``_layout`` of
-    each atom's lower-only block in a half spectrum (its last axis stops at T//2), in plan
-    order, and the steps, in turn order.  Plans compare and hash by identity."""
+    bitmask ascending) with the per-axis kept DFT indices of their atoms, and the steps,
+    in turn order, whose gathers place each atom's lower-only block (its last axis stops
+    at T//2) in a half spectrum.  Plans compare and hash by identity."""
 
     members: tuple[BiStep, ...]
     axes: dict[BiStep, Axes]
     params: ManhattanParams
-    layouts: dict[str, tuple]
     steps: tuple[_Step, ...]
 
     @classmethod
@@ -90,8 +87,7 @@ class ReconstructionPlan:
             read = _lattice_reader(c, s) if up is None else None  # else a replica sum
             steps.append(_Step(f"atom {b}", read, s, folds, _slices(lower[b], m, lower[b]),
                                children))
-        layouts = {f"atom {b}": _layout(lower[b], T) for b in members}
-        return cls(members, axes, p, layouts, tuple(steps))
+        return cls(members, axes, p, tuple(steps))
 
     @property
     def masks(self) -> dict[BiStep, FreqMask]:
@@ -133,7 +129,7 @@ def reconstruct(ss: SampleSet) -> Grid:
             for name, i, k, in_place in step.children:  # in place: it keeps H's memory
                 sums[name] = _replica_sum(H, i, k, in_place)
             del H  # before the next member's spectrum is built
-        return synthesize(T, half, plan.layouts)
+        return synthesize(T, half)
 
 
 def bandlimit(image: Grid, c: Collection) -> Grid:
@@ -141,8 +137,8 @@ def bandlimit(image: Grid, c: Collection) -> Grid:
     x, T, plan = image.image(c.params.extents), c.params.T, ReconstructionPlan.for_collection(c)
     half = _raw_spectrum(T, (1,) * len(T), np.copyto, x)
     outside = np.ones(half.shape, dtype=bool)
-    for src, _ in (pair for slices, _ in plan.layouts.values() for pair in slices):
+    for src, _ in (pair for step in plan.steps for pair in step.gather):
         outside[src] = False
     half[outside] = 0
     del outside  # not held through synthesis
-    return synthesize(T, half, plan.layouts)
+    return synthesize(T, half)

@@ -79,8 +79,8 @@ def _order(points: np.ndarray, c: Collection) -> slice | np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class SampleSet:
-    """Manhattan samples of one image: the value at every point of M(B), once, in
-    M(B)'s lexicographic order.  ``points`` (int, shape (n, d)) give the values'
+    """Manhattan samples of one image: the real value at every point of M(B), once, in
+    M(B)'s lexicographic order.  ``points`` (integers, shape (n, d)) give the values'
     coordinates in any order, or are None for values in that order.  A set is checked
     where it is built: its count first, before anything of size prod(T).  Float64 values
     in that order are adopted through a read-only view.  Sets compare and hash by identity."""
@@ -93,7 +93,7 @@ class SampleSet:
     def __post_init__(self, points: np.ndarray | None) -> None:
         values = np.asarray(self.values)  # copied once it is in M(B)'s order
         if points is not None:
-            points = np.asarray(points, dtype=np.int64)
+            points = np.asarray(points)
             if points.ndim != 2 or points.shape[1] != self.params.d:
                 raise DimensionError("coords must have shape (n, d)")
         if values.shape != (values.size if points is None else len(points),):
@@ -106,8 +106,12 @@ class SampleSet:
                 f"{len(values)} {'values' if points is None else 'samples'} given, "
                 f"M({self.collection}) has {self.expected_count} points"
             )
-        if points is not None:
-            values = values[_order(points, self.collection)]
+        if points is not None and not np.can_cast(points.dtype, np.int64, "same_kind"):
+            raise DomainError(f"sample coordinates must be integers, not {points.dtype}")
+        if not np.can_cast(values.dtype, np.float64, "same_kind"):
+            raise DomainError(f"sample values must be real numbers, not {values.dtype}")
+        if points is not None:  # read_mhs1's int64 views are not copied
+            values = values[_order(points.astype(np.int64, copy=False), self.collection)]
         values = np.ascontiguousarray(values, dtype=np.float64)
         if not np.isfinite(values).all():
             raise DomainError("sample values must be finite")

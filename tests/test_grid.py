@@ -154,7 +154,7 @@ class TestInPlaceSynthesis:
     def test_matches_irfftn_in_place(self, data):
         # blocks split one axis into negation-closed groups, lower-only on the
         # last axis, held in one half spectrum; group 2 is left out, so its bins
-        # stay zero; the layouts are only read
+        # stay zero
         d = data.draw(st.integers(1, 4), label="d")
         T = tuple(data.draw(st.lists(st.integers(1, 7), min_size=d, max_size=d), label="T"))
         j = data.draw(st.integers(0, d - 1), label="split axis")
@@ -163,29 +163,27 @@ class TestInPlaceSynthesis:
         groups = data.draw(st.lists(st.integers(0, 2), min_size=len(classes),
                                     max_size=len(classes)), label="groups")
         H = np.fft.rfftn(np.random.default_rng(len(classes)).normal(size=T))
-        half, layouts = np.zeros_like(H), {}
+        half = np.zeros_like(H)
         for g in (0, 1):
             kept = {c for c, gc in zip(classes, groups) if gc == g}
             if j < d - 1:
                 kept |= {-c % T[j] for c in kept}
             axes = [np.arange(t) for t in (*T[:-1], lower)]
             axes[j] = np.array(sorted(kept), dtype=int)
-            layouts[f"group {g}"] = grid._layout(tuple(axes), T)
             half[np.ix_(*axes)] = H[np.ix_(*axes)]
         want = np.fft.irfftn(half, s=T, axes=tuple(range(d)))
         slab = data.draw(st.sampled_from([8, 24, grid._SLAB_BYTES]), label="slab bytes")
         with mock.patch.object(grid, "_SLAB_BYTES", slab):  # one row per inverse, a few or all
-            got = synthesize(T, half, layouts).data
+            got = synthesize(T, half).data
         assert got.tobytes() == want.tobytes()
-        assert np.shares_memory(got, half) and list(layouts) == ["group 0", "group 1"]
+        assert np.shares_memory(got, half)
 
     @pytest.mark.parametrize("T", [(1,), (2,), (7,), (6, 8), (5, 7), (4, 3, 9), (96, 96, 96)])
     def test_image_in_half_spectrum_memory(self, T):
         # no second output buffer: the image is the head of the half spectrum,
         # which holds at most 16 bytes more per last-axis row
         H = np.fft.rfftn(np.random.default_rng(8).normal(size=T))
-        whole = (*(np.arange(t) for t in T[:-1]), np.arange(T[-1] // 2 + 1))
-        image = synthesize(T, H, {"spectrum": grid._layout(whole, T)}).data
+        image = synthesize(T, H).data
         base = image.base
         assert base is not None and base.flags.owndata and np.shares_memory(base, image)
         assert image.nbytes < base.nbytes <= image.nbytes + 16 * prod(T[:-1])

@@ -1,7 +1,7 @@
 """Structure of the package sources: runtime checks raise typed errors, as it
 holds no ``assert``, which ``python -O`` would strip, one module calls
-``numpy.fft``, one function owns the way from a spectrum that holds its
-blocks back to an image and every inverse transform pass on it, one the way in
+``numpy.fft``, one function owns the way from a spectrum back to an image,
+its one Hermitian check and every inverse transform pass on it, one the way in
 and every forward pass, one cache holds the compiled reconstruction plans, one
 method decides whether a grid is a real image, one property builds the (n, d)
 coordinate array of a sample set, ``reconstruct`` scatters no samples onto a

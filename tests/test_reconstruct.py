@@ -30,7 +30,7 @@ from manhattan import (
 )
 from manhattan import grid
 from manhattan.freq import atom_mask, region_mask
-from manhattan.grid import _fold, _fold_slices, _layout, _slices, synthesize
+from manhattan.grid import _fold, _fold_slices, _slices, synthesize
 from manhattan.reconstruct import ReconstructionPlan
 from manhattan.sampler import comb_from_grid, comb_from_samples
 
@@ -207,36 +207,33 @@ class TestHalfSpectrumEngine:
 
     def held(self, axes, shape):
         """The setup's atom blocks on the given kept indices, held there in a spectrum
-        of the given shape, with their layouts."""
+        of the given shape, zero elsewhere."""
         X = np.zeros(shape, dtype=complex)
         for u in axes.values():
             X[np.ix_(*u)] = self.X[np.ix_(*u)]
-        return X, {f"atom {b}": _layout(u, self.p.T) for b, u in axes.items()}
+        return X
 
     def whole(self, b=B("00"), bump=0.0):
         """The setup's whole atom blocks in a read-only whole spectrum, the bin at place
         (1, 2) of atom b's block bumped by ``bump`` times the peak |X|, its mirror not."""
-        X, layouts = self.held(self.plan.axes, self.p.T)
+        X = self.held(self.plan.axes, self.p.T)
         u, v = (axes[p] for axes, p in zip(self.plan.axes[b], (1, 2)))
         X[u, v] += bump * np.abs(X).max()
         X.setflags(write=False)
-        return X, layouts
+        return X
 
     def test_assembly_inverts_to_image(self):
-        X, layouts = self.whole()
-        image = synthesize(self.p.T, X, layouts).data
+        image = synthesize(self.p.T, self.whole()).data
         assert np.abs(image - self.ref.data).max() <= 1e-12 * np.abs(self.ref.data).max()
 
     @pytest.mark.parametrize("bump", [1e-3j, 1e-3, np.nan])
     def test_non_hermitian_block_refused(self, bump):
         # the job of the old imaginary-residue scan, which irfftn cannot do
-        X, layouts = self.whole(B("10"), bump)
-        with pytest.raises(NumericalFailureError, match="atom 10"):
-            synthesize(self.p.T, X, layouts)
+        with pytest.raises(NumericalFailureError, match="not finite and Hermitian"):
+            synthesize(self.p.T, self.whole(B("10"), bump))
 
     def test_rounding_asymmetry_accepted(self):
-        X, layouts = self.whole(B("00"), 1e-13j)
-        synthesize(self.p.T, X, layouts)
+        synthesize(self.p.T, self.whole(B("00"), 1e-13j))
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
@@ -295,47 +292,56 @@ class TestHalfSpectrumEngine:
         assert wrapped >= 4
 
     def half(self):
-        """The setup's lower blocks in one half spectrum, with their layouts there."""
+        """The setup's lower blocks in one half spectrum."""
         return self.held(self.lower, (*self.p.T[:-1], self.p.T[-1] // 2 + 1))
 
     def test_lower_only_blocks_invert_to_image(self):
-        half, layouts = self.half()
-        image = synthesize(self.p.T, half, layouts).data
+        half = self.half()
+        image = synthesize(self.p.T, half).data
         assert np.abs(image - self.ref.data).max() <= 1e-12 * np.abs(self.ref.data).max()
         assert np.shares_memory(image, half)  # inverted in place
 
     @pytest.mark.parametrize("bump", [1e-3j, 1e-3, np.nan])
     def test_lower_only_bump_on_zero_plane_refused(self, bump):
-        # a lower-only block holds both u and -u only where u_last = 0, also when
-        # it is held in a read-only whole spectrum
-        X, layouts = self.held(self.lower, self.p.T)
+        # a lower-only block's u_last = 0 plane holds both u and -u; in a read-only
+        # whole spectrum, which holds the blocks' mirrors too, it is checked as well
+        X = self.held(self.plan.axes, self.p.T)
         axes = self.lower[B("00")]
         assert axes[-1][0] == 0
         X[axes[0][1], 0] += bump * np.abs(X).max()  # its mirror is left alone
         X.setflags(write=False)
-        with pytest.raises(NumericalFailureError, match="atom 00"):
-            synthesize(self.p.T, X, layouts)
+        with pytest.raises(NumericalFailureError, match="not finite and Hermitian"):
+            synthesize(self.p.T, X)
 
     @pytest.mark.parametrize("bump", [1e-3j, 1e-3, np.nan])
     def test_held_bump_on_zero_plane_refused(self, bump):
-        half, layouts = self.half()
+        half = self.half()
         half[1, 0] += bump * np.abs(half).max()  # atom 00's; its mirror [-1, 0] is left alone
-        with pytest.raises(NumericalFailureError, match="atom 00"):
-            synthesize(self.p.T, half, layouts)
+        with pytest.raises(NumericalFailureError, match="not finite and Hermitian"):
+            synthesize(self.p.T, half)
+
+    def test_bump_outside_every_atom_refused(self):
+        # the check is on the spectrum, not on the atoms: bin (8, 0), which no atom
+        # keeps, is its own mirror, so an imaginary part there is refused too
+        half = self.half()
+        assert all(8 not in u[0] for u in self.lower.values())
+        half[8, 0] = 1e-3j * np.abs(half).max()
+        with pytest.raises(NumericalFailureError, match="not finite and Hermitian"):
+            synthesize(self.p.T, half)
 
     @pytest.mark.parametrize("in_half", [False, True])
     def test_nan_in_a_later_block_refused(self, in_half):
-        # a NaN that no mirror check reaches, in a block after the first, is
-        # refused by that block's own largest |X|, as a NaN in the first one is,
-        # whether the block is held in a half spectrum or in a read-only whole one
+        # a NaN in a block after the first, u_last > 0, is refused by the largest |X|,
+        # whether it is held in a half spectrum, where no mirror check reaches it,
+        # or in a read-only whole one that holds the blocks' mirrors too
         b = B("01")
         u, v = (axes[p] for axes, p in zip(self.lower[b], (2, 3)))  # u_last > 0
-        X, layouts = self.half() if in_half else self.held(self.lower, self.p.T)
+        X = self.half() if in_half else self.held(self.plan.axes, self.p.T)
         X[u, v] = np.nan
         X.setflags(write=in_half)
-        assert v > 0 and list(layouts)[1] == f"atom {b}"
-        with pytest.raises(NumericalFailureError, match="atom 01 .* peak nan"):
-            synthesize(self.p.T, X, layouts)
+        assert v > 0
+        with pytest.raises(NumericalFailureError, match="peak nan"):
+            synthesize(self.p.T, X)
 
     def test_empty_axis_has_no_slices(self):
         # T=6, k=2, lambda=3: the highpass band of atom 1 keeps no DFT index

@@ -38,6 +38,11 @@ def _few_samples():
     return SampleSet(P, C, ss.coords[:3], ss.values[:3])
 
 
+def _moved_samples():
+    ss = extract_samples(Grid.from_array(np.ones(P.T)), C)
+    return SampleSet(P, C, ss.coords + 0.7, ss.values)  # int64 truncation would keep them
+
+
 REFUSALS = [
     pytest.param(["generate", "--size", "4,x", "--output", "g.mht1"],
                  DomainError, "comma-separated integers", id="cli-size-token"),
@@ -78,6 +83,14 @@ REFUSALS = [
                  DimensionError, r"coords must have shape \(n, d\)", id="samples-coords"),
     pytest.param(lambda: SampleSet(P, C, np.zeros((3, 2)), np.zeros(2)),
                  DimensionError, "values length must match coords", id="samples-values"),
+    pytest.param(_moved_samples,
+                 DomainError, "sample coordinates must be integers", id="samples-float-coords"),
+    pytest.param(lambda: SampleSet(P, C, None, np.ones(48) + 1j),
+                 DomainError, "sample values must be real numbers", id="samples-complex-values"),
+    pytest.param(lambda: SampleSet(P, C, None, [None] * 48),
+                 DomainError, "sample values must be real numbers", id="samples-none-values"),
+    pytest.param(lambda: SampleSet(P, C, None, ["a"] * 48),
+                 DomainError, "sample values must be real numbers", id="samples-text-values"),
     pytest.param(lambda: SampleSet(P, C, None, np.zeros(3)), MissingSamplesError,
                  r"3 values given, M\(10,01\) has 48 points", id="canonical-count"),
     pytest.param(lambda: SampleSet(P, C, None, np.zeros((4, 7))),
