@@ -90,15 +90,16 @@ def idft(g: Grid) -> Grid:
     return synthesize(g.extents, g.data)  # read-only: its half is copied
 
 
-def _raw_spectrum(T: tuple[int, ...], s: tuple[int, ...], fill, source) -> np.ndarray:
-    """Raw half spectrum ``rfftn(y) * prod(s)`` of the samples y = x[::s], extents
-    m = T/s, that ``fill(y, source)`` writes into the first m[-1] floats of each of
-    its rows: an ``rfft`` per slab of rows, then in-place passes in rfftn's order."""
+def _raw_spectrum(T: tuple[int, ...], s: tuple[int, ...], pairs, source) -> np.ndarray:
+    """Raw half spectrum ``rfftn(y) * prod(s)`` of the samples y = x[::s], extents m = T/s,
+    copied into the first m[-1] floats of each of its rows from each (source view, y view)
+    of ``pairs(source, y)``: an ``rfft`` per slab of rows, then in-place passes in rfftn's order."""
     m = tuple(t // si for t, si in zip(T, s))
     H = np.empty((*m[:-1], m[-1] // 2 + 1), dtype=np.complex128)
     lines = H.reshape(-1, H.shape[-1])
     y = lines.view(np.float64)[:, : m[-1]]
-    fill(y.reshape(m), source)
+    for v, w in pairs(source, y.reshape(m)):
+        w[...] = v
     slab = max(1, min(_SLAB_BYTES, H.nbytes // 8) // y[0].nbytes)  # an eighth at most
     for a in range(0, len(lines), slab):  # row r's spectrum is row r's memory
         lines[a : a + slab] = np.fft.rfft(y[a : a + slab])
@@ -237,6 +238,8 @@ def read_mht1(fh: BinaryIO) -> Grid:
         if not 1 <= d <= MAX_DIMS:
             raise FormatError(f"unreasonable dimension count {d}")
         extents = struct.unpack(f"<{d}Q", fh.read(8 * d))
+        if 0 in extents:  # a malformed file, where Grid's DomainError refuses an array
+            raise FormatError(f"MHT1 extents {extents} must be positive")
         (dtype_code,) = struct.unpack("<B", fh.read(1))
     except struct.error as exc:
         raise FormatError("truncated MHT1 header") from exc
@@ -246,11 +249,7 @@ def read_mht1(fh: BinaryIO) -> Grid:
     raw = fh.read()  # the rest of the file: the declared size may be bogus
     if len(raw) != prod(extents) * np_dtype.itemsize:
         raise FormatError(f"MHT1 payload of {len(raw)} bytes does not fit {extents}")
-    try:  # ValueError: an extent too large for numpy next to a zero one
-        arr = np.frombuffer(raw, dtype=np_dtype).reshape(extents)
-    except ValueError as exc:
-        raise FormatError(f"unsupported MHT1 extents {extents}") from exc
-    return Grid(tuple(extents), arr)
+    return Grid(tuple(extents), np.frombuffer(raw, dtype=np_dtype).reshape(extents))
 
 
 # ---------------------------------------------------------------------------
@@ -295,6 +294,8 @@ def read_pgm(fh: BinaryIO) -> Grid:
     cols, rows, maxval = (next_int() for _ in range(3))
     if maxval != 255:
         raise FormatError(f"only 8-bit PGM supported, maxval={maxval}")
+    if not rows * cols:
+        raise FormatError(f"PGM width {cols} and height {rows} must be positive")
     raw = fh.read()  # the rest of the file: the declared size may be bogus
     if len(raw) < rows * cols:
         raise FormatError("truncated PGM payload")

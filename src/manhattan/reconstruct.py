@@ -15,8 +15,9 @@ zeroing them, peeling it, is its own fold.  Lattice b - e_i (i not the last
 axis) is lattice b subsampled by k_i on axis i: that member sums b's residual
 over the k_i replicas on axis i, in b's memory if it is b's last child and is
 ready once b is done, and folds only the supersets not above b.  Any other
-member reads its ``x[::s]`` into its own spectrum's memory from the canonical
-values (``sampler._lattice_reader``).  ``ReconstructionPlan.for_collection``
+member copies its ``x[::s]`` into its own spectrum's memory from the canonical
+values through ``sampler._cells``, as ``extract_samples`` reads them from an
+image, with no full-size mask.  ``ReconstructionPlan.for_collection``
 compiles this once per ``Collection`` into one cached plan, which ``reconstruct``
 replays and ``bandlimit`` reads for the bins its gathers place; both hand
 ``synthesize`` the half spectrum that holds the atoms and nothing else.
@@ -34,9 +35,9 @@ from .core import BiStep, Collection, ManhattanParams
 from .errors import DomainError
 from .freq import FreqMask, atom_axes, atom_mask
 from .grid import Axes, Grid, _fold, _fold_slices, _gather, _raw_spectrum, _slices, synthesize
-from .sampler import SampleSet, _lattice_reader
+from .sampler import SampleSet, _cells
 
-# A plan's member b: "atom b"; the reader of its x[::s], or None; its steps s; the
+# A plan's member b: "atom b"; the ``_cells`` pairs of its x[::s], or None; its steps s; the
 # ``_fold_slices`` modulo m of each superset its source holds (Lemma 1); its lower block's
 # slices modulo m onto T; its children (member, axis i, k_i, in b's memory), summing b's residual.
 _Step = namedtuple("_Step", "name read s folds gather children")
@@ -84,7 +85,7 @@ class ReconstructionPlan:
                           if bp in above[b] and not (up is not None and up.issubset(bp)))
             children = tuple((f"atom {a}", parent[a][1], p.k[parent[a][1]], a == kids[b][-1]
                               and above[a].issubset(order[: turn + 1])) for a in kids[b])
-            read = _lattice_reader(c, s) if up is None else None  # else a replica sum
+            read = _cells(c, s) if up is None else None  # else a replica sum
             steps.append(_Step(f"atom {b}", read, s, folds, _slices(lower[b], m, lower[b]),
                                children))
         return cls(members, axes, p, tuple(steps))
@@ -135,7 +136,7 @@ def reconstruct(ss: SampleSet) -> Grid:
 def bandlimit(image: Grid, c: Collection) -> Grid:
     """Zero the image's spectrum outside the Manhattan region, its atoms; idempotent."""
     x, T, plan = image.image(c.params.extents), c.params.T, ReconstructionPlan.for_collection(c)
-    half = _raw_spectrum(T, (1,) * len(T), np.copyto, x)
+    half = _raw_spectrum(T, (1,) * len(T), lambda v, y: [(v, y)], x)
     outside = np.ones(half.shape, dtype=bool)
     for src, _ in (pair for step in plan.steps for pair in step.gather):
         outside[src] = False

@@ -2,7 +2,9 @@
 
 A sample set holds the values of one image on M(B), which (T, k, λ, B) fix point
 by point, in M(B)'s lexicographic order and nothing else; it is refused where it
-is built unless it has a finite value for every point of M(B), once.
+is built unless it has a finite value for every point of M(B), once.  ``_cells`` maps
+those values to an image's lattice x[::s] and back, class by class of one cell K = k*λ:
+``extract_samples`` and the engine's lattice reads copy through it, with no full-size mask.
 
 A comb grid for bi-step lattice b is zero off the lattice and carries the
 image values scaled by the product of the lattice step sizes, so that the
@@ -135,41 +137,44 @@ class SampleSet:
 
 
 def extract_samples(image: Grid, c: Collection) -> SampleSet:
-    """The image's values on M(B): a mask reads them in its lexicographic order."""
-    return SampleSet(c.params, c, None, image.image(c.params.extents)[manhattan_indicator(c)])
+    """The image's values on M(B), in its lexicographic order, read by ``_cells`` from x[::λ]."""
+    x, lam = image.image(c.params.extents), c.params.lam_int
+    values = np.empty(_point_count(c))
+    for v, y in _cells(c, lam)(values, x[tuple(slice(None, None, li) for li in lam)]):
+        v[...] = y
+    return SampleSet(c.params, c, None, values)
 
 
-def _lattice_reader(c: Collection, s: tuple[int, ...]) -> Callable[[np.ndarray, np.ndarray], None]:
-    """``read(out, values)``, which writes the samples ``x[::s]`` of a closure
-    member's lattice (steps s) into ``out``, of any strides, from the canonical
-    values of M(B), which repeats with the cell K = k*λ: on each leading axis i
-    the values split into N_i = T_i/K_i equal chunks, residue r_i is one slice
-    of each, and the kept last-axis residues, the multiples of the last step,
-    are the first K/s points of each cell row (the whole row if that step is λ),
-    so each class is one strided copy.  The cuts are found here once."""
+def _cells(c: Collection, s: tuple[int, ...]) -> Callable[[np.ndarray, np.ndarray], Iterator]:
+    """``pairs(values, y)``: per residue class of the leading axes, views of the same points
+    of M(B) in its canonical values, shape (*N, kept), and in the samples ``y = x[::s]`` of
+    a lattice of steps s, of any strides.  M(B) repeats with the cell K = k*λ: on leading
+    axis i the values split into N_i = T_i/K_i equal chunks, residue r_i is one slice of
+    each, and a class keeps the first min(points in its cell row, K/s) points of each row,
+    the multiples of the last step.  Classes with no points are skipped; cuts are found once."""
     p = c.params
     K = tuple(k * lam for k, lam in zip(p.k, p.lam_int))
     N = [t // ki for t, ki in zip(p.T, K)]
     cell = manhattan_indicator(Collection(c.members, replace(p, T=K)))
-    copies = []  # (cuts of the leading axes, place in the output) per residue class r
-    for r in product(*(range(0, ki, si) for ki, si in zip(K[:-1], s[:-1]))):
+    classes = []  # (cuts of the leading axes, the class's index into y's cells) per class r
+    leading = product(*(range(0, ki, si) for ki, si in zip(K[:-1], s[:-1])))
+    for r in (r for r in leading if cell[r].any()):
         cuts = []
         for i, ri in enumerate(r):  # points per residue of axis i in one chunk
             sizes = (cell[r[:i]].reshape(K[i], -1).sum(1) * prod(N[i + 1 :])).tolist()
             cuts.append(slice(sum(sizes[:ri]), sum(sizes[: ri + 1])))
-        copies.append((cuts, tuple(ri // si for ri, si in zip(r, s))))
-    kept = K[-1] // s[-1]
+        at = (*chain.from_iterable((slice(None), ri // si) for ri, si in zip(r, s)), slice(None))
+        classes.append((cuts, (*at, slice(min(np.count_nonzero(cell[r]), K[-1] // s[-1])))))
 
-    def read(out: np.ndarray, values: np.ndarray) -> None:
-        cells = out.reshape([n for ni, ki, si in zip(N, K, s) for n in (ni, ki // si)])
-        by_residue = cells.transpose(*range(1, 2 * p.d, 2), *range(0, 2 * p.d, 2))
-        for cuts, at in copies:
+    def pairs(values: np.ndarray, y: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        cells = y.reshape([n for ni, ki, si in zip(N, K, s) for n in (ni, ki // si)])
+        for cuts, at in classes:
             v = values
             for n, cut in zip(N, cuts):
                 v = v.reshape(*v.shape[:-1], n, -1)[..., cut]
-            by_residue[at] = np.moveaxis(v.reshape(*v.shape[:-1], N[-1], -1)[..., :kept], -1, 0)
+            yield v.reshape(*v.shape[:-1], N[-1], -1)[..., at[-1]], cells[at]
 
-    return read
+    return pairs
 
 
 def grid_from_samples(ss: SampleSet) -> Grid:

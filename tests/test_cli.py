@@ -483,11 +483,12 @@ class TestErrorPaths:
         ],
         ids=["mht1", "pgm"],
     )
-    def test_zero_extent_is_usage_error(self, tmp_path, name, data):
+    def test_zero_extent_is_format_error(self, tmp_path, name, data):
+        # a file that declares a zero extent is malformed, not a refused grid
         bad = tmp_path / name
         bad.write_bytes(data)
         out = tmp_path / ("out" + bad.suffix)
-        assert run("spectrum", "--input", str(bad), "--output", str(out)) == 2
+        assert run("spectrum", "--input", str(bad), "--output", str(out)) == 3
         assert not out.exists()
 
     def test_truncated_mht1_header_is_format_error(self, tmp_path):

@@ -189,6 +189,11 @@ class TestInPlaceSynthesis:
         assert image.nbytes < base.nbytes <= image.nbytes + 16 * prod(T[:-1])
 
 
+def one_pair(x, y):
+    """The samples as one (source, destination) pair, as bandlimit hands them over."""
+    return [(x, y)]
+
+
 class TestInPlaceTransform:
     """The raw half spectrum is made in its own memory, exactly as rfftn would."""
 
@@ -202,7 +207,7 @@ class TestInPlaceTransform:
         y = np.random.default_rng(sum(m)).normal(size=m)
         slab = data.draw(st.sampled_from([8, 200, grid._SLAB_BYTES]), label="slab bytes")
         with mock.patch.object(grid, "_SLAB_BYTES", slab):  # one row per rfft, a few or all
-            got = grid._raw_spectrum(tuple(mi * si for mi, si in zip(m, s)), s, np.copyto, y)
+            got = grid._raw_spectrum(tuple(mi * si for mi, si in zip(m, s)), s, one_pair, y)
         assert got.tobytes() == (np.fft.rfftn(y) * prod(s)).tobytes()
 
     @pytest.mark.parametrize("T", [(512, 512), (64, 64, 64)])
@@ -211,7 +216,7 @@ class TestInPlaceTransform:
         y = np.random.default_rng(9).normal(size=T)
         tracemalloc.start()
         try:
-            H = grid._raw_spectrum(T, (1,) * len(T), np.copyto, y)
+            H = grid._raw_spectrum(T, (1,) * len(T), one_pair, y)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -418,8 +423,10 @@ class TestMht1:
             b"MHT1" + struct.pack("<IQB", 1, 2**61, 0) + b"\0" * 16,  # huge extent
             b"MHT1" + struct.pack("<I2QB", 2, 0, 2**64 - 1, 0),  # unrepresentable
             GOLDEN_MHT1 + b"\0",  # trailing byte
+            b"MHT1" + struct.pack("<I2QB", 2, 0, 5, 0),  # a zero extent, no payload
         ],
-        ids=["short-d", "short-extents", "huge-extent", "zero-and-huge", "trailing"],
+        ids=["short-d", "short-extents", "huge-extent", "zero-and-huge", "trailing",
+             "zero-extent"],
     )
     def test_malformed_header(self, data):
         with pytest.raises(FormatError):
@@ -459,8 +466,9 @@ class TestPgm:
             b"P5\n2 -1\n255\n\0\0",  # negative extent
             b"P5\n99999999999 99999999999\n255\n\0\0",  # huge extents
             b"P5\n2 2\n255\n\0\0",  # truncated payload
+            b"P5\n0 4\n255\n",  # a zero extent, no payload
         ],
-        ids=["non-numeric", "negative", "huge", "truncated"],
+        ids=["non-numeric", "negative", "huge", "truncated", "zero-extent"],
     )
     def test_malformed_header(self, data):
         with pytest.raises(FormatError):

@@ -5,8 +5,10 @@ its one Hermitian check and every inverse transform pass on it, one the way in
 and every forward pass, one cache holds the compiled reconstruction plans, one
 method decides whether a grid is a real image, one property builds the (n, d)
 coordinate array of a sample set, ``reconstruct`` scatters no samples onto a
-full-size image, one function forks (its helper leaving only by ``os._exit``)
-and makes the only temp file, and one function parses MHS1 rows."""
+full-size image, neither ``extract_samples`` nor ``reconstruct.py`` builds a
+full-size mask of M(B), as both map its values through one cell, one function
+forks (its helper leaving only by ``os._exit``) and makes the only temp file,
+and one function parses MHS1 rows."""
 
 import ast
 from pathlib import Path
@@ -152,6 +154,16 @@ def test_reconstruct_scatters_no_samples():
     called = {ast.unparse(node.func).split(".")[-1]
               for node in ast.walk(tree) if isinstance(node, ast.Call)}
     assert "grid_from_samples" not in called, sorted(called)
+
+
+def test_no_full_size_mask_of_the_samples():
+    # extract_samples and the engine's lattice reads go through sampler._cells,
+    # which builds the indicator of one cell K = k*λ, not of M(B) on T
+    calls = _calls("manhattan_indicator")
+    assert ("sampler.py", "_cells") in calls, sorted(calls, key=str)
+    built = {call for call in calls if call == ("sampler.py", "extract_samples")
+             or call[0] == "reconstruct.py"}
+    assert not built, f"manhattan_indicator is called in {sorted(built, key=str)}"
 
 
 def test_one_fork_that_ends_in_exit():

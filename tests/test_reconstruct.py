@@ -463,7 +463,7 @@ class TestCompiledSweep:
                 todo.extend(x)
             elif isinstance(x, dict):
                 todo.extend(x.values())
-            elif callable(x):  # a lattice reader and what it closes over
+            elif callable(x):  # a _cells pairs function and what it closes over
                 todo.extend(cell.cell_contents for cell in x.__closure__ or ())
             elif hasattr(x, "__dict__"):
                 todo.extend(vars(x).values())

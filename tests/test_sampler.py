@@ -85,6 +85,23 @@ class TestExtraction:
         with pytest.raises(DomainError):
             extract_samples(Grid.from_array(np.zeros((4, 4))), self.c)
 
+    @pytest.mark.parametrize(
+        "T,k,coll", [((256, 256), (2, 2), "10,01"), ((48, 48, 48), (3, 3, 3), "110,101,011"),
+                     ((24, 24, 24, 24), (2, 2, 2, 2), "1100,0011,1010")]
+    )
+    def test_peak_memory(self, T, k, coll):
+        # the values and their finiteness check: no full-size mask of M(B) is built
+        p = ManhattanParams(d=len(T), lam=(1,) * len(T), k=k, T=T)
+        c = Collection.from_string(p, coll)
+        image = Grid.from_array(np.random.default_rng(11).normal(size=T))
+        tracemalloc.start()
+        try:
+            ss = extract_samples(image, c)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.15 * ss.values.nbytes
+
     def test_count_formula_random(self):
         rng = random.Random(31)
         for _ in range(50):
@@ -574,11 +591,14 @@ class TestCanonicalForm:
 
 
 class TestLatticeReader:
-    """The samples x[::s] of every closure member, read from the canonical
-    values of M(B) alone into the padded rows of a half spectrum's memory, equal
-    the scattered image's lattice bit for bit."""
+    """``_cells(c, s)`` pairs the canonical values of M(B) with the samples x[::s]:
+    every closure member's lattice, read from the values alone into the padded rows
+    of a half spectrum's memory, equals the scattered image's lattice bit for bit, and
+    ``extract_samples``, which reads x[::λ] through the same pairs, equals the mask's
+    reading of the image."""
 
-    def test_equals_scattered_lattice(self):
+    @staticmethod
+    def configs():
         rng = random.Random(16)
         configs = [  # an odd last axis, and a last axis of one cell (T = k*lam)
             ManhattanParams(d=2, lam=(1, 3), k=(2, 3), T=(4, 27)),
@@ -589,21 +609,41 @@ class TestLatticeReader:
             p = random_params(rng, d_max=4, k_max=4)
             if np.prod(p.T) <= 30000:
                 configs.append(p)
-        for i, p in enumerate(configs):
-            c = random_collection(rng, p)
+        assert any(p.T[-1] % 2 for p in configs)
+        assert any(p.T[-1] == p.k[-1] * p.lam_int[-1] for p in configs)
+        assert any(max(p.lam_int) > 1 for p in configs)
+        assert any(p.d == 4 for p in configs)
+        return [(p, random_collection(rng, p)) for p in configs]
+
+    def test_equals_scattered_lattice(self):
+        for i, (p, c) in enumerate(self.configs()):
             ss = extract_samples(Grid.from_array(np.random.default_rng(i).normal(size=p.T)), c)
             x = grid_from_samples(ss).data
             for b in c.closure().members:
                 s = p.step_int(b)
                 want = x[tuple(slice(None, None, si) for si in s)]
                 m = want.shape
-                rows = np.empty((*m[:-1], m[-1] // 2 + 1), dtype=complex).view(np.float64)
-                got = rows[..., : m[-1]]
-                sampler._lattice_reader(c, s)(got, ss.values)
+                rows = np.full((*m[:-1], m[-1] // 2 + 1), np.nan, dtype=complex).view(np.float64)
+                got = rows[..., : m[-1]]  # a point no pair reaches stays NaN
+                for v, y in sampler._cells(c, s)(ss.values, got):
+                    y[...] = v
                 assert got.tobytes() == want.tobytes(), (p, c, b)
-        assert any(p.T[-1] % 2 for p in configs)
-        assert any(p.T[-1] == p.k[-1] * p.lam_int[-1] for p in configs)
-        assert any(p.d == 4 for p in configs)
+
+    def test_extraction_equals_mask(self):
+        for i, (p, c) in enumerate(self.configs()):
+            x = np.random.default_rng(i).normal(size=p.T)
+            got = extract_samples(Grid.from_array(x), c).values
+            assert got.tobytes() == x[manhattan_indicator(c)].tobytes(), (p, c)
+
+    def test_nan_off_the_set_accepted_on_it_refused(self):
+        p = ManhattanParams(d=3, lam=(2, 1, 3), k=(3, 4, 3), T=(12, 8, 9))
+        c = Collection.of(p, ["110", "011"])
+        on = manhattan_indicator(c)
+        x = np.where(on, np.random.default_rng(5).normal(size=p.T), np.nan)
+        assert extract_samples(Grid.from_array(x), c).values.tobytes() == x[on].tobytes()
+        x[tuple(np.argwhere(on)[-1])] = np.nan  # the last point of M(B)
+        with pytest.raises(DomainError, match="finite"):
+            extract_samples(Grid.from_array(x), c)
 
 
 class TestMhs1Canonical:
