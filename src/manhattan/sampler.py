@@ -214,12 +214,13 @@ def comb_from_samples(ss: SampleSet, b: BiStep) -> CombGrid:
 # MHS1 text format: magic line, header lines dims/T/k/lambda/collection, then
 # one row per sample: d integer coordinates and the value to 17 significant
 # digits (exact for float64). Blank lines are ignored, comment lines are not
-# allowed, and a malformed row raises FormatError. The writer formats each chunk of
-# rows with one `%`; axis i takes its coordinate text from a table of T_i strings,
-# built only where T_i <= rows, so no table outgrows the rows. One loadtxt parses
-# the rows, in any order, of a UTF-8 or ASCII file on disk from its bytes; a body
-# that is not M(B) once is refused as a SampleSet is. With two CPUs a forked helper
-# writes or parses the second half of a large body at once.
+# allowed; a malformed row, or a header no sample set can have, raises FormatError.
+# The writer formats each chunk of rows with one `%`, axis i's coordinates from a
+# table of T_i strings built only where T_i <= rows. loadtxt parses the rows, in any
+# order, of a UTF-8 or ASCII file on disk from its bytes; a body that is not M(B)
+# once is refused as a SampleSet is. A body written, or read from such a file, is
+# two halves: a forked helper does the second at once where _forked can fork, else
+# (under two chunks, one CPU, a failed helper) the parent does it after the first.
 # ---------------------------------------------------------------------------
 
 _MHS1_PIECE_BYTES = 1 << 14  # text parsed or copied at a time: bounds it in memory
@@ -236,19 +237,19 @@ def _splits(rows: int) -> bool:
             and signal.getsignal(signal.SIGCHLD) == signal.SIG_DFL)
 
 
-def _forked(work: Callable[[], object], helper: Callable[[BinaryIO], object],
+def _forked(rows: int, work: Callable[[], object], helper: Callable[[BinaryIO], object],
             take: Callable[[BinaryIO], object]) -> bool:
-    """Run work() here and helper(out) in a forked process at once, out an unlinked
-    temp file, then take(out) from its start; False, with take not called, if the
-    helper failed. The helper ends in os._exit, so it flushes no buffer it
-    inherited; if work raises, it is killed. It is reaped. If no temp file or
-    process can be made, work runs alone and the helper counts as failed."""
+    """Run work() here and, where _splits(rows) allows, helper(out) in a forked process at
+    once, out an unlinked temp file, then take(out) from its start. False, with take not
+    called, if no helper ran (a split refused, no temp file or process) or it failed: the
+    caller then does the helper's part itself. The helper ends in os._exit, so it flushes
+    no buffer it inherited; if work raises, it is killed. It is reaped."""
     with contextlib.ExitStack() as stack:
-        try:
-            out = stack.enter_context(tempfile.TemporaryFile())
-            pid = os.fork()
-        except OSError:  # no writable temp dir, EAGAIN, ENOMEM: the caller does its part
-            pid = None
+        pid = None
+        if _splits(rows):  # decided before any temp file is made
+            with contextlib.suppress(OSError):  # no writable temp dir, EAGAIN, ENOMEM
+                out = stack.enter_context(tempfile.TemporaryFile())
+                pid = os.fork()
         if pid == 0:
             try:
                 helper(out)
@@ -270,10 +271,10 @@ def _forked(work: Callable[[], object], helper: Callable[[BinaryIO], object],
         return ok
 
 
-def _mhs1_chunks(ss: SampleSet, starts: range) -> Iterator[str]:
-    """The body text of the chunks of rows that begin at starts, one string each."""
+def _mhs1_chunks(ss: SampleSet, flat: np.ndarray, starts: range) -> Iterator[str]:
+    """The body text of the chunks of rows that begin at starts, one string each; flat
+    holds M(B)'s positions in [0, T), in its lexicographic order."""
     p = ss.params
-    flat = np.flatnonzero(manhattan_indicator(ss.collection))
     tables = {i: np.array([f"{j} " for j in range(t)], object)  # axis i's "j " texts
               for i, t in enumerate(p.T) if t <= len(ss)}
     row = "".join("%s" if i in tables else "%d " for i in range(p.d)) + "%.17g\n"
@@ -296,8 +297,10 @@ def write_mhs1(fh: TextIO, ss: SampleSet) -> None:
     fh.write("lambda " + " ".join(map(str, p.lam_int)) + "\n")
     fh.write(f"collection {ss.collection}\n")
 
+    flat = np.flatnonzero(manhattan_indicator(ss.collection))  # found once, and inherited
+
     def write(starts: range) -> None:
-        for text in _mhs1_chunks(ss, starts):
+        for text in _mhs1_chunks(ss, flat, starts):
             fh.write(text)
 
     def copy(out: BinaryIO) -> None:  # the helper's text, after the parent's
@@ -306,13 +309,9 @@ def write_mhs1(fh: TextIO, ss: SampleSet) -> None:
 
     starts = range(0, len(ss), _MHS1_CHUNK_ROWS)
     head, tail = starts[: len(starts) // 2], starts[len(starts) // 2 :]
-    _mhs1_split = False
-    if not _splits(len(ss)):
-        write(starts)
-    elif not (_mhs1_split := _forked(
-            lambda: write(head),
-            lambda out: out.writelines(t.encode() for t in _mhs1_chunks(ss, tail)), copy)):
-        write(tail)  # the helper failed: its chunks are formatted here
+    if not (_mhs1_split := _forked(len(ss), lambda: write(head), lambda out: out.writelines(
+            t.encode() for t in _mhs1_chunks(ss, flat, tail)), copy)):
+        write(tail)  # no helper, or it failed: its chunks are formatted here
 
 
 def _header_line(fh: TextIO, key: str) -> list[str]:
@@ -355,8 +354,8 @@ def _pieces(fd: int, start: int, stop: int, encoding: str) -> Iterator[list[str]
 
 def _body_rows(fh: TextIO, row: np.dtype, count: int) -> np.ndarray:
     """The body rows of fh, of which the header gives count, leaving fh at its end.
-    A UTF-8 or ASCII file on disk is read from its bytes, in two halves at once
-    where _splits says so; any other handle from its lines."""
+    A UTF-8 or ASCII file on disk is read from its bytes in two halves, at once where
+    _forked can fork; any other handle from its lines."""
     global _mhs1_split
     _mhs1_split = False
     raw = getattr(getattr(fh, "buffer", None), "raw", None)  # a compressed file's is no FileIO
@@ -371,7 +370,7 @@ def _body_rows(fh: TextIO, row: np.dtype, count: int) -> np.ndarray:
 
     mid = (start + stop) // 2  # the helper's half starts at the first line start after it
     i = os.pread(fd, _MHS1_PIECE_BYTES, mid).find(b"\n")
-    if not _splits(count) or i < 0:  # i < 0: no line end near the middle to cut at
+    if i < 0:  # no line end near the middle to cut at
         return parse(start, stop)
     cut, rows = mid + i + 1, []  # the parent's rows, grown in place to take the helper's
 
@@ -379,11 +378,12 @@ def _body_rows(fh: TextIO, row: np.dtype, count: int) -> np.ndarray:
         rows[0].resize(len(rows[0]) + size // row.itemsize, refcheck=False)
         return rows[0].view(np.uint8)[rows[0].nbytes - size :]
 
+    most = (stop - start) // (2 * row["coords"].shape[0] + 2)  # a row has 2d + 2 bytes at least
     if not (_mhs1_split := _forked(
-            lambda: rows.append(parse(start, cut)),
+            min(count, most), lambda: rows.append(parse(start, cut)),
             lambda out: out.write(parse(cut, stop).view(np.uint8)),
             lambda out: out.readinto(grow(os.fstat(out.fileno()).st_size)))):
-        tail = parse(cut, stop).view(np.uint8)  # the helper failed: its half is parsed here
+        tail = parse(cut, stop).view(np.uint8)  # no helper, or it failed: its half is parsed here
         grow(len(tail))[:] = tail
     return rows[0]
 
@@ -406,6 +406,8 @@ def read_mhs1(fh: TextIO) -> SampleSet:
     except UnicodeDecodeError as exc:  # in header or body: a text handle decodes ahead
         bad = exc.object[exc.start : exc.end].hex()
         raise FormatError(f"MHS1 file is not {exc.encoding} text: {exc.reason} 0x{bad}") from exc
+    except (DomainError, DimensionError) as exc:  # from the header's params or collection only
+        raise FormatError(f"malformed MHS1 header: {exc}") from exc
     except ValueError as exc:  # numpy's message misnumbers rows, suggests usecols
         what = (f"body: each row must be {d} integer coordinates, one value" if body
                 else f"header: {exc}")

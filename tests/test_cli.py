@@ -356,6 +356,16 @@ class TestErrorPaths:
         assert run("reconstruct", "--samples", str(samples), "--output", str(out)) == 2
         assert not out.exists()
 
+    def test_mhs1_header_of_no_sample_set_is_format_error(self, tmp_path, caplog):
+        # T_0 = 5 is no multiple of k_0 = 2: the file is malformed, as a bad magic is
+        samples = tmp_path / "s.mhs1"
+        samples.write_text("MHS1\ndims 2\nT 5 4\nk 2 2\nlambda 1 1\n"
+                           "collection 10,01\n0 0 1.0\n")
+        out = tmp_path / "out.mht1"
+        assert run("reconstruct", "--samples", str(samples), "--output", str(out)) == 3
+        assert "malformed MHS1 header: T[0]=5" in caplog.text
+        assert not out.exists()
+
     def test_bad_mhs1_magic(self, tmp_path):
         bad = tmp_path / "bad.mhs1"
         bad.write_text("BOGUS\n")

@@ -7,8 +7,10 @@ method decides whether a grid is a real image, one property builds the (n, d)
 coordinate array of a sample set, ``reconstruct`` scatters no samples onto a
 full-size image, neither ``extract_samples`` nor ``reconstruct.py`` builds a
 full-size mask of M(B), as both map its values through one cell, one function
-forks (its helper leaving only by ``os._exit``) and makes the only temp file,
-and one function parses MHS1 rows."""
+forks (its helper leaving only by ``os._exit``), makes the only temp file and
+alone decides whether an MHS1 body is split, so the writer and the reader each
+have one path through a body and the writer finds M(B)'s positions once, and
+one function parses MHS1 rows."""
 
 import ast
 from pathlib import Path
@@ -202,3 +204,19 @@ def test_one_temp_file():
     # the forked helper's output is the only temp file: the reader keeps none of its own
     made = _calls("TemporaryFile")
     assert made == {("sampler.py", "_forked")}, sorted(made, key=str)
+
+
+def test_one_path_through_an_mhs1_body():
+    # _forked alone asks _splits; the writer and the reader each hand it their body
+    # once, with no serial branch of their own, and the writer, not each call for
+    # chunks, builds the M(B) mask whose positions its helper inherits
+    splits = _calls("_splits")
+    assert splits == {("sampler.py", "_forked")}, f"_splits is called in {sorted(splits, key=str)}"
+    tree = ast.parse((Path(manhattan.__file__).parent / "sampler.py").read_text())
+    for name in ("write_mhs1", "_body_rows"):
+        (body,) = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and n.name == name]
+        called = [ast.unparse(n.func) for n in ast.walk(body) if isinstance(n, ast.Call)]
+        assert called.count("_forked") == 1 and "_splits" not in called, (name, called)
+    masks = _calls("manhattan_indicator")
+    assert ("sampler.py", "write_mhs1") in masks, sorted(masks, key=str)
+    assert ("sampler.py", "_mhs1_chunks") not in masks, sorted(masks, key=str)

@@ -26,6 +26,7 @@ from manhattan import (
     bandlimit,
     extract_samples,
     reconstruct,
+    solve_reconstruct,
     spectrum_report,
 )
 from manhattan import grid
@@ -154,17 +155,18 @@ class TestMalformedSamples:
         with pytest.raises(error):
             entry(SampleSet(p, c, coords[perm], values[perm]))
 
-    def test_values_written_after_building_refused(self):
+    @pytest.mark.parametrize("entry", [reconstruct, solve_reconstruct], ids=lambda f: f.__name__)
+    def test_values_written_after_building_refused(self, entry):
         # a set adopts a float64 array in order through a read-only view; the
         # caller's array stays writable and can still write a NaN, which
-        # reconstruct refuses
+        # reconstruct and the oracle each refuse for themselves
         p = ManhattanParams(d=2, lam=(1, 1), k=(4, 4), T=(16, 16))
         c = Collection.of(p, ["10", "01"])
         shared = extract_samples(bandlimited_image(p, c, seed=3), c).values.copy()
         ss = SampleSet(p, c, None, shared)
         shared[3] = np.nan
         with pytest.raises(DomainError, match="sample values must be finite"):
-            reconstruct(ss)
+            entry(ss)
 
     @pytest.mark.parametrize("T,k", [((32, 32), (4, 4)), ((16, 16), (2, 2))],
                              ids=["other-T", "other-k"])

@@ -240,6 +240,20 @@ class TestMhs1:
         with pytest.raises(FormatError):
             read_mhs1(io.StringIO("MHS1\nwrong 2\n"))
 
+    @pytest.mark.parametrize("line,cause", [
+        ("T 0 4", DomainError), ("T 5 4", DomainError), ("k 1 2", DomainError),
+        ("lambda 0 1", DomainError), ("T 4 4 4", DimensionError), ("collection 100", DimensionError),
+    ])
+    def test_header_of_no_sample_set(self, line, cause):
+        # parameters or a collection that no sample set can have make a malformed
+        # file, whose message names the header, as a bad magic or a bad number does
+        fields = dict(f.split(" ", 1) for f in HEADER_2D.splitlines()[1:])
+        fields.update([line.split(" ", 1)])
+        text = "MHS1\n" + "".join(f"{k} {v}\n" for k, v in fields.items()) + "0 0 1.0\n"
+        with pytest.raises(FormatError, match="^malformed MHS1 header: ") as info:
+            read_mhs1(io.StringIO(text))
+        assert type(info.value.__cause__) is cause
+
     def test_sparse_grid_round_trip(self):
         p = ManhattanParams(d=2, lam=(1, 1), k=(2, 2), T=(4, 4))
         c = Collection.of(p, ["10"])
@@ -943,6 +957,43 @@ class TestMhs1Split:
 
         with leaves_nothing_behind(), pytest.raises(OSError, match="disk full"):
             write_mhs1(FailingSink(), self.ss)
+
+    @pytest.mark.parametrize("split", [False, True])
+    def test_work_runs_once(self, monkeypatch, split):
+        # with or without a helper, work runs here once; take only gets a helper's output
+        monkeypatch.setattr(sampler, "_splits", lambda rows: split)
+        calls = []
+        with leaves_nothing_behind():
+            ok = sampler._forked(1, lambda: calls.append("work"), lambda out: out.write(b"half"),
+                                 lambda out: calls.append(out.read()))
+        assert ok == split and calls == ["work", b"half"][: 1 + split]
+
+    def test_unsplit_body_forks_nothing(self, tmp_path, monkeypatch):
+        # under two chunks both halves run here, one after the other: no temp file
+        # is made and no helper forked, though two CPUs are there
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        assert not sampler._splits(len(self.ss)) and sampler._splits(1 << 30)
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("a helper was forked"))
+        monkeypatch.setattr(tempfile, "TemporaryFile", lambda: pytest.fail("a temp file was made"))
+        assert write_file(tmp_path / "s.mhs1", self.ss) == mhs1_text_per_row(self.ss)
+        assert not sampler._mhs1_split
+        with open(tmp_path / "s.mhs1") as fh:
+            back = read_mhs1(fh)
+        assert not sampler._mhs1_split
+        assert_same_samples(back, self.ss)
+
+    def test_short_body_forks_nothing(self, tmp_path, monkeypatch):
+        # the header's 7.3M points split, but 16 bytes hold two rows at most (a row
+        # is 2d + 2 bytes at least): the count is refused with no helper forked
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("a helper was forked"))
+        monkeypatch.setattr(tempfile, "TemporaryFile", lambda: pytest.fail("a temp file was made"))
+        path = tmp_path / "s.mhs1"
+        path.write_text("MHS1\ndims 2\nT 4096 4096\nk 4 4\nlambda 1 1\n"
+                        "collection 10,01\n0 0 1.0\n0 1 2.0\n")
+        assert sampler._splits(7_340_032)
+        with open(path) as fh, pytest.raises(MissingSamplesError, match="^2 samples given"):
+            read_mhs1(fh)
 
     @pytest.mark.parametrize("death", ["raises", "killed", "never forked"])
     def test_failed_helper_is_redone_here(self, tmp_path, monkeypatch, death):
