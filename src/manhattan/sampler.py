@@ -1,10 +1,10 @@
 """Extracting Manhattan samples and building scaled comb grids.
 
-A sample set holds the values of one image on M(B), which (T, k, λ, B) fix point
-by point, in M(B)'s lexicographic order and nothing else; it is refused where it
-is built unless it has a finite value for every point of M(B), once.  ``_cells`` maps
-those values to an image's lattice x[::s] and back, class by class of one cell K = k*λ:
-``extract_samples`` and the engine's lattice reads copy through it, with no full-size mask.
+A sample set holds the values of one image on M(B), which (T, k, λ, B) fix point by point,
+in M(B)'s lexicographic order and nothing else; it is refused where it is built unless it
+has a finite value for every point of M(B), once.  A lattice of steps s is the view x[::s]:
+``_cells`` maps the values to such views and back, class by class of one cell K = k*λ, with no
+full-size mask, for ``extract_samples``, ``grid_from_samples``, ``coords`` and the engine.
 
 A comb grid for bi-step lattice b is zero off the lattice and carries the
 image values scaled by the product of the lattice step sizes, so that the
@@ -31,24 +31,17 @@ import numpy as np
 
 from .core import BiStep, Collection, ManhattanParams, fundamental_cell_count
 from .errors import DimensionError, DomainError, FormatError, MissingSamplesError
-from .freq import tensor_mask
 from .grid import Grid
 
 _MHS1_MAGIC = "MHS1"
 _MHS1_CHUNK_ROWS = 1 << 14  # rows per write: bounds the formatted text in memory
 
 
-def lattice_indicator(params: ManhattanParams, b: BiStep) -> np.ndarray:
-    """Boolean grid over [0, T) marking the points of bi-step lattice b."""
-    step = params.step_int(b)
-    return tensor_mask([np.arange(t) % s == 0 for t, s in zip(params.extents, step)])
-
-
 def manhattan_indicator(c: Collection) -> np.ndarray:
-    """Boolean grid marking the Manhattan set M(B) within [0, T)."""
+    """Boolean grid marking M(B) within [0, T): each member's lattice of steps s is out[::s]."""
     out = np.zeros(c.params.extents, dtype=bool)
     for b in c.members:
-        out |= lattice_indicator(c.params, b)
+        out[tuple(slice(None, None, s) for s in c.params.step_int(b))] = True
     return out
 
 
@@ -123,8 +116,14 @@ class SampleSet:
 
     @cached_property
     def coords(self) -> np.ndarray:
-        """Int coordinates of the values, shape (n, d): M(B)'s, derived on first use."""
-        coords = np.argwhere(manhattan_indicator(self.collection))  # C order
+        """Int coordinates of the values, shape (n, d): M(B)'s, derived on first use.
+        Column i is read by ``_cells`` from axis i's coordinates broadcast over x[::λ]."""
+        p, pairs = self.params, _cells(self.collection, self.params.lam_int)
+        axes = np.broadcast_arrays(*np.ogrid[tuple(slice(0, t, s) for t, s in zip(p.T, p.lam_int))])
+        coords = np.empty((len(self), p.d), dtype=np.intp, order="F")  # as argwhere's
+        for column, axis in zip(coords.T, axes):
+            for v, y in pairs(column, axis):
+                v[...] = y
         coords.setflags(write=False)
         return coords
 
@@ -178,9 +177,10 @@ def _cells(c: Collection, s: tuple[int, ...]) -> Callable[[np.ndarray, np.ndarra
 
 
 def grid_from_samples(ss: SampleSet) -> Grid:
-    """Image holding the raw sample values, zero elsewhere."""
-    x = np.zeros(ss.params.T)
-    x[manhattan_indicator(ss.collection)] = ss.values
+    """Image holding the raw sample values, zero elsewhere: ``_cells`` copies them into x[::λ]."""
+    x, lam = np.zeros(ss.params.T), ss.params.lam_int
+    for v, y in _cells(ss.collection, lam)(ss.values, x[tuple(slice(None, None, s) for s in lam)]):
+        y[...] = v
     return Grid(ss.params.T, x)
 
 
@@ -195,9 +195,9 @@ class CombGrid:
 
 def comb_from_grid(image: Grid, b: BiStep, params: ManhattanParams) -> CombGrid:
     """Comb of a full grid: step-size-scaled values on lattice b, zero off it."""
-    x = image.image(params.extents)
-    scale = prod(params.step_int(b))
-    return CombGrid(Grid(params.T, x * lattice_indicator(params, b) * scale), b, scale)
+    x, scale = image.image(params.extents), prod(params.step_int(b))
+    x = x * manhattan_indicator(Collection([b], params)) * scale  # "* scale" reuses the product
+    return CombGrid(Grid(params.T, x), b, scale)
 
 
 def comb_from_samples(ss: SampleSet, b: BiStep) -> CombGrid:
@@ -314,12 +314,17 @@ def write_mhs1(fh: TextIO, ss: SampleSet) -> None:
         write(tail)  # no helper, or it failed: its chunks are formatted here
 
 
-def _header_line(fh: TextIO, key: str) -> list[str]:
+def _header_line(fh: TextIO, key: str) -> list:
+    """The values of header line key: integers, one of them for dims, or collection's one text."""
     line = fh.readline().strip()
     parts = line.split()
     if not parts or parts[0] != key:
         raise FormatError(f"expected header line {key!r}, got {line!r}")
-    return parts[1:]
+    what = {"dims": "one integer", "collection": "one collection"}.get(key, "integers")
+    with contextlib.suppress(ValueError):  # a value int cannot read
+        if len(parts) == 2 or what == "integers":  # T, k and lambda: ManhattanParams counts
+            return parts[1:] if key == "collection" else list(map(int, parts[1:]))
+    raise FormatError(f"malformed MHS1 header: {key} must hold {what}, got {line!r}")
 
 
 def _rows(pieces: Iterable[Iterable], row: np.dtype, encoding: str | None = None) -> np.ndarray:
@@ -394,10 +399,8 @@ def read_mhs1(fh: TextIO) -> SampleSet:
         magic = fh.readline().strip()
         if magic != _MHS1_MAGIC:
             raise FormatError(f"unknown magic {magic!r}, expected {_MHS1_MAGIC!r}")
-        (d,) = map(int, _header_line(fh, "dims"))
-        T = tuple(map(int, _header_line(fh, "T")))
-        k = tuple(map(int, _header_line(fh, "k")))
-        lam = tuple(map(int, _header_line(fh, "lambda")))
+        (d,) = _header_line(fh, "dims")
+        T, k, lam = (tuple(_header_line(fh, key)) for key in ("T", "k", "lambda"))
         (coll_text,) = _header_line(fh, "collection")
         params = ManhattanParams(d=d, lam=lam, k=k, T=T)
         collection = Collection.from_string(params, coll_text)

@@ -420,6 +420,15 @@ class TestErrorPaths:
             "--output", str(tmp_path / "out.mht1"),
         ) == 3
 
+    def test_header_line_of_wrong_values_is_format_error(self, tmp_path, caplog):
+        samples = self._sample_16(tmp_path)
+        samples.write_text(samples.read_text().replace("dims 2\n", "dims 2 3\n"))
+        assert run(
+            "reconstruct", "--samples", str(samples),
+            "--output", str(tmp_path / "out.mht1"),
+        ) == 3
+        assert "malformed MHS1 header: dims must hold one integer, got 'dims 2 3'" in caplog.text
+
     def test_all_cr_mhs1_reads_as_lf(self, tmp_path, monkeypatch):
         # after a header line that ends in a bare CR, a text handle's position is
         # decoder state, not a byte offset; the file still reads, split or not

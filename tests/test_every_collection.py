@@ -9,10 +9,13 @@ residue, which no atom keeps, so no fold reaches a gathered bin: T is
 and d = 4 at k = 2, lambda = 1 is checked at T = 3*k*lambda too, 1,296 points,
 against the bandlimited input alone, as the dense oracle's least squares would
 be 1,296 x 1,296 per collection.  Every collection also meets the Landau
-identity and the cell count, and at k = 2 its samples have full column rank on
-its region; Lemma 1's sufficient condition is checked on every triple.
+identity and the cell count, its M(B) mask, scattered samples, coordinates and
+combs match the tensor-product definition of each lattice, and at k = 2 its
+samples have full column rank on its region; Lemma 1's sufficient condition is
+checked on every triple.
 """
 
+import functools
 import itertools
 
 import numpy as np
@@ -20,12 +23,12 @@ import pytest
 
 from conftest import bandlimited_image
 from manhattan import (
-    BiStep, Collection, ManhattanParams, density, extract_samples, fundamental_cell_count,
-    manhattan_region_volume, reconstruct, region_mask,
+    BiStep, Collection, Grid, ManhattanParams, comb_from_grid, density, extract_samples,
+    fundamental_cell_count, manhattan_region_volume, reconstruct, region_mask,
 )
 from manhattan.freq import guaranteed_disjoint, replica_overlap_oracle
 from manhattan.oracle import SIZE_GUARD, rank_report, solve_reconstruct
-from manhattan.sampler import manhattan_indicator
+from manhattan.sampler import grid_from_samples, manhattan_indicator
 
 
 def m_collections(d):
@@ -72,18 +75,35 @@ def test_every_collection_reconstructs(d, k, lam, r):
             assert np.abs(got - direct).max() <= 1e-9 * scale, str(c)
 
 
+def lattice(p, b):
+    """Bi-step lattice b on [0, T) by its definition: the tensor product of each
+    axis's multiples of its step."""
+    axes = [np.arange(t) % s == 0 for t, s in zip(p.T, p.step_int(b))]
+    return functools.reduce(np.logical_and.outer, axes)
+
+
 @pytest.mark.parametrize("d,k,lam,r", SETTINGS, ids=IDS)
 def test_every_collection_counts(d, k, lam, r):
     # the Landau identity, region volume = sampling density, and M(B) on T is
-    # the fundamental cell's points once per cell
+    # the fundamental cell's points once per cell; M(B)'s mask, the samples
+    # scattered back, their coordinates and every comb match the definitions
     T = tuple(r * ki * li for ki, li in zip(k, lam))
     p = ManhattanParams(d=d, lam=lam, k=k, T=T)
     cells = np.prod([t // (ki * li) for t, ki, li in zip(T, k, lam)])
+    x = np.random.default_rng(d).normal(size=T)
     for members in m_collections(d):
         c = Collection.of(p, members)
+        mask = functools.reduce(np.logical_or, [lattice(p, b) for b in members])
         assert manhattan_region_volume(c) == density(c), str(c)
-        assert fundamental_cell_count(c) * cells == np.count_nonzero(manhattan_indicator(c)), str(c)
+        assert fundamental_cell_count(c) * cells == np.count_nonzero(mask), str(c)
         assert region_mask(c).count <= fundamental_cell_count(c) * cells, str(c)  # never too few
+        assert np.array_equal(manhattan_indicator(c), mask), str(c)
+        ss = extract_samples(Grid.from_array(x), c)
+        assert grid_from_samples(ss).data.tobytes() == np.where(mask, x, 0).tobytes(), str(c)
+        assert np.array_equal(ss.coords, np.argwhere(mask)), str(c)
+        for b in c.closure().members:
+            comb = comb_from_grid(Grid.from_array(x), b, p).grid.data
+            assert comb.tobytes() == (x * lattice(p, b) * np.prod(p.step_int(b))).tobytes(), str(c)
 
 
 @pytest.mark.parametrize("d", range(1, 5))

@@ -3,10 +3,12 @@ holds no ``assert``, which ``python -O`` would strip, one module calls
 ``numpy.fft``, one function owns the way from a spectrum back to an image,
 its one Hermitian check and every inverse transform pass on it, one the way in
 and every forward pass, one cache holds the compiled reconstruction plans, one
-method decides whether a grid is a real image, one property builds the (n, d)
-coordinate array of a sample set, ``reconstruct`` scatters no samples onto a
-full-size image, neither ``extract_samples`` nor ``reconstruct.py`` builds a
-full-size mask of M(B), as both map its values through one cell, one function
+method decides whether a grid is a real image, no sample set's coordinates
+come from ``argwhere``, ``reconstruct`` scatters no samples onto a full-size
+image, a full-size mask of M(B) is built only to compare or unravel its
+positions and for one comb, as ``extract_samples``, ``grid_from_samples``,
+``SampleSet.coords`` and ``reconstruct.py`` map its values through one cell,
+the sampler builds no tensor product, as a lattice is a strided view, one function
 forks (its helper leaving only by ``os._exit``), makes the only temp file and
 alone decides whether an MHS1 body is split, so the writer and the reader each
 have one path through a body and the writer finds M(B)'s positions once, and
@@ -133,8 +135,9 @@ def test_one_image_gate():
 
 
 def test_sample_producers_build_no_coordinates():
-    # a canonical sample set carries no (n, d) array; only SampleSet.coords
-    # derives one, and the producers and the writer never ask for it
+    # a canonical sample set carries no (n, d) array; SampleSet.coords derives one
+    # through _cells, not from argwhere of a mask, and the producers and the
+    # writer never ask for it
     calls, reads = set(), set()
     for path in SOURCES:
         for owner, node in _owned_nodes(ast.parse(path.read_text(), filename=str(path))):
@@ -143,7 +146,7 @@ def test_sample_producers_build_no_coordinates():
             if isinstance(node, ast.Attribute) and node.attr == "coords":
                 reads.add((path.name, owner))
     outside = {call for call in calls if call[0] != "oracle.py"}  # its bins, not samples
-    assert outside == {("sampler.py", "coords")}, f"argwhere is called in {sorted(calls, key=str)}"
+    assert not outside, f"argwhere is called in {sorted(calls, key=str)}"
     producers = {("sampler.py", f) for f in ("extract_samples", "read_mhs1", "write_mhs1",
                                               "_mhs1_chunks", "_rows", "_body_rows")}
     assert not reads & producers, f".coords is read in {sorted(reads & producers)}"
@@ -159,13 +162,29 @@ def test_reconstruct_scatters_no_samples():
 
 
 def test_no_full_size_mask_of_the_samples():
-    # extract_samples and the engine's lattice reads go through sampler._cells,
-    # which builds the indicator of one cell K = k*λ, not of M(B) on T
+    # extract_samples, grid_from_samples, SampleSet.coords and the engine's lattice
+    # reads go through sampler._cells, which builds the indicator of one cell
+    # K = k*λ, not of M(B) on T; _order and write_mhs1 compare and unravel M(B)'s
+    # positions by its mask, and comb_from_grid masks one lattice
     calls = _calls("manhattan_indicator")
     assert ("sampler.py", "_cells") in calls, sorted(calls, key=str)
-    built = {call for call in calls if call == ("sampler.py", "extract_samples")
-             or call[0] == "reconstruct.py"}
+    built = {call for call in calls if call[0] == "reconstruct.py" or call in {
+        ("sampler.py", f) for f in ("extract_samples", "grid_from_samples", "coords")}}
     assert not built, f"manhattan_indicator is called in {sorted(built, key=str)}"
+    sampler_calls = {f for module, f in calls if module == "sampler.py"}
+    assert sampler_calls == {"_cells", "_order", "write_mhs1", "comb_from_grid"}, sampler_calls
+
+
+def test_sampler_builds_no_tensor_product():
+    # a lattice is the strided view x[::s]: the sampler imports nothing from freq,
+    # whose masks are full-size by contract, and builds no tensor-product mask
+    tree = ast.parse((Path(manhattan.__file__).parent / "sampler.py").read_text())
+    imported = [name for n in ast.walk(tree) if isinstance(n, (ast.Import, ast.ImportFrom))
+                for name in [getattr(n, "module", None) or "", *(a.name for a in n.names)]]
+    freq = [name for name in imported if "freq" in name.split(".")]
+    assert not freq, f"sampler.py imports {freq}"
+    masks = {call for call in _calls("tensor_mask") if call[0] == "sampler.py"}
+    assert not masks, f"tensor_mask is called in {sorted(masks, key=str)}"
 
 
 def test_one_fork_that_ends_in_exit():

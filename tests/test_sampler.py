@@ -45,7 +45,6 @@ from manhattan.freq import reciprocal_offsets
 from manhattan.sampler import (
     SampleSet,
     grid_from_samples,
-    lattice_indicator,
     manhattan_indicator,
 )
 
@@ -102,6 +101,23 @@ class TestExtraction:
             tracemalloc.stop()
         assert peak <= 1.15 * ss.values.nbytes
 
+    @pytest.mark.parametrize(
+        "T,k,coll", [((256, 256), (2, 2), "10,01"), ((48, 48, 48), (3, 3, 3), "110,101,011"),
+                     ((12, 12, 12, 12), (2, 2, 2, 2), "1100,0011,1010")]
+    )
+    def test_coords_peak_memory(self, T, k, coll):
+        # the (n, d) array alone: the coordinate grids are broadcast, never built,
+        # and no full-size mask of M(B) is
+        p = ManhattanParams(d=len(T), lam=(1,) * len(T), k=k, T=T)
+        ss = extract_samples(Grid.from_array(np.zeros(T)), Collection.from_string(p, coll))
+        tracemalloc.start()
+        try:
+            coords = ss.coords
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * coords.nbytes
+
     def test_count_formula_random(self):
         rng = random.Random(31)
         for _ in range(50):
@@ -131,12 +147,12 @@ class TestCombs:
 
     def test_zero_off_lattice(self):
         comb = comb_from_samples(self.ss, B("10"))
-        off = ~lattice_indicator(self.p, B("10"))
+        off = ~manhattan_indicator(Collection.of(self.p, ["10"]))
         assert not comb.grid.data[off].any()
 
     def test_dc_bin(self):
         comb = comb_from_samples(self.ss, B("01"))
-        on = lattice_indicator(self.p, B("01"))
+        on = manhattan_indicator(Collection.of(self.p, ["01"]))
         expected = comb.scale * self.img.data.real[on].sum()
         assert np.fft.fftn(comb.grid.data)[0, 0] == pytest.approx(expected)
 
@@ -254,6 +270,20 @@ class TestMhs1:
             read_mhs1(io.StringIO(text))
         assert type(info.value.__cause__) is cause
 
+    @pytest.mark.parametrize("line,what", [
+        ("dims 2 3", "one integer"), ("dims x", "one integer"), ("collection 10, 01", "one collection"),
+        ("collection", "one collection"), ("T 8 x", "integers"), ("k 4 4.0", "integers"),
+        ("lambda 1 one", "integers"),
+    ])
+    def test_header_line_of_wrong_values(self, line, what):
+        # dims and collection hold one value, dims, T, k and lambda integers: the
+        # message names the key, what it should hold and the line
+        key = line.split()[0]
+        lines = [line if f.split()[0] == key else f for f in HEADER_2D.splitlines()]
+        message = f"malformed MHS1 header: {key} must hold {what}, got {line!r}"
+        with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+            read_mhs1(io.StringIO("\n".join(lines) + "\n0 0 1.0\n"))
+
     def test_sparse_grid_round_trip(self):
         p = ManhattanParams(d=2, lam=(1, 1), k=(2, 2), T=(4, 4))
         c = Collection.of(p, ["10"])
@@ -261,7 +291,7 @@ class TestMhs1:
         img = Grid.from_array(rng.normal(size=(4, 4)))
         ss = extract_samples(img, c)
         g = grid_from_samples(ss)
-        on = lattice_indicator(p, BiStep((1, 0)))
+        on = manhattan_indicator(Collection.of(p, [BiStep((1, 0))]))
         assert np.array_equal(g.data[on], img.data[on])
         assert not g.data[~on].any()
 
