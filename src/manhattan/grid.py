@@ -87,7 +87,8 @@ def idft(g: Grid) -> Grid:
     spectrum must be Hermitian (``synthesize`` checks it whole)."""
     if not np.iscomplexobj(g.data):
         raise DomainError("idft expects a spectrum, got a real image")
-    return synthesize(g.extents, g.data)  # read-only: its half is copied
+    with np.errstate(over="ignore", invalid="ignore"):  # synthesize refuses NaN and inf
+        return synthesize(g.extents, g.data)  # read-only: its half is copied
 
 
 def _raw_spectrum(T: tuple[int, ...], s: tuple[int, ...], pairs, source) -> np.ndarray:
@@ -204,7 +205,8 @@ def synthesize(T: tuple[int, ...], X: np.ndarray) -> Grid:
 
 def spectrum_report(image: Grid) -> Grid:
     """Centered log-magnitude spectrum of an image or a spectrum, for display."""
-    spec = image.data if np.iscomplexobj(image.data) else dft(image).data
+    with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+        spec = image.data if np.iscomplexobj(image.data) else dft(image).data
     if not np.isfinite(spec).all():
         raise NumericalFailureError("spectrum is not finite (NaN or inf)")
     mag = np.abs(np.fft.fftshift(spec))

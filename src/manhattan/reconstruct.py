@@ -15,12 +15,12 @@ zeroing them, peeling it, is its own fold.  Lattice b - e_i (i not the last
 axis) is lattice b subsampled by k_i on axis i: that member sums b's residual
 over the k_i replicas on axis i, in b's memory if it is b's last child and is
 ready once b is done, and folds only the supersets not above b.  Any other
-member copies its ``x[::s]`` into its own spectrum's memory from the canonical
-values through ``sampler._cells``, as ``extract_samples`` reads them from an
-image, with no full-size mask.  ``ReconstructionPlan.for_collection``
-compiles this once per ``Collection`` into one cached plan, which ``reconstruct``
-replays and ``bandlimit`` reads for the bins its gathers place; both hand
-``synthesize`` the half spectrum that holds the atoms and nothing else.
+member copies its ``x[::s]`` into its own spectrum's memory from the canonical values through
+``sampler._cells``, as ``extract_samples`` reads them from an image, with no full-size mask.
+``ReconstructionPlan.for_collection`` compiles this once per ``Collection`` into one cached
+plan, which ``reconstruct`` replays and ``bandlimit`` reads for the bins its gathers place;
+both hand ``synthesize`` the half spectrum that holds the atoms and nothing else, with numpy's
+warnings off: its finite-and-Hermitian check is the one on the values after ``SampleSet``'s.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from functools import lru_cache
 import numpy as np
 
 from .core import BiStep, Collection, ManhattanParams
-from .errors import DomainError
 from .freq import FreqMask, atom_axes, atom_mask
 from .grid import Axes, Grid, _fold, _fold_slices, _gather, _raw_spectrum, _slices, synthesize
 from .sampler import SampleSet, _cells
@@ -111,12 +110,10 @@ def _replica_sum(H: np.ndarray, i: int, k: int, in_place: bool) -> np.ndarray:
 
 def reconstruct(ss: SampleSet) -> Grid:
     """Recover a Manhattan-bandlimited image from its samples (any d)."""
-    if not np.isfinite(ss.values).all():  # a view the caller shares may have changed since
-        raise DomainError("sample values must be finite")
     T, plan = ss.collection.params.T, ReconstructionPlan.for_collection(ss.collection)
     half = np.zeros((*T[:-1], T[-1] // 2 + 1), dtype=np.complex128)  # every atom's bins
     sums: dict[str, np.ndarray] = {}  # half spectra of members yet to come
-    with np.errstate():  # which restores numpy's ufunc buffer size on the way out
+    with np.errstate(over="ignore", invalid="ignore"):  # refused by synthesize; restores bufsize
         np.setbufsize(256)  # elements per strided operand, not 8192: 4 KB, not 128 KB
         for step in plan.steps:
             if (H := sums.pop(step.name, None)) is None:  # x[::s] is transformed in place
@@ -136,10 +133,11 @@ def reconstruct(ss: SampleSet) -> Grid:
 def bandlimit(image: Grid, c: Collection) -> Grid:
     """Zero the image's spectrum outside the Manhattan region, its atoms; idempotent."""
     x, T, plan = image.image(c.params.extents), c.params.T, ReconstructionPlan.for_collection(c)
-    half = _raw_spectrum(T, (1,) * len(T), lambda v, y: [(v, y)], x)
-    outside = np.ones(half.shape, dtype=bool)
-    for src, _ in (pair for step in plan.steps for pair in step.gather):
-        outside[src] = False
-    half[outside] = 0
-    del outside  # not held through synthesis
-    return synthesize(T, half)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is synthesize's to refuse
+        half = _raw_spectrum(T, (1,) * len(T), lambda v, y: [(v, y)], x)
+        outside = np.ones(half.shape, dtype=bool)
+        for src, _ in (pair for step in plan.steps for pair in step.gather):
+            outside[src] = False
+        half[outside] = 0
+        del outside  # not held through synthesis
+        return synthesize(T, half)

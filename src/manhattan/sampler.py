@@ -2,13 +2,14 @@
 
 A sample set holds the values of one image on M(B), which (T, k, λ, B) fix point by point,
 in M(B)'s lexicographic order and nothing else; it is refused where it is built unless it
-has a finite value for every point of M(B), once.  A lattice of steps s is the view x[::s]:
-``_cells`` maps the values to such views and back, class by class of one cell K = k*λ, with no
-full-size mask, for ``extract_samples``, ``grid_from_samples``, ``coords`` and the engine.
+has a finite value for every point of M(B), once.  A NaN or inf written later through a view
+the caller kept is left to ``grid.synthesize``'s check, the one numerical gate after this one.
+A lattice of steps s is the view x[::s]: ``_cells`` maps the values to such views and back,
+class by class of one cell K = k*λ, with no full-size mask, for ``extract_samples``,
+``grid_from_samples``, ``coords``, ``comb_from_samples`` and the engine.
 
-A comb grid for bi-step lattice b is zero off the lattice and carries the
-image values scaled by the product of the lattice step sizes, so that the
-spectral replicas it induces have unit amplitude.
+A comb grid for bi-step lattice b of steps s is zero off the lattice and x[::s] * prod(s) on
+it, so that the spectral replicas it induces have unit amplitude.
 """
 
 from __future__ import annotations
@@ -201,13 +202,15 @@ def comb_from_grid(image: Grid, b: BiStep, params: ManhattanParams) -> CombGrid:
 
 
 def comb_from_samples(ss: SampleSet, b: BiStep) -> CombGrid:
-    """Comb built from a sample set; b must lie in the collection's closure so
-    that every lattice point of b is covered by the samples."""
+    """Comb read from the samples: b must lie in the closure, so that they cover lattice b."""
     if b not in ss.collection.closure().members:
         raise MissingSamplesError(
             f"lattice {b} is not covered by collection {ss.collection}"
         )
-    return comb_from_grid(grid_from_samples(ss), b, ss.params)
+    x, s = np.zeros(ss.params.T), ss.params.step_int(b)
+    for v, y in _cells(ss.collection, s)(ss.values, x[tuple(slice(None, None, si) for si in s)]):
+        np.multiply(v, prod(s), out=y)
+    return CombGrid(Grid(ss.params.T, x), b, prod(s))
 
 
 # ---------------------------------------------------------------------------

@@ -277,8 +277,6 @@ class TestErrorPaths:
             "--input", str(raw), "--output", str(out),
         ) == 2
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_overflowing_spectrum_is_numerical_failure(self, tmp_path):
         raw = tmp_path / "raw.mht1"
         out = tmp_path / "out.mht1"
@@ -300,8 +298,6 @@ class TestErrorPaths:
     @pytest.mark.parametrize("value,where", [(np.nan, (3, 5)), (1e308, slice(None))],
                              ids=["nan-pixel", "overflowing-dft"])
     @pytest.mark.parametrize("suffix", [".mht1", ".pgm"])
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_non_finite_spectrum_is_numerical_failure(self, tmp_path, value, where, suffix):
         image = np.ones((16, 16))
         image[where] = value

@@ -8,11 +8,13 @@ residue, which no atom keeps, so no fold reaches a gathered bin: T is
 3*k*lambda per axis for d <= 3, the mixed setting's k = 3 axes fold for d = 4,
 and d = 4 at k = 2, lambda = 1 is checked at T = 3*k*lambda too, 1,296 points,
 against the bandlimited input alone, as the dense oracle's least squares would
-be 1,296 x 1,296 per collection.  Every collection also meets the Landau
-identity and the cell count, its M(B) mask, scattered samples, coordinates and
-combs match the tensor-product definition of each lattice, and at k = 2 its
-samples have full column rank on its region; Lemma 1's sufficient condition is
-checked on every triple.
+be 1,296 x 1,296 per collection.  A NaN, +inf or -inf written after building
+into the array a sample set adopted is refused by ``reconstruct`` with no
+warning first.  Every collection also meets the Landau identity and the cell
+count, its M(B) mask, scattered samples, coordinates and combs, from the image
+and from the samples, match the tensor-product definition of each lattice, and
+at k = 2 its samples have full column rank on its region; Lemma 1's sufficient
+condition is checked on every triple.
 """
 
 import functools
@@ -23,8 +25,9 @@ import pytest
 
 from conftest import bandlimited_image
 from manhattan import (
-    BiStep, Collection, Grid, ManhattanParams, comb_from_grid, density, extract_samples,
-    fundamental_cell_count, manhattan_region_volume, reconstruct, region_mask,
+    BiStep, Collection, Grid, ManhattanParams, NumericalFailureError, SampleSet, comb_from_grid,
+    comb_from_samples, density, extract_samples, fundamental_cell_count,
+    manhattan_region_volume, reconstruct, region_mask,
 )
 from manhattan.freq import guaranteed_disjoint, replica_overlap_oracle
 from manhattan.oracle import SIZE_GUARD, rank_report, solve_reconstruct
@@ -70,6 +73,13 @@ def test_every_collection_reconstructs(d, k, lam, r):
         scale = np.abs(ref.data).max()
         got = reconstruct(ss).data
         assert np.abs(got - ref.data).max() <= 1e-12 * scale, str(c)
+        shared = ss.values.copy()  # adopted, and still written to by the caller
+        adopted = SampleSet(p, c, None, shared)
+        at = np.random.default_rng(seed).integers(len(shared))
+        for bad in (np.nan, np.inf, -np.inf):  # under filterwarnings = error: no warning first
+            shared[at] = bad
+            with pytest.raises(NumericalFailureError):
+                reconstruct(adopted)
         if np.prod(T) <= SIZE_GUARD and (d, r) != (4, 3):
             direct = solve_reconstruct(ss).data.real
             assert np.abs(got - direct).max() <= 1e-9 * scale, str(c)
@@ -102,8 +112,10 @@ def test_every_collection_counts(d, k, lam, r):
         assert grid_from_samples(ss).data.tobytes() == np.where(mask, x, 0).tobytes(), str(c)
         assert np.array_equal(ss.coords, np.argwhere(mask)), str(c)
         for b in c.closure().members:
+            want = x * lattice(p, b) * np.prod(p.step_int(b))
             comb = comb_from_grid(Grid.from_array(x), b, p).grid.data
-            assert comb.tobytes() == (x * lattice(p, b) * np.prod(p.step_int(b))).tobytes(), str(c)
+            assert comb.tobytes() == want.tobytes(), str(c)
+            assert np.array_equal(comb_from_samples(ss, b).grid.data, want), str(c)  # -0.0 == 0.0
 
 
 @pytest.mark.parametrize("d", range(1, 5))

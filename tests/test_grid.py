@@ -98,7 +98,6 @@ class TestTransforms:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(np.nan, 0.0)])
     @pytest.mark.parametrize("u", [(1, 2), (3, 6), (0, 0)])
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_idft_refuses_non_finite_bin(self, bad, u):
         # one bin in either last-axis half, DC included: never a NaN image
         X = dft(Grid.from_array(np.random.default_rng(5).normal(size=(6, 8)))).data.copy()

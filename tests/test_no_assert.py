@@ -5,9 +5,11 @@ its one Hermitian check and every inverse transform pass on it, one the way in
 and every forward pass, one cache holds the compiled reconstruction plans, one
 method decides whether a grid is a real image, no sample set's coordinates
 come from ``argwhere``, ``reconstruct`` scatters no samples onto a full-size
-image, a full-size mask of M(B) is built only to compare or unravel its
-positions and for one comb, as ``extract_samples``, ``grid_from_samples``,
-``SampleSet.coords`` and ``reconstruct.py`` map its values through one cell,
+image and checks no values, as ``synthesize``'s check is the one numerical gate
+after ``SampleSet``'s, a full-size mask of M(B) is built only to compare or
+unravel its positions and for ``comb_from_grid``'s comb, as ``extract_samples``,
+``grid_from_samples``, ``SampleSet.coords``, ``comb_from_samples`` and
+``reconstruct.py`` map its values through one cell,
 the sampler builds no tensor product, as a lattice is a strided view, one function
 forks (its helper leaving only by ``os._exit``), makes the only temp file and
 alone decides whether an MHS1 body is split, so the writer and the reader each
@@ -159,6 +161,22 @@ def test_reconstruct_scatters_no_samples():
     called = {ast.unparse(node.func).split(".")[-1]
               for node in ast.walk(tree) if isinstance(node, ast.Call)}
     assert "grid_from_samples" not in called, sorted(called)
+
+
+def test_one_numerical_gate_after_sampleset():
+    # a set's values are checked finite where it is built; after that, synthesize's
+    # finite-and-Hermitian check is the one gate, so reconstruct.py checks no values
+    checks = {call for call in _calls("isfinite") if call[0] == "reconstruct.py"}
+    assert not checks, f"isfinite is called in {sorted(checks, key=str)}"
+
+
+def test_comb_from_samples_reads_one_lattice():
+    # a comb from samples reads lattice b from the canonical values through _cells:
+    # no full-size image of the samples, no mask of M(B)
+    calls = {name for name in ("grid_from_samples", "manhattan_indicator")
+             if ("sampler.py", "comb_from_samples") in _calls(name)}
+    assert not calls, f"comb_from_samples calls {sorted(calls)}"
+    assert ("sampler.py", "comb_from_samples") in _calls("_cells")
 
 
 def test_no_full_size_mask_of_the_samples():
