@@ -30,6 +30,7 @@ class BiStep:
     bits: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "bits", _as_ints(self.bits, "bits"))  # True is 1, 1.0 refused
         if not all(b in (0, 1) for b in self.bits):
             raise DomainError(f"bits must be 0/1, got {self.bits}")
         if not 1 <= len(self.bits) <= MAX_DIMS:

@@ -207,9 +207,9 @@ def spectrum_report(image: Grid) -> Grid:
     """Centered log-magnitude spectrum of an image or a spectrum, for display."""
     with np.errstate(over="ignore", invalid="ignore"):  # refused just below
         spec = image.data if np.iscomplexobj(image.data) else dft(image).data
-    if not np.isfinite(spec).all():
-        raise NumericalFailureError("spectrum is not finite (NaN or inf)")
-    mag = np.abs(np.fft.fftshift(spec))
+        mag = np.abs(np.fft.fftshift(spec))  # inf where |X| overflows, NaN where X is NaN
+    if not np.isfinite(mag).all():
+        raise NumericalFailureError("spectrum magnitude is not finite (NaN or inf)")
     floor = SPECTRUM_FLOOR * (mag.max() or 1.0)  # 1.0 for an all-zero spectrum
     report = np.log10(mag + floor)
     return Grid(image.extents, report)

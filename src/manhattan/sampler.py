@@ -6,10 +6,10 @@ has a finite value for every point of M(B), once.  A NaN or inf written later th
 the caller kept is left to ``grid.synthesize``'s check, the one numerical gate after this one.
 A lattice of steps s is the view x[::s]: ``_cells`` maps the values to such views and back,
 class by class of one cell K = k*λ, with no full-size mask, for ``extract_samples``,
-``grid_from_samples``, ``coords``, ``comb_from_samples`` and the engine.
+``coords``, ``comb_from_samples`` and the engine.
 
-A comb grid for bi-step lattice b of steps s is zero off the lattice and x[::s] * prod(s) on
-it, so that the spectral replicas it induces have unit amplitude.
+A comb grid for bi-step lattice b of steps s is x[::s] * prod(s) written into x[::s] of a zero
+image, so that the spectral replicas it induces have unit amplitude; neither comb builds a mask.
 """
 
 from __future__ import annotations
@@ -177,14 +177,6 @@ def _cells(c: Collection, s: tuple[int, ...]) -> Callable[[np.ndarray, np.ndarra
     return pairs
 
 
-def grid_from_samples(ss: SampleSet) -> Grid:
-    """Image holding the raw sample values, zero elsewhere: ``_cells`` copies them into x[::λ]."""
-    x, lam = np.zeros(ss.params.T), ss.params.lam_int
-    for v, y in _cells(ss.collection, lam)(ss.values, x[tuple(slice(None, None, s) for s in lam)]):
-        y[...] = v
-    return Grid(ss.params.T, x)
-
-
 @dataclass(frozen=True)
 class CombGrid:
     """Scaled comb-sampled image on one bi-step lattice."""
@@ -195,19 +187,19 @@ class CombGrid:
 
 
 def comb_from_grid(image: Grid, b: BiStep, params: ManhattanParams) -> CombGrid:
-    """Comb of a full grid: step-size-scaled values on lattice b, zero off it."""
-    x, scale = image.image(params.extents), prod(params.step_int(b))
-    x = x * manhattan_indicator(Collection([b], params)) * scale  # "* scale" reuses the product
-    return CombGrid(Grid(params.T, x), b, scale)
+    """Comb of a full grid: x[::s] * prod(s) in x[::s] of a zero image, s the steps of b."""
+    x, s = image.image(params.extents), params.step_int(b)
+    out, on = np.zeros(params.T), tuple(slice(None, None, si) for si in s)
+    np.multiply(x[on], prod(s), out=out[on])
+    return CombGrid(Grid(params.T, out), b, prod(s))
 
 
 def comb_from_samples(ss: SampleSet, b: BiStep) -> CombGrid:
     """Comb read from the samples: b must lie in the closure, so that they cover lattice b."""
+    s = ss.params.step_int(b)  # a b of the wrong length: DimensionError, as from a grid
     if b not in ss.collection.closure().members:
-        raise MissingSamplesError(
-            f"lattice {b} is not covered by collection {ss.collection}"
-        )
-    x, s = np.zeros(ss.params.T), ss.params.step_int(b)
+        raise MissingSamplesError(f"lattice {b} is not covered by collection {ss.collection}")
+    x = np.zeros(ss.params.T)
     for v, y in _cells(ss.collection, s)(ss.values, x[tuple(slice(None, None, si) for si in s)]):
         np.multiply(v, prod(s), out=y)
     return CombGrid(Grid(ss.params.T, x), b, prod(s))

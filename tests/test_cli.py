@@ -308,6 +308,17 @@ class TestErrorPaths:
         assert run("spectrum", "--input", str(raw), "--output", str(out)) == 4
         assert not out.exists()
 
+    def test_overflowing_spectrum_magnitude_is_numerical_failure(self, tmp_path):
+        # a finite complex spectrum whose one bin's magnitude overflows float64
+        spectrum = np.zeros((4, 4), dtype=complex)
+        spectrum[1, 2] = 1.7e308 + 1.7e308j
+        raw = tmp_path / "spectrum.mht1"
+        with open(raw, "wb") as fh:
+            write_mht1(fh, Grid.from_array(spectrum))
+        out = tmp_path / "report.mht1"
+        assert run("spectrum", "--input", str(raw), "--output", str(out)) == 4
+        assert not out.exists()
+
     def test_unknown_magic_is_format_error(self, tmp_path):
         bogus = tmp_path / "bogus.mht1"
         bogus.write_bytes(b"WHAT" + b"\0" * 32)

@@ -1,3 +1,4 @@
+import io
 import random
 from fractions import Fraction
 
@@ -14,10 +15,13 @@ from manhattan import (
     Grid,
     ManhattanParams,
     density,
+    extract_samples,
     fundamental_cell_count,
     lattice_contains,
     manhattan_contains,
+    read_mhs1,
     v_class,
+    write_mhs1,
 )
 
 
@@ -52,6 +56,23 @@ class TestBiStepAlgebra:
         ):
             with pytest.raises(DimensionError):
                 op(B("10"), B("100"))
+
+    def test_bool_bits_are_ints(self):
+        # bits are kept as Python ints, so a collection of bool bits writes an MHS1
+        # header that its reader parses, and the file reads back to the same values
+        a, b = BiStep((True, False)), BiStep((False, True))
+        assert str(a) == "10" and a.bits == (1, 0) and type(a.bits[0]) is int
+        assert a == B("10") and hash(a) == hash(B("10"))
+        p = ManhattanParams(d=2, lam=(1, 1), k=(2, 2), T=(4, 4))
+        image = Grid.from_array(np.random.default_rng(0).normal(size=p.T))
+        ss = extract_samples(image, Collection.of(p, [a, b]))
+        buf = io.StringIO()
+        write_mhs1(buf, ss)
+        assert "collection 10,01\n" in buf.getvalue()
+        buf.seek(0)
+        back = read_mhs1(buf)
+        assert back.collection.members == ss.collection.members
+        assert back.values.tobytes() == ss.values.tobytes()
 
     @given(st.integers(1, 6), st.data())
     def test_subset_is_and_fixed_point(self, d, data):

@@ -11,8 +11,8 @@ against the bandlimited input alone, as the dense oracle's least squares would
 be 1,296 x 1,296 per collection.  A NaN, +inf or -inf written after building
 into the array a sample set adopted is refused by ``reconstruct`` with no
 warning first.  Every collection also meets the Landau identity and the cell
-count, its M(B) mask, scattered samples, coordinates and combs, from the image
-and from the samples, match the tensor-product definition of each lattice, and
+count, its M(B) mask, coordinates and combs, from the image and from the
+samples, match the tensor-product definition of each lattice, and
 at k = 2 its samples have full column rank on its region; Lemma 1's sufficient
 condition is checked on every triple.
 """
@@ -31,7 +31,7 @@ from manhattan import (
 )
 from manhattan.freq import guaranteed_disjoint, replica_overlap_oracle
 from manhattan.oracle import SIZE_GUARD, rank_report, solve_reconstruct
-from manhattan.sampler import grid_from_samples, manhattan_indicator
+from manhattan.sampler import manhattan_indicator
 
 
 def m_collections(d):
@@ -95,8 +95,9 @@ def lattice(p, b):
 @pytest.mark.parametrize("d,k,lam,r", SETTINGS, ids=IDS)
 def test_every_collection_counts(d, k, lam, r):
     # the Landau identity, region volume = sampling density, and M(B) on T is
-    # the fundamental cell's points once per cell; M(B)'s mask, the samples
-    # scattered back, their coordinates and every comb match the definitions
+    # the fundamental cell's points once per cell; M(B)'s mask, the samples'
+    # coordinates and every comb, from the image and from the samples, match the
+    # definitions, the combs byte for byte (+0.0 off the lattice)
     T = tuple(r * ki * li for ki, li in zip(k, lam))
     p = ManhattanParams(d=d, lam=lam, k=k, T=T)
     cells = np.prod([t // (ki * li) for t, ki, li in zip(T, k, lam)])
@@ -109,13 +110,11 @@ def test_every_collection_counts(d, k, lam, r):
         assert region_mask(c).count <= fundamental_cell_count(c) * cells, str(c)  # never too few
         assert np.array_equal(manhattan_indicator(c), mask), str(c)
         ss = extract_samples(Grid.from_array(x), c)
-        assert grid_from_samples(ss).data.tobytes() == np.where(mask, x, 0).tobytes(), str(c)
         assert np.array_equal(ss.coords, np.argwhere(mask)), str(c)
         for b in c.closure().members:
-            want = x * lattice(p, b) * np.prod(p.step_int(b))
-            comb = comb_from_grid(Grid.from_array(x), b, p).grid.data
-            assert comb.tobytes() == want.tobytes(), str(c)
-            assert np.array_equal(comb_from_samples(ss, b).grid.data, want), str(c)  # -0.0 == 0.0
+            want = np.where(lattice(p, b), x * np.prod(p.step_int(b)), 0.0).tobytes()
+            assert comb_from_grid(Grid.from_array(x), b, p).grid.data.tobytes() == want, str(c)
+            assert comb_from_samples(ss, b).grid.data.tobytes() == want, str(c)
 
 
 @pytest.mark.parametrize("d", range(1, 5))

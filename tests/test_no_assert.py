@@ -7,10 +7,10 @@ method decides whether a grid is a real image, no sample set's coordinates
 come from ``argwhere``, ``reconstruct`` scatters no samples onto a full-size
 image and checks no values, as ``synthesize``'s check is the one numerical gate
 after ``SampleSet``'s, a full-size mask of M(B) is built only to compare or
-unravel its positions and for ``comb_from_grid``'s comb, as ``extract_samples``,
-``grid_from_samples``, ``SampleSet.coords``, ``comb_from_samples`` and
-``reconstruct.py`` map its values through one cell,
-the sampler builds no tensor product, as a lattice is a strided view, one function
+unravel its positions, as ``extract_samples``, ``SampleSet.coords``,
+``comb_from_samples`` and ``reconstruct.py`` map its values through one cell,
+the sampler builds no tensor product and no comb a mask, as a lattice is a strided
+view written as x[::s], no function scatters every sample onto an image, one function
 forks (its helper leaving only by ``os._exit``), makes the only temp file and
 alone decides whether an MHS1 body is split, so the writer and the reader each
 have one path through a body and the writer finds M(B)'s positions once, and
@@ -156,11 +156,14 @@ def test_sample_producers_build_no_coordinates():
 
 def test_reconstruct_scatters_no_samples():
     # reconstruct reads each lattice from the canonical values; no full-size
-    # image of the samples is built
+    # image of the samples is built, and the sampler has no function that builds one
     tree = ast.parse((Path(manhattan.__file__).parent / "reconstruct.py").read_text())
     called = {ast.unparse(node.func).split(".")[-1]
               for node in ast.walk(tree) if isinstance(node, ast.Call)}
-    assert "grid_from_samples" not in called, sorted(called)
+    assert "comb_from_samples" not in called, sorted(called)
+    tree = ast.parse((Path(manhattan.__file__).parent / "sampler.py").read_text())
+    defined = {n.name for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
+    assert "grid_from_samples" not in defined, sorted(defined)
 
 
 def test_one_numerical_gate_after_sampleset():
@@ -171,26 +174,27 @@ def test_one_numerical_gate_after_sampleset():
 
 
 def test_comb_from_samples_reads_one_lattice():
-    # a comb from samples reads lattice b from the canonical values through _cells:
-    # no full-size image of the samples, no mask of M(B)
-    calls = {name for name in ("grid_from_samples", "manhattan_indicator")
-             if ("sampler.py", "comb_from_samples") in _calls(name)}
-    assert not calls, f"comb_from_samples calls {sorted(calls)}"
+    # a comb from samples reads lattice b from the canonical values through _cells,
+    # a comb from a grid copies x[::s]: each writes x[::s] of a zero image, and
+    # neither builds a mask
+    combs = {("sampler.py", f) for f in ("comb_from_grid", "comb_from_samples")}
+    masks = _calls("manhattan_indicator") & combs
+    assert not masks, f"manhattan_indicator is called in {sorted(masks)}"
     assert ("sampler.py", "comb_from_samples") in _calls("_cells")
 
 
 def test_no_full_size_mask_of_the_samples():
-    # extract_samples, grid_from_samples, SampleSet.coords and the engine's lattice
+    # extract_samples, SampleSet.coords, comb_from_samples and the engine's lattice
     # reads go through sampler._cells, which builds the indicator of one cell
     # K = k*λ, not of M(B) on T; _order and write_mhs1 compare and unravel M(B)'s
-    # positions by its mask, and comb_from_grid masks one lattice
+    # positions by its mask, and nothing else in the sampler builds one
     calls = _calls("manhattan_indicator")
     assert ("sampler.py", "_cells") in calls, sorted(calls, key=str)
     built = {call for call in calls if call[0] == "reconstruct.py" or call in {
-        ("sampler.py", f) for f in ("extract_samples", "grid_from_samples", "coords")}}
+        ("sampler.py", f) for f in ("extract_samples", "coords")}}
     assert not built, f"manhattan_indicator is called in {sorted(built, key=str)}"
     sampler_calls = {f for module, f in calls if module == "sampler.py"}
-    assert sampler_calls == {"_cells", "_order", "write_mhs1", "comb_from_grid"}, sampler_calls
+    assert sampler_calls == {"_cells", "_order", "write_mhs1"}, sampler_calls
 
 
 def test_sampler_builds_no_tensor_product():

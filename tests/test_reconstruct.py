@@ -717,6 +717,14 @@ class TestSpectrumReport:
         rep = spectrum_report(Grid.from_array(np.zeros((6, 4)))).data
         assert np.isfinite(rep).all()
 
+    def test_overflowing_magnitude_refused(self):
+        # a finite spectrum whose |X| overflows is refused, with no warning first
+        X = np.zeros((4, 4), dtype=complex)
+        X[1, 2] = 1.7e308 + 1.7e308j
+        assert np.isfinite(X).all()
+        with pytest.raises(NumericalFailureError, match="magnitude is not finite"):
+            spectrum_report(Grid.from_array(X))
+
     def test_real_input_symmetric(self):
         rng = np.random.default_rng(5)
         rep = spectrum_report(Grid.from_array(rng.normal(size=(9, 9)))).data.real

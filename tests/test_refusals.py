@@ -16,6 +16,7 @@ from manhattan import (
     MissingSamplesError,
     SampleSet,
     atom_mask,
+    comb_from_samples,
     extract_samples,
     guaranteed_disjoint,
     lattice_contains,
@@ -49,6 +50,7 @@ REFUSALS = [
     pytest.param(["generate", "--size", "0,4", "--output", "g.mht1"],
                  DomainError, "invalid size", id="cli-size-zero"),
     pytest.param(lambda: BiStep((0, 2)), DomainError, "bits must be 0/1", id="bistep-bits"),
+    pytest.param(lambda: BiStep((1.0, 0)), DomainError, "bits must be integers", id="bistep-float"),
     pytest.param(lambda: BiStep(()), DimensionError, "dimension must be in", id="bistep-empty"),
     pytest.param(lambda: ManhattanParams(d=2, lam=(1,), k=(2, 2)),
                  DimensionError, "lam and k must have length d", id="params-lam-length"),
@@ -95,6 +97,9 @@ REFUSALS = [
                  r"3 values given, M\(10,01\) has 48 points", id="canonical-count"),
     pytest.param(lambda: SampleSet(P, C, None, np.zeros((4, 7))),
                  DimensionError, "values length must match coords", id="canonical-values"),
+    pytest.param(lambda: comb_from_samples(
+                     extract_samples(Grid.from_array(np.ones(P.T)), C), B("1")),
+                 DimensionError, "bi-step length does not match d", id="comb-samples-length"),
 ]
 
 

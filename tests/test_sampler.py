@@ -42,11 +42,7 @@ from manhattan import (
 )
 from manhattan import sampler
 from manhattan.freq import reciprocal_offsets
-from manhattan.sampler import (
-    SampleSet,
-    grid_from_samples,
-    manhattan_indicator,
-)
+from manhattan.sampler import SampleSet, manhattan_indicator
 
 
 def B(s):
@@ -172,14 +168,17 @@ class TestCombs:
             assert np.array_equal(from_grid, from_samples)
 
     def test_scatter_ignores_sample_order(self):
-        # a shuffled set's values are sorted into M(B)'s order where it is built
+        # a shuffled set's values are sorted into M(B)'s order where it is built,
+        # so its combs are the canonical set's, byte for byte
         perm = np.random.default_rng(3).permutation(len(self.ss))
         shuffled = SampleSet(
             self.p, self.c, self.ss.coords[perm], self.ss.values[perm]
         )
-        canonical = grid_from_samples(self.ss).data
-        assert np.array_equal(grid_from_samples(shuffled).data, canonical)
-        assert np.array_equal(canonical, self.img.data * manhattan_indicator(self.c))
+        assert shuffled.values.tobytes() == self.ss.values.tobytes()
+        assert self.ss.values.tobytes() == self.img.data[manhattan_indicator(self.c)].tobytes()
+        for b in self.c.closure().members:
+            want = comb_from_samples(self.ss, b).grid.data.tobytes()
+            assert comb_from_samples(shuffled, b).grid.data.tobytes() == want
 
     def test_zero_grid_and_linearity(self):
         zero = comb_from_grid(Grid.from_array(np.zeros((12, 12))), B("10"), self.p)
@@ -285,15 +284,16 @@ class TestMhs1:
             read_mhs1(io.StringIO("\n".join(lines) + "\n0 0 1.0\n"))
 
     def test_sparse_grid_round_trip(self):
+        # a one-lattice set holds the image on that lattice, and its comb is zero off it
         p = ManhattanParams(d=2, lam=(1, 1), k=(2, 2), T=(4, 4))
         c = Collection.of(p, ["10"])
         rng = np.random.default_rng(4)
         img = Grid.from_array(rng.normal(size=(4, 4)))
-        ss = extract_samples(img, c)
-        g = grid_from_samples(ss)
+        back = read_mhs1(io.StringIO(mhs1_text(extract_samples(img, c))))
         on = manhattan_indicator(Collection.of(p, [BiStep((1, 0))]))
-        assert np.array_equal(g.data[on], img.data[on])
-        assert not g.data[~on].any()
+        assert back.values.tobytes() == img.data[on].tobytes()
+        comb = comb_from_samples(back, B("10"))
+        assert comb.grid.data.tobytes() == np.where(on, img.data * comb.scale, 0.0).tobytes()
 
 
 def mhs1_text(ss):
@@ -541,13 +541,12 @@ class TestCanonicalForm:
 
     @given(canonical_sets())
     def test_agrees_with_explicit_copy(self, ss):
-        grid, result, text = grid_from_samples(ss).data, reconstruct(ss).data, mhs1_text(ss)
+        result, text = reconstruct(ss).data, mhs1_text(ss)
         assert "coords" not in vars(ss)  # none derived
         assert np.array_equal(ss.coords, np.argwhere(manhattan_indicator(ss.collection)))
         explicit = SampleSet(ss.params, ss.collection, ss.coords, ss.values)
         assert "coords" not in vars(explicit)  # none kept
         assert np.array_equal(explicit.values.view(np.uint64), ss.values.view(np.uint64))
-        assert np.array_equal(grid_from_samples(explicit).data, grid)
         assert np.array_equal(reconstruct(explicit).data.view(np.uint64), result.view(np.uint64))
         assert mhs1_text(explicit) == text
 
@@ -596,7 +595,6 @@ class TestCanonicalForm:
         order = np.array(data.draw(st.permutations(range(len(ss))), label="row order"))
         permuted = SampleSet(ss.params, ss.collection, ss.coords[order], ss.values[order])
         assert np.array_equal(permuted.values.view(np.uint64), ss.values.view(np.uint64))
-        assert np.array_equal(grid_from_samples(permuted).data, grid_from_samples(ss).data)
         want = reconstruct(ss).data.view(np.uint64)
         assert np.array_equal(reconstruct(permuted).data.view(np.uint64), want)
         assert mhs1_text(permuted) == mhs1_text(ss)
@@ -637,7 +635,7 @@ class TestCanonicalForm:
 class TestLatticeReader:
     """``_cells(c, s)`` pairs the canonical values of M(B) with the samples x[::s]:
     every closure member's lattice, read from the values alone into the padded rows
-    of a half spectrum's memory, equals the scattered image's lattice bit for bit, and
+    of a half spectrum's memory, equals the image's lattice bit for bit, and
     ``extract_samples``, which reads x[::λ] through the same pairs, equals the mask's
     reading of the image."""
 
@@ -661,8 +659,8 @@ class TestLatticeReader:
 
     def test_equals_scattered_lattice(self):
         for i, (p, c) in enumerate(self.configs()):
-            ss = extract_samples(Grid.from_array(np.random.default_rng(i).normal(size=p.T)), c)
-            x = grid_from_samples(ss).data
+            x = np.random.default_rng(i).normal(size=p.T)
+            ss = extract_samples(Grid.from_array(x), c)
             for b in c.closure().members:
                 s = p.step_int(b)
                 want = x[tuple(slice(None, None, si) for si in s)]
