@@ -32,7 +32,7 @@ import numpy as np
 
 from .core import BiStep, Collection, ManhattanParams, fundamental_cell_count
 from .errors import DimensionError, DomainError, FormatError, MissingSamplesError
-from .grid import Grid
+from .grid import Grid, _two_cpus
 
 _MHS1_MAGIC = "MHS1"
 _MHS1_CHUNK_ROWS = 1 << 14  # rows per write: bounds the formatted text in memory
@@ -227,8 +227,7 @@ def _splits(rows: int) -> bool:
     and 3D, 17k-24k rows ran no faster split, 33k rows 17-29% faster), two usable
     CPUs, no other thread whose held locks a forked helper would copy, and SIGCHLD
     at its default, so no handler or kernel reaps the helper before _forked does."""
-    cpus = getattr(os, "sched_getaffinity", lambda pid: ())(0)
-    return (rows >= 2 * _MHS1_CHUNK_ROWS and len(cpus) > 1 and threading.active_count() == 1
+    return (rows >= 2 * _MHS1_CHUNK_ROWS and _two_cpus() and threading.active_count() == 1
             and signal.getsignal(signal.SIGCHLD) == signal.SIG_DFL)
 
 

@@ -1,7 +1,10 @@
+import contextlib
 import itertools
+import os
 import random
 from fractions import Fraction
 from math import lcm
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,6 +18,7 @@ from manhattan import (
     bandlimit,
     extract_samples,
 )
+from manhattan import grid
 from manhattan.freq import atom_mask
 from manhattan.reconstruct import ReconstructionPlan
 from manhattan.sampler import comb_from_grid, comb_from_samples
@@ -104,3 +108,12 @@ def params_2d():
 @pytest.fixture
 def lines_2d(params_2d):
     return Collection.of(params_2d, ["10", "01"])
+
+
+@contextlib.contextmanager
+def split_at(floor, cpus=(0, 1)):
+    """The split's size floor at floor and these usable CPUs: at 0 and two CPUs, every
+    pass over two rows or more runs in two halves, one of them on a helper thread."""
+    with mock.patch.object(os, "sched_getaffinity", lambda pid: set(cpus), create=True), \
+            mock.patch.object(grid, "_SPLIT_BYTES", floor):
+        yield

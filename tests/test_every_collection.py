@@ -10,11 +10,12 @@ and d = 4 at k = 2, lambda = 1 is checked at T = 3*k*lambda too, 1,296 points,
 against the bandlimited input alone, as the dense oracle's least squares would
 be 1,296 x 1,296 per collection.  A NaN, +inf or -inf written after building
 into the array a sample set adopted is refused by ``reconstruct`` with no
-warning first.  Every collection also meets the Landau identity and the cell
-count, its M(B) mask, coordinates and combs, from the image and from the
-samples, match the tensor-product definition of each lattice, and
-at k = 2 its samples have full column rank on its region; Lemma 1's sufficient
-condition is checked on every triple.
+warning first.  With each transform pass in two halves at once, ``reconstruct``
+and ``bandlimit`` give their one-CPU bytes.  Every collection also meets the
+Landau identity and the cell count, its M(B) mask, coordinates and combs, from
+the image and from the samples, match the tensor-product definition of each
+lattice, and at k = 2 its samples have full column rank on its region; Lemma
+1's sufficient condition is checked on every triple.
 """
 
 import functools
@@ -23,10 +24,10 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import bandlimited_image
+from conftest import bandlimited_image, split_at
 from manhattan import (
-    BiStep, Collection, Grid, ManhattanParams, NumericalFailureError, SampleSet, comb_from_grid,
-    comb_from_samples, density, extract_samples, fundamental_cell_count,
+    BiStep, Collection, Grid, ManhattanParams, NumericalFailureError, SampleSet, bandlimit,
+    comb_from_grid, comb_from_samples, density, extract_samples, fundamental_cell_count,
     manhattan_region_volume, reconstruct, region_mask,
 )
 from manhattan.freq import guaranteed_disjoint, replica_overlap_oracle
@@ -83,6 +84,23 @@ def test_every_collection_reconstructs(d, k, lam, r):
         if np.prod(T) <= SIZE_GUARD and (d, r) != (4, 3):
             direct = solve_reconstruct(ss).data.real
             assert np.abs(got - direct).max() <= 1e-9 * scale, str(c)
+
+
+@pytest.mark.parametrize("d,k,lam,r", SETTINGS, ids=IDS)
+def test_every_collection_same_bytes_in_halves(d, k, lam, r):
+    # with every transform pass of two rows or more in two halves at once,
+    # reconstruct and bandlimit give the bytes they give on one CPU
+    T = tuple(r * ki * li for ki, li in zip(k, lam))
+    p = ManhattanParams(d=d, lam=lam, k=k, T=T)
+    x = Grid.from_array(np.random.default_rng(d).normal(size=T))
+    for members in m_collections(d):
+        c = Collection.of(p, members)
+        ss = extract_samples(x, c)
+        got = []
+        for cpus in ((0,), (0, 1)):
+            with split_at(0, cpus):
+                got.append((reconstruct(ss).data.tobytes(), bandlimit(x, c).data.tobytes()))
+        assert got[0] == got[1], str(c)
 
 
 def lattice(p, b):

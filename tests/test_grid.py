@@ -1,5 +1,6 @@
 import io
 import struct
+import threading
 import tracemalloc
 from math import prod
 from unittest import mock
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import bandlimited_image
+from conftest import bandlimited_image, split_at
 from manhattan import (
     BiStep,
     Collection,
@@ -19,6 +20,7 @@ from manhattan import (
     ManhattanError,
     ManhattanParams,
     NumericalFailureError,
+    SampleSet,
     bandlimit,
     comb_from_grid,
     dft,
@@ -31,7 +33,7 @@ from manhattan import (
     write_mht1,
     write_pgm,
 )
-from manhattan import grid
+from manhattan import grid, sampler
 from manhattan.cli import main
 from manhattan.grid import synthesize
 
@@ -153,7 +155,9 @@ class TestInPlaceSynthesis:
     def test_matches_irfftn_in_place(self, data):
         # blocks split one axis into negation-closed groups, lower-only on the
         # last axis, held in one half spectrum; group 2 is left out, so its bins
-        # stay zero
+        # stay zero; at a split floor of 0 each pass runs in two halves, and the
+        # second half's first rows, written over rows the first may not have read
+        # yet, are held until both are done
         d = data.draw(st.integers(1, 4), label="d")
         T = tuple(data.draw(st.lists(st.integers(1, 7), min_size=d, max_size=d), label="T"))
         j = data.draw(st.integers(0, d - 1), label="split axis")
@@ -172,8 +176,9 @@ class TestInPlaceSynthesis:
             half[np.ix_(*axes)] = H[np.ix_(*axes)]
         want = np.fft.irfftn(half, s=T, axes=tuple(range(d)))
         slab = data.draw(st.sampled_from([8, 24, grid._SLAB_BYTES]), label="slab bytes")
-        with mock.patch.object(grid, "_SLAB_BYTES", slab):  # one row per inverse, a few or all
-            got = synthesize(T, half).data
+        floor = data.draw(st.sampled_from([0, grid._SPLIT_BYTES]), label="split floor")
+        with mock.patch.object(grid, "_SLAB_BYTES", slab), split_at(floor):
+            got = synthesize(T, half).data  # one row per inverse, a few or all; in halves
         assert got.tobytes() == want.tobytes()
         assert np.shares_memory(got, half)
 
@@ -199,13 +204,15 @@ class TestInPlaceTransform:
     @given(st.data())
     def test_matches_rfftn(self, data):
         # the samples are written into the first m[-1] floats of each row, then
-        # transformed there by slabs of rows and by in-place leading-axis passes
+        # transformed there by slabs of rows and by in-place leading-axis passes,
+        # each whole or, at a split floor of 0, in two halves at once
         d = data.draw(st.integers(1, 4), label="d")
         m = tuple(data.draw(st.lists(st.integers(1, 9), min_size=d, max_size=d), label="m"))
         s = tuple(data.draw(st.lists(st.integers(1, 3), min_size=d, max_size=d), label="s"))
         y = np.random.default_rng(sum(m)).normal(size=m)
         slab = data.draw(st.sampled_from([8, 200, grid._SLAB_BYTES]), label="slab bytes")
-        with mock.patch.object(grid, "_SLAB_BYTES", slab):  # one row per rfft, a few or all
+        floor = data.draw(st.sampled_from([0, grid._SPLIT_BYTES]), label="split floor")
+        with mock.patch.object(grid, "_SLAB_BYTES", slab), split_at(floor):  # 1, some, all rows
             got = grid._raw_spectrum(tuple(mi * si for mi, si in zip(m, s)), s, one_pair, y)
         assert got.tobytes() == (np.fft.rfftn(y) * prod(s)).tobytes()
 
@@ -220,6 +227,51 @@ class TestInPlaceTransform:
         finally:
             tracemalloc.stop()
         assert peak <= 1.15 * H.nbytes
+
+
+class TestHalves:
+    """Each large pass runs in two halves at once, the first on a helper thread that
+    keeps the caller's numpy state, raises in the caller and is gone on return."""
+
+    def setup_method(self):
+        self.p = ManhattanParams(d=2, lam=(1, 1), k=(2, 2), T=(16, 16))
+        self.c = Collection.from_string(self.p, "10,01")
+        self.image = bandlimited_image(self.p, self.c, seed=4)
+
+    @pytest.mark.parametrize("bad", [np.inf, 1.7e308])
+    def test_values_written_after_building_refused(self, bad):
+        # an inf written into adopted values, or a finite value whose transform
+        # overflows: under filterwarnings = error, a helper thread without the
+        # caller's errstate would raise RuntimeWarning, not the refusal
+        values = extract_samples(self.image, self.c).values.copy()
+        ss = SampleSet(self.p, self.c, None, values)
+        values[3] = bad
+        with split_at(0), pytest.raises(NumericalFailureError):
+            reconstruct(ss)
+
+    def test_no_thread_outlives_a_call(self):
+        # every helper is joined before return, so the MHS1 split still forks after
+        ss = extract_samples(self.image, self.c)
+        before = threading.active_count()
+        with split_at(0):
+            reconstruct(ss), bandlimit(self.image, self.c), idft(dft(self.image))
+            assert threading.active_count() == before and sampler._splits(1 << 30)
+
+    @pytest.mark.parametrize("half", ["first", "second"])
+    def test_either_half_raises_in_the_caller(self, half):
+        # the helper thread runs the first half, the caller the second
+        boom, ifft = RuntimeError("boom"), np.fft.ifft
+
+        def failing(*args, **kwargs):
+            if (threading.current_thread() is threading.main_thread()) == (half == "second"):
+                raise boom
+            return ifft(*args, **kwargs)
+
+        before, X = threading.active_count(), dft(self.image)
+        with split_at(0), mock.patch.object(np.fft, "ifft", failing):
+            with pytest.raises(RuntimeError) as raised:
+                idft(X)
+        assert raised.value is boom and threading.active_count() == before
 
 
 class TestDataModel:

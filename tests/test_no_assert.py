@@ -1,20 +1,22 @@
 """Structure of the package sources: runtime checks raise typed errors, as it
 holds no ``assert``, which ``python -O`` would strip, one module calls
-``numpy.fft``, one function owns the way from a spectrum back to an image,
-its one Hermitian check and every inverse transform pass on it, one the way in
-and every forward pass, one cache holds the compiled reconstruction plans, one
-method decides whether a grid is a real image, no sample set's coordinates
-come from ``argwhere``, ``reconstruct`` scatters no samples onto a full-size
-image and checks no values, as ``synthesize``'s check is the one numerical gate
-after ``SampleSet``'s, a full-size mask of M(B) is built only to compare or
-unravel its positions, as ``extract_samples``, ``SampleSet.coords``,
+``numpy.fft``, one function owns the way from a spectrum back to an image, its
+one Hermitian check and every inverse transform pass on it, one the way in and
+every forward pass (a function nested in a function counts as the one it is in,
+so a pass run in two halves stays its owner's), one helper starts the thread
+that runs a pass's first half, one cache holds the compiled reconstruction
+plans, one method decides whether a grid is a real image, no sample set's
+coordinates come from ``argwhere``, ``reconstruct`` scatters no samples onto a
+full-size image and checks no values, as ``synthesize``'s check is the one
+numerical gate after ``SampleSet``'s, a full-size mask of M(B) is built only to
+compare or unravel its positions, as ``extract_samples``, ``SampleSet.coords``,
 ``comb_from_samples`` and ``reconstruct.py`` map its values through one cell,
-the sampler builds no tensor product and no comb a mask, as a lattice is a strided
-view written as x[::s], no function scatters every sample onto an image, one function
-forks (its helper leaving only by ``os._exit``), makes the only temp file and
-alone decides whether an MHS1 body is split, so the writer and the reader each
-have one path through a body and the writer finds M(B)'s positions once, and
-one function parses MHS1 rows."""
+the sampler builds no tensor product and no comb a mask, as a lattice is a
+strided view written as x[::s], no function scatters every sample onto an
+image, one function forks (its helper leaving only by ``os._exit``), makes the
+only temp file and alone decides whether an MHS1 body is split, so the writer
+and the reader each have one path through a body and the writer finds M(B)'s
+positions once, and one function parses MHS1 rows."""
 
 import ast
 from pathlib import Path
@@ -38,12 +40,13 @@ def test_no_assert_statement(path):
 
 
 def _owned_nodes(tree):
-    """(name of the innermost enclosing function or None, node) for every node."""
+    """(name of the outermost enclosing function or None, node) for every node: a
+    method is its own owner, a function nested in a function is its enclosing one's."""
     stack = [(None, tree)]
     while stack:
         owner, node = stack.pop()
         yield owner, node
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and owner is None:
             owner = node.name
         stack.extend((owner, child) for child in ast.iter_child_nodes(node))
 
@@ -207,6 +210,13 @@ def test_sampler_builds_no_tensor_product():
     assert not freq, f"sampler.py imports {freq}"
     masks = {call for call in _calls("tensor_mask") if call[0] == "sampler.py"}
     assert not masks, f"tensor_mask is called in {sorted(masks, key=str)}"
+
+
+def test_one_helper_thread():
+    # every pass split across two CPUs goes through grid._halves, which alone
+    # starts a thread and joins it before it returns
+    threads = _calls("Thread")
+    assert threads == {("grid.py", "_halves")}, f"Thread is built in {sorted(threads, key=str)}"
 
 
 def test_one_fork_that_ends_in_exit():
