@@ -10,11 +10,12 @@ with last-axis residues 0..m//2 is kept.  A block is a spectrum on per-axis
 kept indices, ascending and closed under negation, or lower-only: its last
 axis stops at T//2.  Modulo m they form a few runs per axis: ``_slices`` and
 ``_fold_slices`` build a block's slice copies once, for a plan, and ``_fold``
-and ``_gather`` replay them.  The way in, ``_raw_spectrum``, transforms samples
-in the memory of their half spectrum; ``synthesize``, the only way back, checks
-the spectrum itself, X[-u] = conj(X[u]) wherever it holds both, and inverts it
-in place, by slabs of rows: its memory's head is the image.  ``_halves`` runs
-each pass over a large array in two halves at once, with the same bytes."""
+and ``_gather`` replay them.  The way in, ``_raw_spectrum``, transforms rows of
+samples straight into their half spectrum's rows, with no copy; ``synthesize``,
+the only way back, checks the spectrum itself, X[-u] = conj(X[u]) wherever it
+holds both, and inverts it in place, by slabs of rows: its memory's head is the
+image.  ``_halves`` runs each pass over a large array in two halves at once,
+with the same bytes."""
 
 from __future__ import annotations
 
@@ -38,7 +39,7 @@ SPECTRUM_FLOOR = 1e-12  # times the peak |X|: keeps log10 finite, hides FFT nois
 Axes = tuple[np.ndarray, ...]  # per-axis kept DFT indices, ascending
 
 _MHT1_MAGIC = b"MHT1"
-_SLAB_BYTES = 1 << 18  # bytes per last-axis transform, forward or inverse
+_SLAB_BYTES = 1 << 18  # bytes per inverse last-axis transform and per Hermitian-check gather
 _SPLIT_BYTES = 1 << 22  # 2D's 4.2 MB member spectra ran faster split, facets' 2.5 MB slower
 
 
@@ -130,20 +131,13 @@ def _pass(X: np.ndarray, i: int, work: Callable[[np.ndarray], object]) -> None:
 
 
 def _raw_spectrum(T: tuple[int, ...], s: tuple[int, ...], pairs, source) -> np.ndarray:
-    """Raw half spectrum ``rfftn(y) * prod(s)`` of the samples y = x[::s], extents m = T/s,
-    copied into the first m[-1] floats of each of its rows from each (source view, y view)
-    of ``pairs(source, y)``: an ``rfft`` per slab of rows, then in-place passes in rfftn's order."""
+    """Raw half spectrum ``rfftn(y) * prod(s)`` of the samples y = x[::s], extents m = T/s:
+    each (source rows, H rows) view of ``pairs(source, H)``, split along its first axis,
+    is transformed by one ``rfft`` straight into H's rows, then in-place passes in rfftn's order."""
     m = tuple(t // si for t, si in zip(T, s))
     H = np.empty((*m[:-1], m[-1] // 2 + 1), dtype=np.complex128)
-    lines = H.reshape(-1, H.shape[-1])
-    y = lines.view(np.float64)[:, : m[-1]]
-    for v, w in pairs(source, y.reshape(m)):
-        w[...] = v
-    def rows(a: int, z: int) -> None:  # row r's spectrum is row r's memory
-        slab = max(1, min(_SLAB_BYTES, H.nbytes // 8) * (z - a) // len(lines) // y[0].nbytes)
-        for r in range(a, z, slab):  # halves share the slab, an eighth of H at most
-            lines[r : min(r + slab, z)] = np.fft.rfft(y[r : min(r + slab, z)])
-    _halves(len(lines), H.nbytes, rows)
+    for v, w in pairs(source, H):  # halves by H's size: a class is a part of one pass
+        _halves(len(v), H.nbytes, lambda a, z: np.fft.rfft(v[a:z], out=w[a:z]))
     for i in reversed(range(len(m) - 1)):
         _pass(H, i, lambda part: np.fft.fft(part, axis=i, out=part))
     H *= prod(s)

@@ -15,8 +15,8 @@ zeroing them, peeling it, is its own fold.  Lattice b - e_i (i not the last
 axis) is lattice b subsampled by k_i on axis i: that member sums b's residual
 over the k_i replicas on axis i, in b's memory if it is b's last child and is
 ready once b is done, and folds only the supersets not above b.  Any other
-member copies its ``x[::s]`` into its own spectrum's memory from the canonical values through
-``sampler._cells``, as ``extract_samples`` reads them from an image, with no full-size mask.
+member transforms its ``x[::s]`` from the canonical values straight into its own spectrum's
+rows, paired by ``sampler._cells`` as ``extract_samples`` reads them, with no copy or mask.
 ``ReconstructionPlan.for_collection`` compiles this once per ``Collection`` into one cached
 plan, which ``reconstruct`` replays and ``bandlimit`` reads for the bins its gathers place;
 both hand ``synthesize`` the half spectrum that holds the atoms and nothing else, with numpy's
@@ -134,7 +134,7 @@ def bandlimit(image: Grid, c: Collection) -> Grid:
     """Zero the image's spectrum outside the Manhattan region, its atoms; idempotent."""
     x, T, plan = image.image(c.params.extents), c.params.T, ReconstructionPlan.for_collection(c)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is synthesize's to refuse
-        half = _raw_spectrum(T, (1,) * len(T), lambda v, y: [(v, y)], x)
+        half = _raw_spectrum(T, (1,) * len(T), lambda *xy: [tuple(map(np.atleast_2d, xy))], x)
         outside = np.ones(half.shape, dtype=bool)
         for src, _ in (pair for step in plan.steps for pair in step.gather):
             outside[src] = False

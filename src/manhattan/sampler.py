@@ -4,9 +4,9 @@ A sample set holds the values of one image on M(B), which (T, k, λ, B) fix poin
 in M(B)'s lexicographic order and nothing else; it is refused where it is built unless it
 has a finite value for every point of M(B), once.  A NaN or inf written later through a view
 the caller kept is left to ``grid.synthesize``'s check, the one numerical gate after this one.
-A lattice of steps s is the view x[::s]: ``_cells`` maps the values to such views and back,
-class by class of one cell K = k*λ, with no full-size mask, for ``extract_samples``,
-``coords``, ``comb_from_samples`` and the engine.
+A lattice of steps s is the view x[::s]: ``_cells`` maps the values to its rows and back,
+class by class of one cell K = k*λ, by views alone, with no full-size mask, for
+``extract_samples``, ``coords``, ``comb_from_samples`` and the engine's transforms.
 
 A comb grid for bi-step lattice b of steps s is x[::s] * prod(s) written into x[::s] of a zero
 image, so that the spectral replicas it induces have unit amplitude; neither comb builds a mask.
@@ -146,33 +146,37 @@ def extract_samples(image: Grid, c: Collection) -> SampleSet:
 
 
 def _cells(c: Collection, s: tuple[int, ...]) -> Callable[[np.ndarray, np.ndarray], Iterator]:
-    """``pairs(values, y)``: per residue class of the leading axes, views of the same points
-    of M(B) in its canonical values, shape (*N, kept), and in the samples ``y = x[::s]`` of
-    a lattice of steps s, of any strides.  M(B) repeats with the cell K = k*λ: on leading
-    axis i the values split into N_i = T_i/K_i equal chunks, residue r_i is one slice of
-    each, and a class keeps the first min(points in its cell row, K/s) points of each row,
-    the multiples of the last step.  Classes with no points are skipped; cuts are found once."""
+    """``pairs(values, y)``: per residue class of the leading axes, views of the same rows
+    of M(B), shape (N_0, .., N_{d-2}, n) or (1, n) on d = 1, in its canonical values and in
+    ``y``, the samples ``x[::s]`` of a lattice of steps s (any strides, rows maybe longer, as
+    a spectrum's).  M(B) repeats with the cell K = k*λ: on leading axis i the values split
+    into N_i = T_i/K_i equal chunks and residue r_i is one slice of each.  A cell row holds
+    all K/s of the lattice's last-axis points or only its first, so a class reads y's rows
+    whole or by K[-1]/s[-1], and each row's values whole or by their points per cell row.
+    Both views are only split and stepped, never copied; cuts are found once."""
     p = c.params
     K = tuple(k * lam for k, lam in zip(p.k, p.lam_int))
     N = [t // ki for t, ki in zip(p.T, K)]
     cell = manhattan_indicator(Collection(c.members, replace(p, T=K)))
-    classes = []  # (cuts of the leading axes, the class's index into y's cells) per class r
+    classes = []  # (cuts of the leading axes, values' step, the class's rows of y) per class r
     leading = product(*(range(0, ki, si) for ki, si in zip(K[:-1], s[:-1])))
     for r in (r for r in leading if cell[r].any()):
         cuts = []
         for i, ri in enumerate(r):  # points per residue of axis i in one chunk
             sizes = (cell[r[:i]].reshape(K[i], -1).sum(1) * prod(N[i + 1 :])).tolist()
             cuts.append(slice(sum(sizes[:ri]), sum(sizes[: ri + 1])))
-        at = (*chain.from_iterable((slice(None), ri // si) for ri, si in zip(r, s)), slice(None))
-        classes.append((cuts, (*at, slice(min(np.count_nonzero(cell[r]), K[-1] // s[-1])))))
+        n = min(count := np.count_nonzero(cell[r]), K[-1] // s[-1])  # points per cell row read
+        at = chain.from_iterable((slice(None), ri // si) for ri, si in zip(r, s))
+        classes.append((cuts, count // n, (*at, ..., slice(None, None, K[-1] // s[-1] // n))))
 
     def pairs(values: np.ndarray, y: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        cells = y.reshape([n for ni, ki, si in zip(N, K, s) for n in (ni, ki // si)])
-        for cuts, at in classes:
+        rows = y.reshape(*[n for ni, ki, si in zip(N, K, s[:-1]) for n in (ni, ki // si)] or [1],
+                         y.shape[-1])
+        for cuts, step, at in classes:
             v = values
             for n, cut in zip(N, cuts):
                 v = v.reshape(*v.shape[:-1], n, -1)[..., cut]
-            yield v.reshape(*v.shape[:-1], N[-1], -1)[..., at[-1]], cells[at]
+            yield v.reshape(*v.shape[:-1] or [1], -1)[..., ::step], rows[at]
 
     return pairs
 

@@ -11,9 +11,11 @@ against the bandlimited input alone, as the dense oracle's least squares would
 be 1,296 x 1,296 per collection.  A NaN, +inf or -inf written after building
 into the array a sample set adopted is refused by ``reconstruct`` with no
 warning first.  With each transform pass in two halves at once, ``reconstruct``
-and ``bandlimit`` give their one-CPU bytes.  Every collection also meets the
-Landau identity and the cell count, its M(B) mask, coordinates and combs, from
-the image and from the samples, match the tensor-product definition of each
+and ``bandlimit`` give their one-CPU bytes.  Every pair of ``sampler._cells``,
+for x[::lambda] and each closure member's lattice, views the values and the
+rows it maps, a lattice's or a half spectrum's, with no copy.  Every collection
+also meets the Landau identity and the cell count, its M(B) mask, coordinates
+and combs, from the image and from the samples, match the tensor-product definition of each
 lattice, and at k = 2 its samples have full column rank on its region; Lemma
 1's sufficient condition is checked on every triple.
 """
@@ -32,7 +34,7 @@ from manhattan import (
 )
 from manhattan.freq import guaranteed_disjoint, replica_overlap_oracle
 from manhattan.oracle import SIZE_GUARD, rank_report, solve_reconstruct
-from manhattan.sampler import manhattan_indicator
+from manhattan.sampler import _cells, manhattan_indicator
 
 
 def m_collections(d):
@@ -101,6 +103,24 @@ def test_every_collection_same_bytes_in_halves(d, k, lam, r):
             with split_at(0, cpus):
                 got.append((reconstruct(ss).data.tobytes(), bandlimit(x, c).data.tobytes()))
         assert got[0] == got[1], str(c)
+
+
+@pytest.mark.parametrize("d,k,lam,r", SETTINGS, ids=IDS)
+def test_every_collection_rows_are_views(d, k, lam, r):
+    # _cells only splits and steps: every pair it yields, for x[::lambda] and for
+    # every closure member's lattice, views the canonical values and y, a float
+    # lattice or the complex rows of m[-1] // 2 + 1 columns that _raw_spectrum passes
+    T = tuple(r * ki * li for ki, li in zip(k, lam))
+    p = ManhattanParams(d=d, lam=lam, k=k, T=T)
+    for members in m_collections(d):
+        c = Collection.of(p, members)
+        values = np.empty(np.count_nonzero(manhattan_indicator(c)))
+        for s in (p.lam_int, *map(p.step_int, c.closure().members)):
+            x = np.empty(T)[tuple(slice(None, None, si) for si in s)]
+            rows = np.empty((*x.shape[:-1], x.shape[-1] // 2 + 1), dtype=complex)
+            for y in (x, rows):
+                for v, w in _cells(c, s)(values, y):
+                    assert np.shares_memory(v, values) and np.shares_memory(w, y), (str(c), s)
 
 
 def lattice(p, b):

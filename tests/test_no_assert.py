@@ -3,8 +3,9 @@ holds no ``assert``, which ``python -O`` would strip, one module calls
 ``numpy.fft``, one function owns the way from a spectrum back to an image, its
 one Hermitian check and every inverse transform pass on it, one the way in and
 every forward pass (a function nested in a function counts as the one it is in,
-so a pass run in two halves stays its owner's), one helper starts the thread
-that runs a pass's first half, one cache holds the compiled reconstruction
+so a pass run in two halves stays its owner's), whose every ``rfft`` writes
+through ``out=`` and is assigned nowhere, so it makes no temporary, one helper
+starts the thread that runs a pass's first half, one cache holds the compiled reconstruction
 plans, one method decides whether a grid is a real image, no sample set's
 coordinates come from ``argwhere``, ``reconstruct`` scatters no samples onto a
 full-size image and checks no values, as ``synthesize``'s check is the one
@@ -77,16 +78,28 @@ def test_inverse_passes_in_synthesis():
     assert outside == {("grid.py", "synthesize")}, f"inverse FFTs in {sorted(calls, key=str)}"
 
 
+def _rfft(node):
+    return isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == "rfft"
+
+
 def test_one_forward_half_transform():
     # every raw spectrum of the sweep comes from one forward site or a replica
-    # sum: its rfft by slabs of rows and its leading-axis fft passes, in place
-    calls = set()
+    # sum: an rfft per class of rows and its leading-axis fft passes, in place;
+    # each rfft writes into the spectrum's rows through out= and its result is
+    # assigned nowhere, so that no temporary of the transform is made
+    calls, temporaries = set(), []
     for path in SOURCES:
         for owner, node in _owned_nodes(ast.parse(path.read_text(), filename=str(path))):
             name = ast.unparse(node.func).split(".")[-1] if isinstance(node, ast.Call) else ""
             if name in ("rfft", "rfftn", "fft"):
                 calls.add((path.name, owner))
+            if _rfft(node) and "out" not in {kw.arg for kw in node.keywords}:
+                temporaries.append((path.name, node.lineno))
+            assigned = isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign, ast.NamedExpr))
+            if assigned and node.value is not None and any(map(_rfft, ast.walk(node.value))):
+                temporaries.append((path.name, node.lineno))
     assert calls == {("grid.py", "_raw_spectrum")}, f"forward passes in {sorted(calls, key=str)}"
+    assert not temporaries, f"an rfft result is made or assigned at {temporaries}"
 
 
 def test_one_transform_module():

@@ -676,13 +676,15 @@ class TestRegionSynthesis:
 
     @pytest.mark.parametrize(
         "T,k,coll", [((256, 256), (2, 2), "10,01"), ((48, 48, 48), (3, 3, 3), "110,101,011"),
-                     ((24, 24, 24, 24), (2, 2, 2, 2), "1100,0011,1010")]
+                     ((24, 24, 24, 24), (2, 2, 2, 2), "1100,0011,1010"),
+                     ((1024, 1024), (2, 2), "10,01")]
     )
     @pytest.mark.parametrize("call", ["bandlimit", "reconstruct"])
     def test_peak_memory(self, T, k, coll, call):
         # no full-size spectrum, mask or scattered image is built, and the image
         # is inverted into the half spectrum's own memory; reconstruct gathers
-        # each atom into that half spectrum and holds one member spectrum beside it
+        # each atom into that half spectrum and holds one member spectrum beside it,
+        # on 2D with no copy of the samples and no transform temporary beside them
         p = ManhattanParams(d=len(T), lam=(1,) * len(T), k=k, T=T)
         c = Collection.from_string(p, coll)
         image = bandlimited_image(p, c, seed=11)
@@ -694,6 +696,11 @@ class TestRegionSynthesis:
         finally:
             tracemalloc.stop()
         assert peak <= (2.0 if call == "bandlimit" else 1.6) * nbytes
+        if call == "reconstruct" and len(T) == 2:
+            spectrum = lambda m: 16 * np.prod(m[:-1]) * (m[-1] // 2 + 1)
+            member = max(spectrum([t // si for t, si in zip(T, step.s)])
+                         for step in ReconstructionPlan.for_collection(c).steps if step.read)
+            assert peak <= spectrum(T) + member + (16 << 10)
 
 
 class TestSpectrumReport:
