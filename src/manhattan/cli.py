@@ -122,8 +122,8 @@ def cmd_reconstruct(args) -> int:
               time.perf_counter() - start, os.path.getsize(args.samples), sampler._mhs1_split)
     start = time.perf_counter()
     result = reconstruct(ss)
-    log.debug("core.alias_pairs %d reconstruct.reconstruct_s %.6f", sum(len(step.folds) for step in
-              ReconstructionPlan.for_collection(ss.collection).steps), time.perf_counter() - start)
+    log.debug("core.alias_pairs %d reconstruct.reconstruct_s %.6f", sum(len(atom.folds) for atom in
+              ReconstructionPlan.for_collection(ss.collection).atoms), time.perf_counter() - start)
     _write_grid(args.output, result)
     log.info("reconstructed %s -> %s", args.samples, args.output)
     if args.reference:

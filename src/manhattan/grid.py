@@ -89,11 +89,14 @@ def dft(g: Grid) -> Grid:
 
 def idft(g: Grid) -> Grid:
     """Inverse DFT with 1/prod(T) normalization, back to a real image; the
-    spectrum must be Hermitian (``synthesize`` checks it whole)."""
+    spectrum must be Hermitian (``synthesize`` checks it whole) and the image finite."""
     if not np.iscomplexobj(g.data):
         raise DomainError("idft expects a spectrum, got a real image")
     with np.errstate(over="ignore", invalid="ignore"):  # synthesize refuses NaN and inf
-        return synthesize(g.extents, g.data)  # read-only: its half is copied
+        image = synthesize(g.extents, g.data)  # read-only: its half is copied
+    if not np.isfinite(image.data).all():  # a finite spectrum whose inverse overflows
+        raise NumericalFailureError("inverse DFT overflowed: the image is not finite")
+    return image
 
 
 def _two_cpus() -> bool:
@@ -114,7 +117,10 @@ def _halves(n: int, nbytes: int, work: Callable[[int, int], object]) -> list:
         except BaseException as exc:  # raised in the caller once joined
             first[1] = exc
     thread = threading.Thread(target=contextvars.copy_context().run, args=(run,))
-    thread.start()
+    try:
+        thread.start()
+    except RuntimeError:  # no thread to be had: the first half runs here, after the second
+        return [work(h, n), work(0, h)][::-1]
     try:
         second = work(h, n)
     finally:

@@ -11,12 +11,14 @@ lattice b (steps s, reduced extents m = T/s) is ``rfftn(x[::s]) * prod(s)``
 less every recovered superset atom folded modulo m; atom b lies inside the
 Nyquist cell of lattice b, so what is left on its kept indices is atom b,
 gathered straight into the output half spectrum, where later folds read it;
-zeroing them, peeling it, is its own fold.  Lattice b - e_i (i not the last
-axis) is lattice b subsampled by k_i on axis i: that member sums b's residual
-over the k_i replicas on axis i, in b's memory if it is b's last child and is
-ready once b is done, and folds only the supersets not above b.  Any other
-member transforms its ``x[::s]`` from the canonical values straight into its own spectrum's
-rows, paired by ``sampler._cells`` as ``extract_samples`` reads them, with no copy or mask.
+zeroing them, peeling it, is its own fold.  Lattice b - e_i (i not the last axis) is lattice b
+subsampled by k_i on axis i: that member sums b's residual over its k_i replicas on axis i and
+folds the supersets the residual lacks.  Summing after a fold modulo b's m folds modulo the
+child's m, so a childless child whose supersets are done by b's turn is a leaf: b's step folds
+what it lacks into b's residual and sums the replicas at its bins alone, straight into the
+output.  b's other children inherit those folds; the last sums in b's memory if ready once b is
+done, the others into copies.  Any other member transforms its ``x[::s]`` straight into its own
+spectrum's rows, paired by ``sampler._cells`` as ``extract_samples`` reads them, with no copy.
 ``ReconstructionPlan.for_collection`` compiles this once per ``Collection`` into one cached
 plan, which ``reconstruct`` replays and ``bandlimit`` reads for the bins its gathers place;
 both hand ``synthesize`` the half spectrum that holds the atoms and nothing else, with numpy's
@@ -38,16 +40,19 @@ from .sampler import SampleSet, _cells
 
 # A plan's member b: "atom b"; the ``_cells`` pairs of its x[::s], or None; its steps s; the
 # ``_fold_slices`` modulo m of each superset its source holds (Lemma 1); its lower block's
-# slices modulo m onto T; its children (member, axis i, k_i, in b's memory), summing b's residual.
-_Step = namedtuple("_Step", "name read s folds gather children")
+# slices modulo m onto T; its children (member, axis i, k_i, in b's memory), summing b's residual;
+# its leaves a: "atom a", axis i, k_i, the folds modulo b's m b's residual lacks, slices modulo a's m.
+_Step = namedtuple("_Step", "name read s folds gather children leaves")
+_Leaf = namedtuple("_Leaf", "name i k folds gather")
 
 
 @dataclass(frozen=True, eq=False)
 class ReconstructionPlan:
     """A collection's sweep, compiled: closure members in plan order (weight descending,
     bitmask ascending) with the per-axis kept DFT indices of their atoms, and the steps,
-    in turn order, whose gathers place each atom's lower-only block (its last axis stops
-    at T//2) in a half spectrum.  Plans compare and hash by identity."""
+    in turn order, whose gathers and leaves place each atom's lower-only block (its last
+    axis stops at T//2) in a half spectrum; ``atoms`` names every member once, a leaf
+    after its parent's step.  Plans compare and hash by identity."""
 
     members: tuple[BiStep, ...]
     axes: dict[BiStep, Axes]
@@ -70,23 +75,27 @@ class ReconstructionPlan:
                 parent.setdefault(BiStep((*b.bits[:i], 0, *b.bits[i + 1 :])), (b, i))
         kids = {b: [a for a, (q, _) in parent.items() if q == b] for b in members}
         above = {b: {a for a in members if a != b and b.issubset(a)} for b in members}
-        order: list[BiStep] = []
-        while len(order) < len(members):
-            ready = [b for b in members if b not in order and above[b].issubset(order)]
-            order.append(min(ready, key=lambda b: (b not in parent, sum(
-                not above[a] <= {b, *order} for a in kids[b]))))
-        steps = []
-        for turn, b in enumerate(order):
-            s = p.step_int(b)
-            m = tuple(t // si for t, si in zip(T, s))
-            up = parent.get(b, (None,))[0]  # whose residual has every b' ⊇ up folded out
-            folds = tuple(_fold_slices(lower[bp], T, m) for bp in members
-                          if bp in above[b] and not (up is not None and up.issubset(bp)))
-            children = tuple((f"atom {a}", parent[a][1], p.k[parent[a][1]], a == kids[b][-1]
-                              and above[a].issubset(order[: turn + 1])) for a in kids[b])
-            read = _cells(c, s) if up is None else None  # else a replica sum
+        reduced = lambda b: tuple(t // si for t, si in zip(T, p.step_int(b)))
+        held, done, steps = {}, set(), []  # held: the atoms folded out of a summed member's source
+        while len(done) < len(members):
+            ready = [b for b in members if b not in done and above[b] <= done]
+            b = min(ready, key=lambda b: (b not in parent, sum(
+                not above[a] <= done | {b} for a in kids[b])))
+            gathered = [a for a in kids[b] if not kids[a] and above[a] <= done | {b}]
+            done |= {b, *gathered}
+            s, m, out = p.step_int(b), reduced(b), held.get(b, set())
+            fold = lambda bps: tuple(_fold_slices(lower[bp], T, m) for bp in members if bp in bps)
+            folds, out = fold(above[b] - out), out | above[b] | {b}
+            leaves = tuple(_Leaf(f"atom {a}", parent[a][1], p.k[parent[a][1]], fold(above[a] - out),
+                                 _slices(lower[a], reduced(a), lower[a])) for a in gathered)
+            out = out.union(*(above[a] for a in gathered))  # siblings' folds are disjoint
+            summed = [a for a in kids[b] if a not in done]
+            held.update(dict.fromkeys(summed, out))
+            children = tuple((f"atom {a}", parent[a][1], p.k[parent[a][1]], a == summed[-1]
+                              and above[a] <= done) for a in summed)
+            read = _cells(c, s) if b not in parent else None  # else a replica sum
             steps.append(_Step(f"atom {b}", read, s, folds, _slices(lower[b], m, lower[b]),
-                               children))
+                               children, leaves))
         return cls(members, axes, p, tuple(steps))
 
     @property
@@ -94,11 +103,21 @@ class ReconstructionPlan:
         """Full-size atom masks, for callers that work on the whole grid; not kept."""
         return {b: atom_mask(b, self.params) for b in self.members}
 
+    @property
+    def atoms(self) -> tuple:
+        """Every member's step or leaf, in the order its atom is written: all of them."""
+        return tuple(st for step in self.steps for st in (step, *step.leaves))
+
+
+def _replicas(H: np.ndarray, i: int, k: int) -> np.ndarray:
+    """A view of H with axis i split into its k replicas and their extent m_i / k."""
+    return H.reshape(*H.shape[:i], k, -1, *H.shape[i + 1 :])
+
 
 def _replica_sum(H: np.ndarray, i: int, k: int, in_place: bool) -> np.ndarray:
     """H summed over its k replicas on axis i, in H's memory if ``in_place``: there
     by one index before axis i at a time, as numpy copies what may overlap."""
-    parts = H.reshape(*H.shape[:i], k, -1, *H.shape[i + 1 :])
+    parts = _replicas(H, i, k)
     if not in_place:
         return parts.sum(i)
     for at in np.ndindex(H.shape[:i]):
@@ -121,9 +140,14 @@ def reconstruct(ss: SampleSet) -> Grid:
             for folds in step.folds:
                 _fold(H, half, folds)
             _gather(half, H, step.gather)
-            if step.children:  # peel atom b: the residual has it folded out too
+            if step.children or step.leaves:  # peel atom b: the residual has it folded out too
                 for _, dst in step.gather:
                     H[dst] = 0
+            for name, i, k, folds, gather in step.leaves:  # into half: H's k_i replicas summed
+                for fold in folds:
+                    _fold(H, half, fold)
+                for src, dst in gather:
+                    _replicas(H, i, k)[(*dst[:i], slice(None), *dst[i:])].sum(i, out=half[src])
             for name, i, k, in_place in step.children:  # in place: it keeps H's memory
                 sums[name] = _replica_sum(H, i, k, in_place)
             del H  # before the next member's spectrum is built
@@ -136,7 +160,7 @@ def bandlimit(image: Grid, c: Collection) -> Grid:
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is synthesize's to refuse
         half = _raw_spectrum(T, (1,) * len(T), lambda *xy: [tuple(map(np.atleast_2d, xy))], x)
         outside = np.ones(half.shape, dtype=bool)
-        for src, _ in (pair for step in plan.steps for pair in step.gather):
+        for src, _ in (pair for atom in plan.atoms for pair in atom.gather):
             outside[src] = False
         half[outside] = 0
         del outside  # not held through synthesis

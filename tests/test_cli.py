@@ -1,3 +1,4 @@
+import importlib
 import logging
 import struct
 
@@ -120,6 +121,23 @@ class TestPipeline:
             assert float(words[1]) >= 0 and int(words[3]) == samples.stat().st_size
             assert words[5] == "0"  # 112 rows: under two chunks, so never split
         assert debug[2][1] == "1" and float(debug[2][3]) > 0  # 00 folds 01 only: 10 is peeled
+
+    def test_alias_pairs_count_every_fold(self, tmp_path, caplog, monkeypatch):
+        # on facets, the folds a parent's step makes for the atoms it writes count too
+        engine, made = importlib.import_module("manhattan.reconstruct"), []
+        fold = engine._fold
+        monkeypatch.setattr(engine, "_fold", lambda *args: made.append(1) or fold(*args))
+        caplog.set_level(logging.DEBUG, logger="manhattan")
+        image, samples = tmp_path / "img.mht1", tmp_path / "s.mhs1"
+        run("generate", "--size", "12,12,12", "--output", str(image))
+        assert run("sample", "--k", "3,3,3", "--collection", "110,101,011",
+                   "--input", str(image), "--samples", str(samples)) == 0
+        caplog.clear()
+        assert run("reconstruct", "--samples", str(samples),
+                   "--output", str(tmp_path / "rec.mht1")) == 0
+        logged = [r.getMessage().split() for r in caplog.records if r.levelno == logging.DEBUG]
+        assert [int(words[1]) for words in logged if words[0] == "core.alias_pairs"] == [5]
+        assert len(made) == 5
 
     def test_mhs1_split_logged(self, tmp_path, caplog, monkeypatch):
         # with the split forced, both halves of the 112-row body run at once

@@ -107,6 +107,11 @@ class TestTransforms:
         with pytest.raises(NumericalFailureError):
             idft(Grid.from_array(X))
 
+    def test_idft_refuses_overflowing_image(self):
+        # finite and Hermitian, but its inverse overflows: a refusal, not a NaN image
+        with pytest.raises(NumericalFailureError):
+            idft(Grid((64, 64), np.full((64, 64), 1e307 + 0j)))
+
     def test_idft_refuses_non_hermitian_upper_half(self):
         # irfftn reads only the lower half; a bin above it must still be checked
         X = dft(Grid.from_array(np.random.default_rng(6).normal(size=(6, 8)))).data.copy()
@@ -273,6 +278,25 @@ class TestHalves:
             with pytest.raises(RuntimeError) as raised:
                 idft(X)
         assert raised.value is boom and threading.active_count() == before
+
+    def test_no_thread_to_start_keeps_the_bytes(self):
+        # where no thread can be started, the caller runs the second half and then
+        # the first: every call gives its unsplit bytes and raises nothing
+        facets = ManhattanParams(d=3, lam=(1, 1, 1), k=(3, 3, 3), T=(12, 12, 12))
+        for c in (self.c, Collection.from_string(facets, "110,101,011")):
+            image = bandlimited_image(c.params, c, seed=4)
+            ss, X = extract_samples(image, c), dft(image)
+            calls = lambda: [g.data.tobytes() for g in
+                             (reconstruct(ss), bandlimit(image, c), idft(X))]
+            want, tried = calls(), []
+
+            def start(thread):
+                tried.append(thread)
+                raise RuntimeError("can't start new thread")
+
+            with split_at(0), mock.patch.object(threading.Thread, "start", start):
+                assert calls() == want
+            assert tried
 
 
 class TestDataModel:

@@ -377,16 +377,12 @@ class TestFinestLatticeTransforms:
         assert np.abs(result.data - ref.data).max() <= 1e-12 * np.abs(ref.data).max()
 
     def test_gather_sees_subsampled_transform_less_superset_folds(self, monkeypatch):
-        # with the folds on, each member's half spectrum at its gather is
-        # rfftn(x[::s]) * prod(s) less every strict superset's recovered block
-        # folded modulo m, whether its source was a transform or a peeled residual
-        gather, seen = engine._gather, []
-
-        def spy(half, H, slices):
-            gather(half, H, slices)
-            seen.append((H.copy(), half.copy()))
-
-        monkeypatch.setattr(engine, "_gather", spy)
+        # each atom, whether its step gathers it or its parent's step sums it as a
+        # leaf, is rfftn(x[::s]) * prod(s) less every strict superset's recovered
+        # block folded modulo m, on its own bins, whatever its source was
+        synthesis, seen = engine.synthesize, []  # the output half spectrum, every atom in it
+        monkeypatch.setattr(engine, "synthesize",
+                            lambda T, X: seen.append(X.copy()) or synthesis(T, X))
         rng = random.Random(12)
         configs = [ManhattanParams(d=3, lam=(3, 1, 2), k=(2, 3, 4), T=(12, 6, 16)),
                    ManhattanParams(d=4, lam=(1, 3, 1, 1), k=(2, 2, 3, 2), T=(4, 12, 6, 4))]
@@ -399,11 +395,13 @@ class TestFinestLatticeTransforms:
             x = np.random.default_rng(p.d).normal(size=p.T)
             seen.clear()
             reconstruct(extract_samples(Grid.from_array(x), c))
-            plan = ReconstructionPlan.for_collection(c)
-            assert len(seen) == len(plan.steps) == len(plan.members)
+            plan, (out,) = ReconstructionPlan.for_collection(c), seen
+            names = [atom.name for atom in plan.atoms]
+            assert sorted(names) == sorted(f"atom {b}" for b in plan.members)
+            assert len(plan.steps) < len(names) or p.d == 1  # some atom is a leaf
             spectra = {}  # each recovered atom, lower block and mirrors, on the full grid
-            for step, (H, out) in zip(plan.steps, seen):
-                b = B(step.name.removeprefix("atom "))
+            for name in names:
+                b = B(name.removeprefix("atom "))
                 assert {bp for bp in plan.members if bp != b and b.issubset(bp)} <= set(spectra)
                 s = p.step_int(b)
                 m = tuple(t // si for t, si in zip(p.T, s))
@@ -412,10 +410,11 @@ class TestFinestLatticeTransforms:
                     if b.issubset(b_prime):  # brute force: sum the replicas modulo m
                         folded = X.reshape([n for si, mi in zip(s, m) for n in (si, mi)])
                         want -= folded.sum(axis=tuple(range(0, 2 * p.d, 2)))[..., : m[-1] // 2 + 1]
-                assert np.abs(H - want).max() <= 1e-12 * np.abs(want).max()
                 u = plan.axes[b]
                 axes, X = (*u[:-1], u[-1][u[-1] <= p.T[-1] // 2]), np.zeros(p.T, dtype=complex)
-                block = out[np.ix_(*axes)]  # the atom as gathered into the output
+                block = out[np.ix_(*axes)]  # the atom as written into the output
+                residues = want[np.ix_(*(a % mi for a, mi in zip(axes, m)))]
+                assert np.abs(block - residues).max(initial=0) <= 1e-12 * np.abs(want).max()
                 X[np.ix_(*axes)] = block
                 up = axes[-1] > 0  # the u_last = 0 plane holds its own mirrors
                 mirrors = (*(-u % t for u, t in zip(axes[:-1], p.T)), -axes[-1][up] % p.T[-1])
@@ -473,35 +472,42 @@ class TestCompiledSweep:
                 todo.extend(vars(x).values())
         assert sizes and max(sizes) <= max(T)
 
-    @pytest.mark.parametrize("T,k,coll,turns", [
+    @pytest.mark.parametrize("T,k,coll,atoms", [
         ((16, 16), (4, 4), "10,01", "01 10 00"),
         ((12, 12, 12), (3, 3, 3), "110,101,011", "011 101 001 110 010 100 000"),
         ((8, 8, 8, 8), (2, 2, 2, 2), "1100,0011,1010", "0011 0001 1010 0010 1100 0100 1000 0000")])
-    def test_turns(self, T, k, coll, turns):
+    def test_turns(self, T, k, coll, atoms):
         # a member's turn comes once its supersets are done: a member whose sum
         # is held first, else the read that leaves the fewest children waiting; a
-        # child summed in its parent's memory runs before any further read
+        # child summed in its parent's memory runs before any further read; a
+        # childless child whose supersets are done by its parent's turn has no turn,
+        # its parent's step writes its atom, and the plan still names every atom
+        turns = {"10,01": "01 10", "110,101,011": "011 101 110 100",
+                 "1100,0011,1010": "0011 1010 1100 1000"}[coll]
         p = ManhattanParams(d=len(T), lam=(1,) * len(T), k=k, T=T)
-        steps = ReconstructionPlan.for_collection(Collection.from_string(p, coll)).steps
-        names = [st.name for st in steps]
+        plan = ReconstructionPlan.for_collection(Collection.from_string(p, coll))
+        steps, names = plan.steps, [st.name for st in plan.steps]
         assert " ".join(name.removeprefix("atom ") for name in names) == turns
+        assert " ".join(atom.name.removeprefix("atom ") for atom in plan.atoms) == atoms
         for j, step in enumerate(steps):
             for name, _, _, in_place in step.children:
                 between = steps[j + 1 : names.index(name)]
                 assert not in_place or all(st.read is None for st in between), (step.name, name)
-        assert any(in_place for st in steps for *_, in_place in st.children)
+        assert any(in_place for st in steps for *_, in_place in st.children) == (len(T) > 2)
 
     @pytest.mark.parametrize("T,k,coll,folds,pairs", [
-        ((12, 12, 12), (3, 3, 3), "110,101,011", 6, 12), ((16, 16), (4, 4), "10,01", 1, 2)])
+        ((12, 12, 12), (3, 3, 3), "110,101,011", 5, 12), ((16, 16), (4, 4), "10,01", 1, 2)])
     def test_fold_counts(self, T, k, coll, folds, pairs):
         # a member sums its parent's peeled residual, which has already folded
-        # out every superset of that parent: only the others are folded
+        # out every superset of that parent and what its leaves folded there:
+        # only the others are folded, each once on a path (facets: 001, 010 fold
+        # 011 once each; 100 folds 101; 000 folds 001 and 010 only)
         p = ManhattanParams(d=len(T), lam=(1,) * len(T), k=k, T=T)
         c = Collection.from_string(p, coll)
         plan = ReconstructionPlan.for_collection(c)
         members = plan.members
         assert sum(b != b2 and b.issubset(b2) for b in members for b2 in members) == pairs
-        assert sum(len(step.folds) for step in plan.steps) == folds
+        assert sum(len(atom.folds) for atom in plan.atoms) == folds
 
 
 class TestSweepStructure:
@@ -684,7 +690,7 @@ class TestRegionSynthesis:
         # no full-size spectrum, mask or scattered image is built, and the image
         # is inverted into the half spectrum's own memory; reconstruct gathers
         # each atom into that half spectrum and holds one member spectrum beside it,
-        # on 2D with no copy of the samples and no transform temporary beside them
+        # with no copy of the samples, no transform temporary and no leaf's replica sum
         p = ManhattanParams(d=len(T), lam=(1,) * len(T), k=k, T=T)
         c = Collection.from_string(p, coll)
         image = bandlimited_image(p, c, seed=11)
@@ -696,7 +702,7 @@ class TestRegionSynthesis:
         finally:
             tracemalloc.stop()
         assert peak <= (2.0 if call == "bandlimit" else 1.6) * nbytes
-        if call == "reconstruct" and len(T) == 2:
+        if call == "reconstruct":
             spectrum = lambda m: 16 * np.prod(m[:-1]) * (m[-1] // 2 + 1)
             member = max(spectrum([t // si for t, si in zip(T, step.s)])
                          for step in ReconstructionPlan.for_collection(c).steps if step.read)
