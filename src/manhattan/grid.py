@@ -307,8 +307,8 @@ def read_mht1(fh: BinaryIO) -> Grid:
 
 
 def write_pgm(fh: BinaryIO, g: Grid) -> None:
-    if len(g.extents) != 2:
-        raise DomainError("PGM output is only defined for 2D images")
+    if len(g.extents) != 2 or not np.isfinite(g.image()).all():  # NaN has no byte
+        raise DomainError("PGM output is only defined for finite 2D images")
     img = np.clip(np.rint(g.image()), 0, 255).astype(np.uint8)
     rows, cols = g.extents
     fh.write(f"P5\n{cols} {rows}\n255\n".encode("ascii"))

@@ -6,7 +6,7 @@ has a finite value for every point of M(B), once.  A NaN or inf written later th
 the caller kept is left to ``grid.synthesize``'s check, the one numerical gate after this one.
 A lattice of steps s is the view x[::s]: ``_cells`` maps the values to its rows and back,
 class by class of one cell K = k*λ, by views alone, with no full-size mask, for
-``extract_samples``, ``coords``, ``comb_from_samples`` and the engine's transforms.
+``extract_samples``, ``_coords`` (for ``coords`` and MHS1), ``comb_from_samples`` and the engine.
 
 A comb grid for bi-step lattice b of steps s is x[::s] * prod(s) written into x[::s] of a zero
 image, so that the spectral replicas it induces have unit amplitude; neither comb builds a mask.
@@ -117,14 +117,8 @@ class SampleSet:
 
     @cached_property
     def coords(self) -> np.ndarray:
-        """Int coordinates of the values, shape (n, d): M(B)'s, derived on first use.
-        Column i is read by ``_cells`` from axis i's coordinates broadcast over x[::λ]."""
-        p, pairs = self.params, _cells(self.collection, self.params.lam_int)
-        axes = np.broadcast_arrays(*np.ogrid[tuple(slice(0, t, s) for t, s in zip(p.T, p.lam_int))])
-        coords = np.empty((len(self), p.d), dtype=np.intp, order="F")  # as argwhere's
-        for column, axis in zip(coords.T, axes):
-            for v, y in pairs(column, axis):
-                v[...] = y
+        """Int coordinates of the values, shape (n, d): M(B)'s, derived on first use."""
+        coords = _coords(self.collection, np.intp)
         coords.setflags(write=False)
         return coords
 
@@ -143,6 +137,18 @@ def extract_samples(image: Grid, c: Collection) -> SampleSet:
     for v, y in _cells(c, lam)(values, x[tuple(slice(None, None, li) for li in lam)]):
         v[...] = y
     return SampleSet(c.params, c, None, values)
+
+
+def _coords(c: Collection, dtype: np.dtype) -> np.ndarray:
+    """M(B)'s coordinates in its lexicographic order, shape (n, d), in dtype, column i
+    read by ``_cells`` from axis i's coordinates broadcast over x[::λ]."""
+    p, pairs = c.params, _cells(c, c.params.lam_int)
+    axes = np.broadcast_arrays(*np.ogrid[tuple(slice(0, t, s) for t, s in zip(p.T, p.lam_int))])
+    coords = np.empty((_point_count(c), p.d), dtype=dtype, order="F")  # as argwhere's
+    for column, axis in zip(coords.T, axes):
+        for v, y in pairs(column, axis):
+            v[...] = y
+    return coords
 
 
 def _cells(c: Collection, s: tuple[int, ...]) -> Callable[[np.ndarray, np.ndarray], Iterator]:
@@ -269,16 +275,16 @@ def _forked(rows: int, work: Callable[[], object], helper: Callable[[BinaryIO], 
         return ok
 
 
-def _mhs1_chunks(ss: SampleSet, flat: np.ndarray, starts: range) -> Iterator[str]:
-    """The body text of the chunks of rows that begin at starts, one string each; flat
-    holds M(B)'s positions in [0, T), in its lexicographic order."""
+def _mhs1_chunks(ss: SampleSet, coords: np.ndarray, starts: range) -> Iterator[str]:
+    """The body text of the chunks of rows that begin at starts, one string each;
+    coords are M(B)'s, in its lexicographic order."""
     p = ss.params
     tables = {i: np.array([f"{j} " for j in range(t)], object)  # axis i's "j " texts
               for i, t in enumerate(p.T) if t <= len(ss)}
     row = "".join("%s" if i in tables else "%d " for i in range(p.d)) + "%.17g\n"
     for start in starts:
         chunk = slice(start, start + _MHS1_CHUNK_ROWS)
-        cols = [*np.unravel_index(flat[chunk], p.T), ss.values[chunk]]
+        cols = [*coords[chunk].T, ss.values[chunk]]
         fields = [None] * (len(cols) * len(cols[-1]))  # the chunk's fields in row order
         for i, col in enumerate(cols):
             fields[i :: len(cols)] = (tables[i][col] if i in tables else col).tolist()
@@ -295,10 +301,10 @@ def write_mhs1(fh: TextIO, ss: SampleSet) -> None:
     fh.write("lambda " + " ".join(map(str, p.lam_int)) + "\n")
     fh.write(f"collection {ss.collection}\n")
 
-    flat = np.flatnonzero(manhattan_indicator(ss.collection))  # found once, and inherited
+    coords = _coords(ss.collection, np.min_scalar_type(max(p.T) - 1))  # found once, inherited
 
     def write(starts: range) -> None:
-        for text in _mhs1_chunks(ss, flat, starts):
+        for text in _mhs1_chunks(ss, coords, starts):
             fh.write(text)
 
     def copy(out: BinaryIO) -> None:  # the helper's text, after the parent's
@@ -308,7 +314,7 @@ def write_mhs1(fh: TextIO, ss: SampleSet) -> None:
     starts = range(0, len(ss), _MHS1_CHUNK_ROWS)
     head, tail = starts[: len(starts) // 2], starts[len(starts) // 2 :]
     if not (_mhs1_split := _forked(len(ss), lambda: write(head), lambda out: out.writelines(
-            t.encode() for t in _mhs1_chunks(ss, flat, tail)), copy)):
+            t.encode() for t in _mhs1_chunks(ss, coords, tail)), copy)):
         write(tail)  # no helper, or it failed: its chunks are formatted here
 
 

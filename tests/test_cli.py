@@ -123,7 +123,7 @@ class TestPipeline:
         assert debug[2][1] == "1" and float(debug[2][3]) > 0  # 00 folds 01 only: 10 is peeled
 
     def test_alias_pairs_count_every_fold(self, tmp_path, caplog, monkeypatch):
-        # on facets, the folds a parent's step makes for the atoms it writes count too
+        # on facets, the folds a read's step makes for its leaves count too
         engine, made = importlib.import_module("manhattan.reconstruct"), []
         fold = engine._fold
         monkeypatch.setattr(engine, "_fold", lambda *args: made.append(1) or fold(*args))
@@ -136,8 +136,8 @@ class TestPipeline:
         assert run("reconstruct", "--samples", str(samples),
                    "--output", str(tmp_path / "rec.mht1")) == 0
         logged = [r.getMessage().split() for r in caplog.records if r.levelno == logging.DEBUG]
-        assert [int(words[1]) for words in logged if words[0] == "core.alias_pairs"] == [5]
-        assert len(made) == 5
+        assert [int(words[1]) for words in logged if words[0] == "core.alias_pairs"] == [6]
+        assert len(made) == 6
 
     def test_mhs1_split_logged(self, tmp_path, caplog, monkeypatch):
         # with the split forced, both halves of the 112-row body run at once

@@ -8,9 +8,10 @@ residue, which no atom keeps, so no fold reaches a gathered bin: T is
 3*k*lambda per axis for d <= 3, the mixed setting's k = 3 axes fold for d = 4,
 and d = 4 at k = 2, lambda = 1 is checked at T = 3*k*lambda too, 1,296 points,
 against the bandlimited input alone, as the dense oracle's least squares would
-be 1,296 x 1,296 per collection.  A NaN, +inf or -inf written after building
-into the array a sample set adopted is refused by ``reconstruct`` with no
-warning first.  With each transform pass in two halves at once, ``reconstruct``
+be 1,296 x 1,296 per collection.  ``reconstruct`` runs one forward transform per
+plan step, and the plan's atoms name each closure member once.  A NaN, +inf or
+-inf written after building into the array a sample set adopted is refused by
+``reconstruct`` with no warning first.  With each transform pass in two halves at once, ``reconstruct``
 and ``bandlimit`` give their one-CPU bytes.  Every pair of ``sampler._cells``,
 for x[::lambda] and each closure member's lattice, views the values and the
 rows it maps, a lattice's or a half spectrum's, with no copy.  Every collection
@@ -21,6 +22,7 @@ lattice, and at k = 2 its samples have full column rank on its region; Lemma
 """
 
 import functools
+import importlib
 import itertools
 
 import numpy as np
@@ -34,7 +36,10 @@ from manhattan import (
 )
 from manhattan.freq import guaranteed_disjoint, replica_overlap_oracle
 from manhattan.oracle import SIZE_GUARD, rank_report, solve_reconstruct
+from manhattan.reconstruct import ReconstructionPlan
 from manhattan.sampler import _cells, manhattan_indicator
+
+engine = importlib.import_module("manhattan.reconstruct")  # the attribute is the function
 
 
 def m_collections(d):
@@ -64,18 +69,26 @@ IDS = [f"d{d}-k{''.join(map(str, k))}-lam{''.join(map(str, lam))}" + ("-T3" if d
 
 
 @pytest.mark.parametrize("d,k,lam,r", SETTINGS, ids=IDS)
-def test_every_collection_reconstructs(d, k, lam, r):
-    # reconstruct returns the bandlimited input, and the dense least-squares
+def test_every_collection_reconstructs(d, k, lam, r, monkeypatch):
+    # reconstruct returns the bandlimited input by one forward transform per step
+    # of its plan, whose atoms name each member once, and the dense least-squares
     # oracle, which shares no code with the sweep, agrees with it
     T = tuple(r * ki * li for ki, li in zip(k, lam))
     p = ManhattanParams(d=d, lam=lam, k=k, T=T)
+    forward, reads = engine._raw_spectrum, []
+    monkeypatch.setattr(engine, "_raw_spectrum", lambda *a: reads.append(1) or forward(*a))
     for seed, members in enumerate(m_collections(d)):
         c = Collection.of(p, members)
         ref = bandlimited_image(p, c, seed=seed)
         ss = extract_samples(ref, c)
         scale = np.abs(ref.data).max()
+        reads.clear()
         got = reconstruct(ss).data
         assert np.abs(got - ref.data).max() <= 1e-12 * scale, str(c)
+        plan = ReconstructionPlan.for_collection(c)
+        assert len(reads) == len(plan.steps), str(c)
+        assert sorted(atom.name for atom in plan.atoms) == sorted(
+            f"atom {b}" for b in c.closure().members), str(c)
         shared = ss.values.copy()  # adopted, and still written to by the caller
         adopted = SampleSet(p, c, None, shared)
         at = np.random.default_rng(seed).integers(len(shared))

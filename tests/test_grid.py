@@ -554,6 +554,16 @@ class TestPgm:
         with pytest.raises(DomainError):
             write_pgm(io.BytesIO(), Grid.from_array(np.zeros((2, 2, 2))))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_image_refused(self, bad):
+        # refused, not written as a byte with a RuntimeWarning
+        img = np.zeros((2, 3))
+        img[1, 2] = bad
+        buf = io.BytesIO()
+        with pytest.raises(DomainError, match="finite"):
+            write_pgm(buf, Grid.from_array(img))
+        assert buf.getvalue() == b""
+
 
 def _mutations(size):
     """Byte edits at positions in [0, size)."""

@@ -200,17 +200,17 @@ def test_comb_from_samples_reads_one_lattice():
 
 
 def test_no_full_size_mask_of_the_samples():
-    # extract_samples, SampleSet.coords, comb_from_samples and the engine's lattice
-    # reads go through sampler._cells, which builds the indicator of one cell
-    # K = k*λ, not of M(B) on T; _order and write_mhs1 compare and unravel M(B)'s
-    # positions by its mask, and nothing else in the sampler builds one
+    # extract_samples, SampleSet.coords, write_mhs1, comb_from_samples and the engine's
+    # lattice reads go through sampler._cells, which builds the indicator of one cell
+    # K = k*λ, not of M(B) on T; _order compares M(B)'s positions by its mask, and
+    # nothing else in the sampler builds one
     calls = _calls("manhattan_indicator")
     assert ("sampler.py", "_cells") in calls, sorted(calls, key=str)
     built = {call for call in calls if call[0] == "reconstruct.py" or call in {
         ("sampler.py", f) for f in ("extract_samples", "coords")}}
     assert not built, f"manhattan_indicator is called in {sorted(built, key=str)}"
     sampler_calls = {f for module, f in calls if module == "sampler.py"}
-    assert sampler_calls == {"_cells", "_order", "write_mhs1"}, sampler_calls
+    assert sampler_calls == {"_cells", "_order"}, sampler_calls
 
 
 def test_sampler_builds_no_tensor_product():
@@ -273,7 +273,7 @@ def test_one_temp_file():
 def test_one_path_through_an_mhs1_body():
     # _forked alone asks _splits; the writer and the reader each hand it their body
     # once, with no serial branch of their own, and the writer, not each call for
-    # chunks, builds the M(B) mask whose positions its helper inherits
+    # chunks, builds the coordinates of M(B) that its helper inherits
     splits = _calls("_splits")
     assert splits == {("sampler.py", "_forked")}, f"_splits is called in {sorted(splits, key=str)}"
     tree = ast.parse((Path(manhattan.__file__).parent / "sampler.py").read_text())
@@ -281,6 +281,6 @@ def test_one_path_through_an_mhs1_body():
         (body,) = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and n.name == name]
         called = [ast.unparse(n.func) for n in ast.walk(body) if isinstance(n, ast.Call)]
         assert called.count("_forked") == 1 and "_splits" not in called, (name, called)
-    masks = _calls("manhattan_indicator")
-    assert ("sampler.py", "write_mhs1") in masks, sorted(masks, key=str)
-    assert ("sampler.py", "_mhs1_chunks") not in masks, sorted(masks, key=str)
+    built = _calls("_coords")
+    assert ("sampler.py", "write_mhs1") in built, sorted(built, key=str)
+    assert ("sampler.py", "_mhs1_chunks") not in built, sorted(built, key=str)

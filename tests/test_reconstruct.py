@@ -358,8 +358,8 @@ class TestHalfSpectrumEngine:
 
 
 class TestFinestLatticeTransforms:
-    """Only members with no superset b | e_i (i not the last axis) run a forward
-    transform; each other member sums the replicas of such a superset's raw spectrum."""
+    """Each step runs one forward transform, of its read's samples; its leaves sum
+    the replicas of that raw spectrum's residual."""
 
     @pytest.mark.parametrize(
         "T,k,coll,calls",
@@ -377,7 +377,7 @@ class TestFinestLatticeTransforms:
         assert np.abs(result.data - ref.data).max() <= 1e-12 * np.abs(ref.data).max()
 
     def test_gather_sees_subsampled_transform_less_superset_folds(self, monkeypatch):
-        # each atom, whether its step gathers it or its parent's step sums it as a
+        # each atom, whether its step gathers it or its read's step sums it as a
         # leaf, is rfftn(x[::s]) * prod(s) less every strict superset's recovered
         # block folded modulo m, on its own bins, whatever its source was
         synthesis, seen = engine.synthesize, []  # the output half spectrum, every atom in it
@@ -474,34 +474,31 @@ class TestCompiledSweep:
 
     @pytest.mark.parametrize("T,k,coll,atoms", [
         ((16, 16), (4, 4), "10,01", "01 10 00"),
-        ((12, 12, 12), (3, 3, 3), "110,101,011", "011 101 001 110 010 100 000"),
-        ((8, 8, 8, 8), (2, 2, 2, 2), "1100,0011,1010", "0011 0001 1010 0010 1100 0100 1000 0000")])
+        ((12, 12, 12), (3, 3, 3), "110,101,011", "101 011 001 110 100 010 000"),
+        ((8, 8, 8, 8), (2, 2, 2, 2), "1100,0011,1010", "0011 0001 1100 0100 1010 1000 0010 0000")])
     def test_turns(self, T, k, coll, atoms):
-        # a member's turn comes once its supersets are done: a member whose sum
-        # is held first, else the read that leaves the fewest children waiting; a
-        # child summed in its parent's memory runs before any further read; a
-        # childless child whose supersets are done by its parent's turn has no turn,
-        # its parent's step writes its atom, and the plan still names every atom
-        turns = {"10,01": "01 10", "110,101,011": "011 101 110 100",
-                 "1100,0011,1010": "0011 1010 1100 1000"}[coll]
+        # a member's turn comes once its supersets are done: the read that leaves the
+        # fewest of its potential leaves waiting, the first in plan order if tied; its
+        # leaves, members below it with its last bit whose supersets are done by then,
+        # have no turn: its step writes their atoms, and the plan still names every atom
+        turns = {"10,01": "01 10", "110,101,011": "101 011 110",
+                 "1100,0011,1010": "0011 1100 1010"}[coll]
         p = ManhattanParams(d=len(T), lam=(1,) * len(T), k=k, T=T)
         plan = ReconstructionPlan.for_collection(Collection.from_string(p, coll))
-        steps, names = plan.steps, [st.name for st in plan.steps]
-        assert " ".join(name.removeprefix("atom ") for name in names) == turns
+        assert " ".join(st.name.removeprefix("atom ") for st in plan.steps) == turns
         assert " ".join(atom.name.removeprefix("atom ") for atom in plan.atoms) == atoms
-        for j, step in enumerate(steps):
-            for name, _, _, in_place in step.children:
-                between = steps[j + 1 : names.index(name)]
-                assert not in_place or all(st.read is None for st in between), (step.name, name)
-        assert any(in_place for st in steps for *_, in_place in st.children) == (len(T) > 2)
+        for step in plan.steps:
+            b = B(step.name.removeprefix("atom "))
+            for a in (B(leaf.name.removeprefix("atom ")) for leaf in step.leaves):
+                assert a != b and a.issubset(b) and a.bits[-1] == b.bits[-1], (b, a)
 
     @pytest.mark.parametrize("T,k,coll,folds,pairs", [
-        ((12, 12, 12), (3, 3, 3), "110,101,011", 5, 12), ((16, 16), (4, 4), "10,01", 1, 2)])
+        ((12, 12, 12), (3, 3, 3), "110,101,011", 6, 12), ((16, 16), (4, 4), "10,01", 1, 2)])
     def test_fold_counts(self, T, k, coll, folds, pairs):
-        # a member sums its parent's peeled residual, which has already folded
-        # out every superset of that parent and what its leaves folded there:
-        # only the others are folded, each once on a path (facets: 001, 010 fold
-        # 011 once each; 100 folds 101; 000 folds 001 and 010 only)
+        # a read folds every superset; a leaf sums its read's peeled residual, which
+        # has already folded out every superset of the read and what earlier leaves
+        # folded there: only the others are folded, earlier leaves among them
+        # (facets: 001 folds 101; 100 folds 101, 010 folds 011; 000 folds 100, 010, 001)
         p = ManhattanParams(d=len(T), lam=(1,) * len(T), k=k, T=T)
         c = Collection.from_string(p, coll)
         plan = ReconstructionPlan.for_collection(c)
@@ -683,14 +680,15 @@ class TestRegionSynthesis:
     @pytest.mark.parametrize(
         "T,k,coll", [((256, 256), (2, 2), "10,01"), ((48, 48, 48), (3, 3, 3), "110,101,011"),
                      ((24, 24, 24, 24), (2, 2, 2, 2), "1100,0011,1010"),
-                     ((1024, 1024), (2, 2), "10,01")]
+                     ((1024, 1024), (2, 2), "10,01"), ((48, 48, 48), (2, 2, 2), "110,001"),
+                     ((24, 24, 24, 24), (2, 2, 2, 2), "1100,1010,0110,0001")]
     )
     @pytest.mark.parametrize("call", ["bandlimit", "reconstruct"])
     def test_peak_memory(self, T, k, coll, call):
         # no full-size spectrum, mask or scattered image is built, and the image
         # is inverted into the half spectrum's own memory; reconstruct gathers
-        # each atom into that half spectrum and holds one member spectrum beside it,
-        # with no copy of the samples, no transform temporary and no leaf's replica sum
+        # each atom into that half spectrum and holds one read's spectrum beside it,
+        # with no copy of the samples, no transform temporary and no replica sum's
         p = ManhattanParams(d=len(T), lam=(1,) * len(T), k=k, T=T)
         c = Collection.from_string(p, coll)
         image = bandlimited_image(p, c, seed=11)
@@ -705,7 +703,7 @@ class TestRegionSynthesis:
         if call == "reconstruct":
             spectrum = lambda m: 16 * np.prod(m[:-1]) * (m[-1] // 2 + 1)
             member = max(spectrum([t // si for t, si in zip(T, step.s)])
-                         for step in ReconstructionPlan.for_collection(c).steps if step.read)
+                         for step in ReconstructionPlan.for_collection(c).steps)
             assert peak <= spectrum(T) + member + (16 << 10)
 
 
